@@ -1,9 +1,9 @@
 """Reference first-order methods run against the same transports.
 
 PG-EXTRA tracks four local n-vectors and broadcasts the (current, previous)
-iterate pair once per round. The consensus ADMM variant reuses the DPGA-W
-message pattern but solves its x-update subproblem to high accuracy with an
-inner accelerated solver.
+iterate pair once per round. Consensus ADMM is the DPGA-W round run on
+prox-only objectives, whose prox is the composite x-update solved to high
+accuracy with an inner accelerated solver.
 """
 
 from __future__ import annotations
@@ -12,8 +12,9 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .dpga_w import CommunicationMatrix
-from .errors import InnerSolveError, ProtocolError
+from .dpga import mix, weight_row
+from .dpga_w import CommunicationMatrix, DpgaWNode, dpgaw_init, dpgaw_round
+from .errors import InnerSolveError
 from .objective import NodeObjective
 from .topology import Graph, MixingPair
 
@@ -22,7 +23,6 @@ __all__ = [
     "pg_extra_init",
     "pg_extra_round",
     "pg_extra_kkt_residuals",
-    "AdmmNode",
     "admm_init",
     "admm_round",
     "prox_composite",
@@ -66,7 +66,6 @@ def pg_extra_init(g: Graph, mixing: MixingPair, objectives, x0, c: float | None 
         raise ValueError(f"stepsize {c} outside (0, {cap})")
     nodes = []
     for i in range(g.node_count):
-        closed = sorted(set(g.neighbor_lists[i]) | {i})
         x_i = np.array(x0[i], dtype=float)
         nodes.append(
             PgExtraNode(
@@ -77,24 +76,11 @@ def pg_extra_init(g: Graph, mixing: MixingPair, objectives, x0, c: float | None 
                 grad_prev=np.zeros_like(x_i),
                 c=float(c),
                 stage=0,
-                w_row={j: float(mixing.W[i, j]) for j in closed},
-                wt_row={j: float(mixing.W_tilde[i, j]) for j in closed},
+                w_row=weight_row(g, mixing.W, i),
+                wt_row=weight_row(g, mixing.W_tilde, i),
             )
         )
     return nodes
-
-
-def _pair_inbox_sum(row: dict[int, float], own: np.ndarray, inbox, node_id: int, part: int):
-    expected = set(row) - {node_id}
-    if set(inbox) != expected:
-        raise ProtocolError(
-            f"node {node_id} expected messages from {sorted(expected)}, got {sorted(inbox)}"
-        )
-    acc = row[node_id] * own
-    for j, w in row.items():
-        if j != node_id:
-            acc = acc + w * inbox[j][part]
-    return acc
 
 
 def pg_extra_round(nodes, objectives, exchange):
@@ -108,13 +94,12 @@ def pg_extra_round(nodes, objectives, exchange):
     new_nodes = []
     for node, obj in zip(nodes, objectives):
         i = node.node_id
-        own = payloads[i]
-        mix_curr = _pair_inbox_sum(node.w_row, own[0], inboxes[i], i, 0)
+        mix_curr = mix(node.w_row, i, payloads[i], inboxes[i])[0]
         grad_new = obj.f_grad(node.x_curr)
         if node.stage == 0:
             half = mix_curr - node.c * grad_new
         else:
-            mix_prev = _pair_inbox_sum(node.wt_row, own[1], inboxes[i], i, 1)
+            mix_prev = mix(node.wt_row, i, payloads[i], inboxes[i])[1]
             half = mix_curr - mix_prev + node.x_half - node.c * (grad_new - node.grad_prev)
         x_next = obj.prox(half, node.c)
         new_nodes.append(
@@ -233,84 +218,24 @@ class ProxOnlyObjective:
         return prox_composite(self.inner, vbar, t, tol=self.inner_tol, z0=vbar)
 
 
-@dataclass(frozen=True)
-class AdmmNode:
-    """Consensus ADMM agent; messages and storage match DpgaWNode."""
-
-    node_id: int
-    x: np.ndarray
-    s: np.ndarray
-    p: np.ndarray
-    c: float
-    gamma: float
-    s_factor: float  # gamma / (d_i + 1)
-    w_row: dict[int, float]
-
-    def vector_count(self) -> int:
-        return 3
-
-
-def admm_init(g: Graph, W: CommunicationMatrix, objectives, gamma: float, x0):
-    """ADMM nodes with the exact stepsizes c_i = 1 / (gamma |omega_i|^2)."""
+def admm_init(g: Graph, W: CommunicationMatrix, objectives, gamma: float, x0) -> list[DpgaWNode]:
+    """DPGA-W nodes for prox-only objectives with one shared gamma: the exact
+    stepsizes c_i = 1 / (gamma |omega_i|^2) and tau_i^-1 = gamma / (d_i + 1)."""
     if gamma <= 0:
         raise ValueError("gamma must be positive")
-    nodes = []
-    for i in range(g.node_count):
-        closed = sorted(set(g.neighbor_lists[i]) | {i})
-        x_i = np.array(x0[i], dtype=float)
-        nodes.append(
-            AdmmNode(
-                node_id=i,
-                x=x_i,
-                s=np.zeros_like(x_i),
-                p=np.zeros_like(x_i),
-                c=1.0 / (gamma * W.omega_norms_sq[i]),
-                gamma=float(gamma),
-                s_factor=float(gamma) / (g.degrees[i] + 1),
-                w_row={j: float(W.matrix[i, j]) for j in closed},
-            )
-        )
-    return nodes
+    shadows = [ProxOnlyObjective(o) for o in objectives]
+    nodes = dpgaw_init(g, W, shadows, np.full(g.node_count, gamma), x0, safety=1.0)
+    return [replace(nd, tau_inv=gamma / (g.degrees[nd.node_id] + 1)) for nd in nodes]
 
 
-def _admm_inbox_sum(node: AdmmNode, own: np.ndarray, inbox) -> np.ndarray:
-    expected = set(node.w_row) - {node.node_id}
-    if set(inbox) != expected:
-        raise ProtocolError(
-            f"node {node.node_id} expected messages from {sorted(expected)}, "
-            f"got {sorted(inbox)}"
-        )
-    acc = node.w_row[node.node_id] * own
-    for j, w in node.w_row.items():
-        if j != node.node_id:
-            acc = acc + w * inbox[j]
-    return acc
-
-
-def admm_round(nodes, objectives, exchange, inner_tol: float = 1e-10, inner_cap: int = 200000):
-    """One ADMM round: exchange p + s, solve the composite x-update, exchange
-    x, then update s and p. Returns the inner-solve count per node as well."""
-    phase_a = {nd.node_id: nd.p + nd.s for nd in nodes}
-    inbox_a = exchange(phase_a)
-    proposals = {}
-    inner_iters = []
-    for node, obj in zip(nodes, objectives):
-        drive = _admm_inbox_sum(node, phase_a[node.node_id], inbox_a[node.node_id])
-        v = node.x - node.c * drive
-        before = _InnerCounter(obj)
-        proposals[node.node_id] = prox_composite(
-            before, v, node.c, tol=inner_tol, max_iter=inner_cap, z0=node.x
-        )
-        inner_iters.append(before.calls)
-    inbox_b = exchange(proposals)
-    new_nodes = []
-    for node in nodes:
-        wx = _admm_inbox_sum(node, proposals[node.node_id], inbox_b[node.node_id])
-        s_new = node.s_factor * wx
-        new_nodes.append(
-            replace(node, x=proposals[node.node_id], s=s_new, p=node.p + s_new)
-        )
-    return new_nodes, proposals, inner_iters
+def admm_round(nodes, objectives, exchange, inner_tol: float = 1e-10):
+    """One ADMM round: the DPGA-W round on prox-only views of the objectives
+    (exchange p + s, solve the composite x-update to inner_tol, exchange x,
+    update s and p). Returns the inner gradient calls per node as well."""
+    counters = [_InnerCounter(obj) for obj in objectives]
+    shadows = [ProxOnlyObjective(counter, inner_tol=inner_tol) for counter in counters]
+    new_nodes, proposals = dpgaw_round(nodes, shadows, exchange)
+    return new_nodes, proposals, [counter.calls for counter in counters]
 
 
 class _InnerCounter:

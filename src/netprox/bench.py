@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 import os
+import re
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -389,6 +390,9 @@ _CONFIG_KEYS = {
 }
 
 
+_LABEL = re.compile(r"[A-Za-z0-9._-]+")
+
+
 def _require(cfg: dict, key: str, kind, path: str):
     if key not in cfg:
         raise ConfigError(f"{path}.{key}: missing")
@@ -400,6 +404,10 @@ def _require(cfg: dict, key: str, kind, path: str):
     if not isinstance(val, kind) or (kind is int and isinstance(val, bool)):
         raise ConfigError(f"{path}.{key}: expected {kind.__name__}, got {type(val).__name__}")
     return val
+
+
+def _optional(cfg: dict, key: str, kind, path: str, default):
+    return _require(cfg, key, kind, path) if key in cfg else default
 
 
 def validate_config(cfg: dict) -> dict:
@@ -414,7 +422,7 @@ def validate_config(cfg: dict) -> dict:
     case = _require(prob, "case", int, "problem")
     N = _require(prob, "N", int, "problem")
     n_g = _require(prob, "n_g", int, "problem")
-    K = int(prob.get("K", 10))
+    K = _optional(prob, "K", int, "problem", 10)
     try:
         ProblemSpec(case=case, N=N, n_g=n_g, seed=0, K=K)
     except ValueError as exc:
@@ -422,7 +430,7 @@ def validate_config(cfg: dict) -> dict:
 
     topo = _require(cfg, "topology", dict, "config")
     kind = _require(topo, "kind", str, "topology")
-    extra_edges = int(topo.get("extra_edges", 0))
+    extra_edges = _optional(topo, "extra_edges", int, "topology", 0)
     topo_seed = topo.get("seed")
     try:
         build_topology(kind, N, extra_edges=extra_edges, seed=topo_seed)
@@ -476,6 +484,12 @@ def validate_config(cfg: dict) -> dict:
     horizon = cfg.get("horizon")
     if horizon is not None and (not isinstance(horizon, int) or horizon < 1):
         raise ConfigError("horizon: must be a positive integer or null")
+
+    _optional(cfg, "bounds", bool, "config", False)
+    if not 0 < _optional(cfg, "safety", float, "config", 0.999) <= 1:
+        raise ConfigError("safety: must lie in (0, 1]")
+    if "label" in cfg and not _LABEL.fullmatch(_require(cfg, "label", str, "config")):
+        raise ConfigError("label: use only letters, digits, '.', '_' and '-'")
     return cfg
 
 
@@ -630,10 +644,8 @@ def run_experiment(config: dict, out_dir=None, check: bool = False) -> Experimen
             if check:
                 if not result.solved:
                     checks_passed = False
-                if result.audit is not None:
-                    report = _simnet.audit_check(result.audit, algorithm)
-                    if not report.ok:
-                        checks_passed = False
+                if not _simnet.audit_check(result.audit, algorithm).ok:
+                    checks_passed = False
                 if bound is not None and result.ergodic is not None:
                     ts = result.ergodic["t"]
                     gaps = np.abs(result.ergodic["subopt_gap"])

@@ -19,7 +19,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .engine import Block, BlockProblem, Chunk, ZeroCoupling
+from .engine import Block, BlockProblem, Chunk, ZeroCoupling, base_step, scheduled_step, step_rule
 from .errors import ProtocolError
 from .objective import NoisyOracle, oracle_grad
 from .topology import Graph
@@ -27,6 +27,8 @@ from .topology import Graph
 __all__ = [
     "DpgaNode",
     "GammaMatrix",
+    "weight_row",
+    "mix",
     "dpga_init",
     "dpga_round",
     "dpga_round_adaptive",
@@ -54,8 +56,30 @@ class GammaMatrix:
         for i, j in g.edges:
             v = gammas[i] * gammas[j] / (gammas[i] + gammas[j])
             m[i, j] = m[j, i] = -v
-        np.fill_diagonal(m, -m.sum(axis=1))
+        for i in range(N):
+            # summed in neighbor order, as the node itself would
+            m[i, i] = -sum(m[i, j] for j in g.neighbor_lists[i])
         return cls(matrix=m)
+
+
+def weight_row(g: Graph, matrix: np.ndarray, i: int) -> dict[int, float]:
+    """Row i of a graph-supported matrix over N_i u {i}, in index order."""
+    return {j: float(matrix[i, j]) for j in sorted((*g.neighbor_lists[i], i))}
+
+
+def mix(row: dict[int, float], node_id: int, own: np.ndarray, inbox: dict) -> np.ndarray:
+    """row[i] own + sum_j row[j] inbox[j] over the closed neighborhood the
+    row spans; the inbox must hold exactly the node's neighbors."""
+    expected = row.keys() - {node_id}
+    if inbox.keys() != expected:
+        raise ProtocolError(
+            f"node {node_id} expected messages from {sorted(expected)}, got {sorted(inbox)}"
+        )
+    acc = row[node_id] * own
+    for j, w in row.items():
+        if j != node_id:
+            acc = acc + w * inbox[j]
+    return acc
 
 
 @dataclass(frozen=True)
@@ -70,15 +94,11 @@ class DpgaNode:
     gamma: float
     L_running: float
     L_init: float
-    coef: dict[int, float]  # j -> gamma_i gamma_j / (gamma_i + gamma_j)
+    gamma_row: dict[int, float]  # j -> Gamma_ij over N_i u {i}
 
     @property
     def degree(self) -> int:
-        return len(self.coef)
-
-    @property
-    def diag(self) -> float:
-        return float(sum(self.coef.values()))
+        return len(self.gamma_row) - 1
 
     def vector_count(self) -> int:
         return 3
@@ -94,7 +114,7 @@ def dpga_init(
     optimistic_L: bool = False,
     upsilon: float = 2.0,
 ) -> list[DpgaNode]:
-    """Set up DPGA nodes: stepsizes, Gamma coefficients, s0 and p0 = 0.
+    """Set up DPGA nodes: stepsizes, Gamma rows, s0 and p0 = 0.
 
     step_mode "constant" uses c_i = safety/(L_i + gamma_i d_i); the
     stochastic modes ("diminishing", "horizon") use the base
@@ -102,53 +122,54 @@ def dpga_init(
     The one-time gamma exchange with neighbors happens here.
     """
     gammas = np.asarray(gammas, dtype=float)
-    if gammas.size != g.node_count or np.any(gammas <= 0):
+    N = g.node_count
+    if gammas.size != N or np.any(gammas <= 0):
         raise ValueError("need one positive gamma per node")
-    if step_mode not in ("constant", "diminishing", "horizon"):
-        raise ValueError(f"unknown step_mode {step_mode!r}")
-    if not 0 < safety <= 1:
-        raise ValueError("safety must lie in (0, 1]")
+    L = [objectives[i].lipschitz for i in range(N)]
+    c = base_step(np.array(L) + gammas * np.array(g.degrees), safety, step_mode)
+    Gamma = GammaMatrix.build(g, gammas).matrix
+    x0 = [np.asarray(x, dtype=float) for x in x0]
     nodes = []
-    for i in range(g.node_count):
-        L = objectives[i].lipschitz
-        d = g.degrees[i]
-        coef = {
-            j: gammas[i] * gammas[j] / (gammas[i] + gammas[j])
-            for j in g.neighbor_lists[i]
-        }
-        s0 = sum(coef.values()) * np.asarray(x0[i], dtype=float)
-        for j in g.neighbor_lists[i]:
-            s0 = s0 - coef[j] * np.asarray(x0[j], dtype=float)
-        if step_mode == "constant":
-            c = safety / (L + gammas[i] * d)
-        else:
-            c = 1.0 / (L + gammas[i] * d + 1.0)
+    for i in range(N):
+        row = weight_row(g, Gamma, i)
+        s0 = mix(row, i, x0[i], {j: x0[j] for j in g.neighbor_lists[i]})
         nodes.append(
             DpgaNode(
                 node_id=i,
-                x=np.array(x0[i], dtype=float),
+                x=np.array(x0[i]),
                 s=s0,
                 p=np.zeros_like(s0),
-                c=float(c),
+                c=float(c[i]),
                 gamma=float(gammas[i]),
-                L_running=L / upsilon**4 if optimistic_L else L,
-                L_init=L,
-                coef=coef,
+                L_running=L[i] / upsilon**4 if optimistic_L else L[i],
+                L_init=L[i],
+                gamma_row=row,
             )
         )
     return nodes
 
 
-def _sp_update(node: DpgaNode, x_new: np.ndarray, inbox: dict[int, np.ndarray]) -> DpgaNode:
-    if set(inbox) != set(node.coef):
-        raise ProtocolError(
-            f"node {node.node_id} expected messages from {sorted(node.coef)}, "
-            f"got {sorted(inbox)}"
+def _round(nodes, objectives, exchange, step):
+    """The DPGA round. step(node, obj) returns the node's new x plus any
+    scalar fields it changes; the new x's are broadcast, then every node
+    mixes s = sum_j Gamma_ij x_j and accumulates p += s."""
+    proposals = {}
+    changed = {}
+    for node, obj in zip(nodes, objectives):
+        proposals[node.node_id], changed[node.node_id] = step(node, obj)
+    inboxes = exchange(proposals)
+    new_nodes = []
+    for node in nodes:
+        i = node.node_id
+        s_new = mix(node.gamma_row, i, proposals[i], inboxes[i])
+        new_nodes.append(
+            replace(node, x=proposals[i], s=s_new, p=node.p + s_new, **changed[i])
         )
-    s_new = node.diag * x_new
-    for j, cj in node.coef.items():
-        s_new = s_new - cj * inbox[j]
-    return replace(node, x=x_new, s=s_new, p=node.p + s_new)
+    return new_nodes, proposals
+
+
+def _prox_step(node: DpgaNode, obj, grad: np.ndarray, c: float) -> np.ndarray:
+    return obj.prox(node.x - c * (grad + node.p + node.s), c)
 
 
 def dpga_round(nodes, objectives, exchange):
@@ -158,18 +179,12 @@ def dpga_round(nodes, objectives, exchange):
     simulator supplies it with auditing attached. Returns the new node list
     and the payloads that were broadcast.
     """
-    proposals = {}
-    for node, obj in zip(nodes, objectives):
-        grad = obj.f_grad(node.x)
-        proposals[node.node_id] = obj.prox(
-            node.x - node.c * (grad + node.p + node.s), node.c
-        )
-    inboxes = exchange(proposals)
-    new_nodes = [
-        _sp_update(node, proposals[node.node_id], inboxes[node.node_id])
-        for node in nodes
-    ]
-    return new_nodes, proposals
+    return _round(
+        nodes,
+        objectives,
+        exchange,
+        lambda node, obj: (_prox_step(node, obj, obj.f_grad(node.x), node.c), {}),
+    )
 
 
 def adaptive_backtrack(
@@ -213,19 +228,12 @@ def adaptive_backtrack(
 
 def dpga_round_adaptive(nodes, objectives, exchange, upsilon: float = 2.0):
     """DPGA round with the backtracking stepsize rule (AS mode)."""
-    proposals = {}
-    accepted: dict[int, tuple[float, float]] = {}
-    for node, obj in zip(nodes, objectives):
+
+    def step(node, obj):
         x_new, L_new, c_new = adaptive_backtrack(node, obj, upsilon)
-        proposals[node.node_id] = x_new
-        accepted[node.node_id] = (L_new, c_new)
-    inboxes = exchange(proposals)
-    new_nodes = []
-    for node in nodes:
-        L_new, c_new = accepted[node.node_id]
-        nd = _sp_update(node, proposals[node.node_id], inboxes[node.node_id])
-        new_nodes.append(replace(nd, L_running=L_new, c=c_new))
-    return new_nodes, proposals
+        return x_new, {"L_running": L_new, "c": c_new}
+
+    return _round(nodes, objectives, exchange, step)
 
 
 def sdpga_round(
@@ -244,28 +252,14 @@ def sdpga_round(
     is given. rule="constant" is admissible only for sigma = 0 oracles and
     then reproduces dpga_round exactly.
     """
-    if rule is None:
-        rule = "horizon" if horizon is not None else "diminishing"
-    if rule == "constant" and any(o.sigma > 0 for o in oracles):
-        raise ValueError("constant steps require noiseless oracles")
-    if rule == "horizon" and horizon is None:
-        raise ValueError("horizon rule needs a horizon")
-    proposals = {}
-    for node, obj, orc in zip(nodes, objectives, oracles):
-        if rule == "constant":
-            ck = node.c
-        elif rule == "diminishing":
-            ck = 1.0 / (1.0 / node.c + np.sqrt(k))
-        else:
-            ck = 1.0 / (1.0 / node.c + np.sqrt(horizon))
-        grad = oracle_grad(obj, orc, node.x)
-        proposals[node.node_id] = obj.prox(node.x - ck * (grad + node.p + node.s), ck)
-    inboxes = exchange(proposals)
-    new_nodes = [
-        _sp_update(node, proposals[node.node_id], inboxes[node.node_id])
-        for node in nodes
-    ]
-    return new_nodes, proposals
+    rule = step_rule(rule, horizon, oracles)
+    oracle_of = {nd.node_id: orc for nd, orc in zip(nodes, oracles)}
+
+    def step(node, obj):
+        grad = oracle_grad(obj, oracle_of[node.node_id], node.x)
+        return _prox_step(node, obj, grad, scheduled_step(node.c, rule, k, horizon)), {}
+
+    return _round(nodes, objectives, exchange, step)
 
 
 def gamma_heuristic(g: Graph, c_factor: float = 2.6) -> float:

@@ -13,8 +13,8 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .engine import Block, BlockProblem, Chunk, ZeroSumCoupling
-from .errors import ProtocolError
+from .dpga import mix, weight_row
+from .engine import Block, BlockProblem, Chunk, ZeroSumCoupling, base_step, scheduled_step, step_rule
 from .objective import NoisyOracle, oracle_grad
 from .topology import Graph
 
@@ -126,20 +126,14 @@ def dpgaw_init(
     here. p0 defaults to zero, which the ergodic bounds require.
     """
     gammas = np.asarray(gammas, dtype=float)
-    if gammas.size != g.node_count or np.any(gammas <= 0):
+    N = g.node_count
+    if gammas.size != N or np.any(gammas <= 0):
         raise ValueError("need one positive gamma per node")
-    if step_mode not in ("constant", "diminishing", "horizon"):
-        raise ValueError(f"unknown step_mode {step_mode!r}")
-    if not 0 < safety <= 1:
-        raise ValueError("safety must lie in (0, 1]")
+    L = np.array([objectives[i].lipschitz for i in range(N)])
+    c = base_step(L + gammas * np.array(W.omega_norms_sq), safety, step_mode)
     nodes = []
-    for i in range(g.node_count):
-        closed = sorted(set(g.neighbor_lists[i]) | {i})
-        w_row = {j: float(W.matrix[i, j]) for j in closed}
-        tau = sum(1.0 / gammas[j] for j in closed)
-        L = objectives[i].lipschitz
-        cap = L + gammas[i] * W.omega_norms_sq[i]
-        c = safety / cap if step_mode == "constant" else 1.0 / (cap + 1.0)
+    for i in range(N):
+        w_row = weight_row(g, W.matrix, i)
         x_i = np.array(x0[i], dtype=float)
         nodes.append(
             DpgaWNode(
@@ -147,27 +141,13 @@ def dpgaw_init(
                 x=x_i,
                 s=np.zeros_like(x_i),
                 p=np.zeros_like(x_i) if p0 is None else np.array(p0[i], dtype=float),
-                c=float(c),
+                c=float(c[i]),
                 gamma=float(gammas[i]),
-                tau_inv=1.0 / tau,
+                tau_inv=1.0 / sum(1.0 / gammas[j] for j in w_row),
                 w_row=w_row,
             )
         )
     return nodes
-
-
-def _weighted_inbox_sum(node: DpgaWNode, own: np.ndarray, inbox: dict[int, np.ndarray]) -> np.ndarray:
-    expected = set(node.w_row) - {node.node_id}
-    if set(inbox) != expected:
-        raise ProtocolError(
-            f"node {node.node_id} expected messages from {sorted(expected)}, "
-            f"got {sorted(inbox)}"
-        )
-    acc = node.w_row[node.node_id] * own
-    for j, w in node.w_row.items():
-        if j != node.node_id:
-            acc = acc + w * inbox[j]
-    return acc
 
 
 def _round(nodes, objectives, exchange, grad_of, step_of):
@@ -176,20 +156,17 @@ def _round(nodes, objectives, exchange, grad_of, step_of):
     inbox_a = exchange(phase_a)
     proposals = {}
     for node, obj in zip(nodes, objectives):
-        drive = _weighted_inbox_sum(node, phase_a[node.node_id], inbox_a[node.node_id])
+        i = node.node_id
+        drive = mix(node.w_row, i, phase_a[i], inbox_a[i])
         ck = step_of(node)
-        proposals[node.node_id] = obj.prox(
-            node.x - ck * (grad_of(node, obj) + drive), ck
-        )
+        proposals[i] = obj.prox(node.x - ck * (grad_of(node, obj) + drive), ck)
     # phase B: exchange the fresh x, then the s and p recursions
     inbox_b = exchange(proposals)
     new_nodes = []
     for node in nodes:
-        wx = _weighted_inbox_sum(node, proposals[node.node_id], inbox_b[node.node_id])
-        s_new = node.tau_inv * wx
-        new_nodes.append(
-            replace(node, x=proposals[node.node_id], s=s_new, p=node.p + s_new)
-        )
+        i = node.node_id
+        s_new = node.tau_inv * mix(node.w_row, i, proposals[i], inbox_b[i])
+        new_nodes.append(replace(node, x=proposals[i], s=s_new, p=node.p + s_new))
     return new_nodes, proposals
 
 
@@ -214,27 +191,14 @@ def sdpgaw_round(
     rule: str | None = None,
 ):
     """Stochastic DPGA-W round; stepsize schedules as in sdpga_round."""
-    if rule is None:
-        rule = "horizon" if horizon is not None else "diminishing"
-    if rule == "constant" and any(o.sigma > 0 for o in oracles):
-        raise ValueError("constant steps require noiseless oracles")
-    if rule == "horizon" and horizon is None:
-        raise ValueError("horizon rule needs a horizon")
-
-    def step_of(node):
-        if rule == "constant":
-            return node.c
-        if rule == "diminishing":
-            return 1.0 / (1.0 / node.c + np.sqrt(k))
-        return 1.0 / (1.0 / node.c + np.sqrt(horizon))
-
-    by_id = {nd.node_id: i for i, nd in enumerate(nodes)}
+    rule = step_rule(rule, horizon, oracles)
+    oracle_of = {nd.node_id: orc for nd, orc in zip(nodes, oracles)}
     return _round(
         nodes,
         objectives,
         exchange,
-        grad_of=lambda node, obj: oracle_grad(obj, oracles[by_id[node.node_id]], node.x),
-        step_of=step_of,
+        grad_of=lambda node, obj: oracle_grad(obj, oracle_of[node.node_id], node.x),
+        step_of=lambda node: scheduled_step(node.c, rule, k, horizon),
     )
 
 

@@ -27,7 +27,11 @@ __all__ = [
     "ZeroSumCoupling",
     "BlockProblem",
     "EngineState",
+    "STEP_RULES",
     "StepPlan",
+    "base_step",
+    "step_rule",
+    "scheduled_step",
     "constant_plan",
     "diminishing_plan",
     "horizon_plan",
@@ -134,12 +138,6 @@ class ZeroSumCoupling:
         # finite on its domain; engine states keep y feasible by construction
         return 0.0
 
-    def feasibility(self, y) -> float:
-        r = 0.0
-        for g in self._groups:
-            r = max(r, float(np.linalg.norm(sum(y[s] for s in g))))
-        return r
-
 
 def _slot_targets(prob: "BlockProblem", x, lam) -> list[np.ndarray]:
     """Penalty-weighted per-slot average of A x - b + lam/gamma."""
@@ -245,26 +243,58 @@ class EngineState:
         )
 
 
+STEP_RULES = ("constant", "diminishing", "horizon")
+
+
+def base_step(cap, safety: float = 0.999, step_mode: str = "constant"):
+    """Base stepsize from the cap L_i + gamma_i ||A_i||^2 (scalar or array):
+    safety/cap for constant steps, 1/(cap + 1) for the noisy schedules."""
+    if step_mode not in STEP_RULES:
+        raise ValueError(f"unknown step_mode {step_mode!r}")
+    if not 0 < safety <= 1:
+        raise ValueError("safety must lie in (0, 1]")
+    return safety / cap if step_mode == "constant" else 1.0 / (cap + 1.0)
+
+
+def step_rule(rule: str | None, horizon: int | None, oracles=()) -> str:
+    """Resolve a stepsize rule (None means horizon when a horizon is given,
+    else diminishing) and reject constant steps under gradient noise and a
+    horizon rule without a horizon."""
+    if rule is None:
+        rule = "horizon" if horizon is not None else "diminishing"
+    if rule not in STEP_RULES:
+        raise ValueError(f"unknown stepsize rule {rule!r}")
+    if rule == "constant" and any(o.sigma > 0 for o in oracles):
+        raise ValueError(
+            "constant steps are only admissible for noiseless oracles; "
+            "use a diminishing or horizon rule when sigma > 0"
+        )
+    if rule == "horizon" and horizon is None:
+        raise ValueError("horizon rule needs a horizon")
+    return rule
+
+
+def scheduled_step(base, rule: str, k: int, horizon: int | None = None):
+    """c_i^k under a resolved rule: the base c_i for constant steps, else
+    1/c_i^k = 1/c_i + sqrt(k), with k frozen at the horizon for that rule."""
+    if rule == "constant":
+        return base
+    return 1.0 / (1.0 / base + np.sqrt(horizon if rule == "horizon" else k))
+
+
 @dataclass(frozen=True)
 class StepPlan:
-    """Per-node stepsize schedule.
-
-    rule is one of constant, diminishing (1/c_i^k = 1/c_i + sqrt(k)) or
-    horizon (1/c_i^k = 1/c_i + sqrt(horizon) for every k).
-    """
+    """Per-node stepsize schedule under one of STEP_RULES."""
 
     rule: str
     base: np.ndarray
     horizon: int | None = None
 
+    def __post_init__(self) -> None:
+        step_rule(self.rule, self.horizon)
+
     def step_sizes(self, k: int) -> np.ndarray:
-        if self.rule == "constant":
-            return self.base
-        if self.rule == "diminishing":
-            return 1.0 / (1.0 / self.base + np.sqrt(k))
-        if self.rule == "horizon":
-            return 1.0 / (1.0 / self.base + np.sqrt(self.horizon))
-        raise ValueError(f"unknown stepsize rule {self.rule!r}")
+        return scheduled_step(self.base, self.rule, k, self.horizon)
 
 
 def _cap(prob: BlockProblem) -> np.ndarray:
@@ -282,20 +312,20 @@ def constant_plan(
         if np.any(c <= 0) or np.any(c * cap > 1.0 + 1e-12):
             raise ValueError("constant steps violate c_i <= 1/(L_i + gamma_i ||A_i||^2)")
     else:
-        if not 0 < safety <= 1:
-            raise ValueError("safety factor must lie in (0, 1]")
-        c = safety / cap
+        c = base_step(cap, safety)
     return StepPlan(rule="constant", base=c)
 
 
 def diminishing_plan(prob: BlockProblem) -> StepPlan:
-    return StepPlan(rule="diminishing", base=1.0 / (_cap(prob) + 1.0))
+    return StepPlan(rule="diminishing", base=base_step(_cap(prob), step_mode="diminishing"))
 
 
 def horizon_plan(prob: BlockProblem, horizon: int) -> StepPlan:
     if horizon < 1:
         raise ValueError("horizon must be at least 1")
-    return StepPlan(rule="horizon", base=1.0 / (_cap(prob) + 1.0), horizon=horizon)
+    return StepPlan(
+        rule="horizon", base=base_step(_cap(prob), step_mode="horizon"), horizon=horizon
+    )
 
 
 def _advance(
@@ -348,11 +378,7 @@ def spgadmm_step(
     oracles: list[NoisyOracle],
 ) -> EngineState:
     """PG-ADMM step with oracle gradients and k-dependent stepsizes."""
-    if plan.rule == "constant" and any(o.sigma > 0 for o in oracles):
-        raise ValueError(
-            "constant steps are only admissible for noiseless oracles; "
-            "use a diminishing or horizon plan when sigma > 0"
-        )
+    step_rule(plan.rule, plan.horizon, oracles)
     c = plan.step_sizes(state.k)
     grads = [
         oracle_grad(prob.objectives[i], oracles[i], state.x[i]) for i in range(prob.N)

@@ -18,7 +18,7 @@ import numpy as np
 from . import baselines as _baselines
 from . import dpga as _dpga
 from . import dpga_w as _dpga_w
-from .engine import EngineState, constant_plan, pgadmm_step
+from .engine import step_rule
 from .errors import ProtocolError
 from .objective import NoisyOracle
 from .topology import Graph, mixing_pair
@@ -41,7 +41,7 @@ __all__ = [
     "run_synchronous",
 ]
 
-ALGORITHMS = ("dpga", "sdpga", "dpga_w", "sdpga_w", "pg_extra", "admm", "engine-direct")
+ALGORITHMS = ("dpga", "sdpga", "dpga_w", "sdpga_w", "pg_extra", "admm")
 
 # per-node (scalars communicated per round, n-vectors stored), in units of n
 TABLE_PROFILES = {
@@ -162,8 +162,8 @@ class RunRecord:
     """The per-round measurement table, exactly what the CSV holds.
 
     Row layout follows CSV_COLUMNS; round and cum_scalars_per_node are ints,
-    the rest floats or None. Serialization uses repr so parse(write(r)) == r
-    down to the last bit.
+    the rest floats or None. Serialization uses the repr of the Python float
+    so parse(write(r)) == r down to the last bit.
     """
 
     rows: tuple[tuple, ...]
@@ -186,7 +186,7 @@ class RunRecord:
                     [
                         ""
                         if cell is None
-                        else (str(cell) if isinstance(cell, int) else repr(cell))
+                        else (str(cell) if isinstance(cell, int) else repr(float(cell)))
                         for cell in row
                     ]
                 )
@@ -219,14 +219,13 @@ class RunResult:
     trace)."""
 
     record: RunRecord
-    audit: AuditLog | None
+    audit: AuditLog
     final_x: np.ndarray
     rounds: int
     solved: bool
     nodes: list | None = None
     ergodic: dict | None = None
     trace: list | None = None
-    halves: list | None = None
     inner_iterations: list | None = None
 
 
@@ -310,7 +309,6 @@ def run_synchronous(
     keep_trace: bool = False,
     safety: float = 0.999,
     inner_tol: float = 1e-10,
-    engine_problem=None,
 ) -> RunResult:
     """Drive one algorithm for up to schedule.max_rounds synchronous rounds.
 
@@ -332,7 +330,8 @@ def run_synchronous(
         raise ValueError("adaptive steps are only wired up for dpga")
     if sigma < 0:
         raise ValueError("sigma must be nonnegative")
-    if sigma > 0 and algorithm not in ("sdpga", "sdpga_w"):
+    noisy = algorithm in ("sdpga", "sdpga_w")
+    if sigma > 0 and not noisy:
         raise ValueError(f"{algorithm} has no gradient-noise mode")
 
     N = graph.node_count
@@ -342,51 +341,35 @@ def run_synchronous(
 
     audit = AuditLog(node_count=N, n=n)
     transport = Transport(graph, audit)
-    needs_gammas = algorithm in ("dpga", "sdpga", "dpga_w", "sdpga_w", "admm") or (
-        algorithm == "engine-direct" and engine_problem is None
-    )
-    if needs_gammas and gammas is None:
+    if algorithm != "pg_extra" and gammas is None:
         raise ValueError(f"{algorithm} needs gammas")
 
-    nodes = None
-    state = None
-    halves = [] if (keep_trace and algorithm == "pg_extra") else None
     inner_iterations = [] if algorithm == "admm" else None
-    stochastic_mode = "horizon" if horizon is not None else "diminishing"
+    mode = step_rule(None, horizon) if noisy else "constant"
 
     if algorithm in ("dpga", "sdpga"):
-        mode = "constant" if algorithm == "dpga" else stochastic_mode
         nodes = _dpga.dpga_init(
             graph, objectives, gammas, x0, safety=safety, step_mode=mode
         )
     elif algorithm in ("dpga_w", "sdpga_w"):
         W = comm_matrix or _dpga_w.CommunicationMatrix.from_laplacian(graph)
-        mode = "constant" if algorithm == "dpga_w" else stochastic_mode
         nodes = _dpga_w.dpgaw_init(
             graph, W, objectives, gammas, x0, safety=safety, step_mode=mode
         )
     elif algorithm == "pg_extra":
         mixing = mixing_pair(graph)
         nodes = _baselines.pg_extra_init(graph, mixing, objectives, x0, c=c)
-    elif algorithm == "admm":
+    else:
         W = comm_matrix or _dpga_w.CommunicationMatrix.from_laplacian(graph)
         gam = np.asarray(gammas, dtype=float)
         if np.ptp(gam) != 0:
             raise ValueError("the admm variant uses one shared gamma")
         nodes = _baselines.admm_init(graph, W, objectives, float(gam.flat[0]), x0)
-    else:
-        prob = engine_problem
-        if prob is None:
-            prob, _ = _dpga.edge_consensus_problem(graph, objectives, gammas)
-        plan = constant_plan(prob, safety=safety)
-        state = EngineState.initial(prob, [np.array(x, dtype=float) for x in x0])
 
-    oracles = None
-    if algorithm in ("sdpga", "sdpga_w"):
-        oracles = [NoisyOracle.for_node(sigma, seed, i) for i in range(N)]
+    oracles = [NoisyOracle.for_node(sigma, seed, i) for i in range(N)] if noisy else None
 
     def advance(k_zero_based: int) -> np.ndarray:
-        nonlocal nodes, state
+        nonlocal nodes
         if algorithm == "dpga":
             if step_mode == "AS":
                 nodes, _ = _dpga.dpga_round_adaptive(
@@ -406,20 +389,14 @@ def run_synchronous(
             )
         elif algorithm == "pg_extra":
             nodes, _ = _baselines.pg_extra_round(nodes, objectives, transport.exchange)
-            if halves is not None:
-                halves.append(np.stack([nd.x_half for nd in nodes]))
-        elif algorithm == "admm":
+        else:
             nodes, _, iters = _baselines.admm_round(
                 nodes, objectives, transport.exchange, inner_tol=inner_tol
             )
             inner_iterations.append(iters)
-        else:
-            state = pgadmm_step(state, prob, plan)
-            return np.stack(state.x)
         return np.stack([nd.x_curr if algorithm == "pg_extra" else nd.x for nd in nodes])
 
-    if nodes is not None:
-        audit.record_storage(nodes)
+    audit.record_storage(nodes)
     F_star = None if reference is None else float(reference.F_star)
     bound_col = None
     if bound is not None:
@@ -447,8 +424,7 @@ def run_synchronous(
         X = advance(k - 1)
         rounds_run = k
         audit.rounds = k
-        if nodes is not None:
-            audit.record_storage(nodes)
+        audit.record_storage(nodes)
         erg_sum += X
         if keep_trace:
             trace.append(X)
@@ -457,8 +433,7 @@ def run_synchronous(
         F = network_objective(objectives, X)
         max_edge, V = consensus_metrics(graph, X)
         rel = None if F_star is None else abs(F - F_star) / abs(F_star)
-        cum = 0 if algorithm == "engine-direct" else audit.scalars_sent[0]
-        row = [k, F, rel, V, max_edge, cum, None, None, None]
+        row = [k, F, rel, V, max_edge, audit.scalars_sent[0], None, None, None]
         if bound_col is not None:
             row[bound_col] = float(bound.subopt_bound(k))
         rows.append(tuple(row))
@@ -485,18 +460,14 @@ def run_synchronous(
             key: (np.array(val) if key != "subopt_gap" or F_star is not None else val)
             for key, val in erg.items()
         }
-    final_x = np.stack(state.x) if state is not None else np.stack(
-        [nd.x_curr if algorithm == "pg_extra" else nd.x for nd in nodes]
-    )
     return RunResult(
         record=RunRecord(rows=tuple(rows)),
-        audit=None if algorithm == "engine-direct" else audit,
-        final_x=final_x,
+        audit=audit,
+        final_x=X,
         rounds=rounds_run,
         solved=solved,
         nodes=nodes,
         ergodic=erg,
         trace=trace,
-        halves=halves,
         inner_iterations=inner_iterations,
     )

@@ -163,7 +163,7 @@ def test_admm_init_values():
     nodes = admm_init(g, W, objs, 1.7, x0)
     for i, nd in enumerate(nodes):
         assert nd.c == pytest.approx(1.0 / (1.7 * W.omega_norms_sq[i]))
-        assert nd.s_factor == pytest.approx(1.7 / (g.degrees[i] + 1))
+        assert nd.tau_inv == pytest.approx(1.7 / (g.degrees[i] + 1))
     with pytest.raises(ValueError):
         admm_init(g, W, objs, 0.0, x0)
 
@@ -192,7 +192,7 @@ def test_admm_is_the_w_variant_with_prox_only_objectives():
     )
     for a, b in zip(admm_nodes, w_nodes):
         assert a.c == pytest.approx(b.c, rel=1e-15)
-        assert a.s_factor == pytest.approx(b.tau_inv, rel=1e-15)
+        assert a.tau_inv == pytest.approx(b.tau_inv, rel=1e-15)
     for _ in range(50):
         admm_nodes, _, _ = admm_round(admm_nodes, objs, exchange, inner_tol=1e-13)
         w_nodes, _ = dpgaw_round(w_nodes, shadows, exchange)

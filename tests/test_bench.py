@@ -1,8 +1,12 @@
 """Benchmark generator, bound curves, config validation, experiment driver."""
 
+import json
+import re
+
 import numpy as np
 import pytest
 
+from netprox import bench
 from netprox.bench import (
     BoundCurve,
     ConfigError,
@@ -22,7 +26,8 @@ from netprox.bench import (
     validate_config,
 )
 from netprox.dpga_w import CommunicationMatrix
-from netprox.simnet import RoundSchedule, run_synchronous
+from netprox.cli import main
+from netprox.simnet import RoundSchedule, RunRecord, run_synchronous
 from netprox.topology import build_topology, spectral_summary
 
 
@@ -309,8 +314,39 @@ def test_config_validation_diagnostics():
         validate_config(base_config(schedule={"max_rounds": 0}))
     with pytest.raises(ConfigError, match="horizon"):
         validate_config(base_config(horizon=0))
-    cfg = base_config(horizon=None)
+    cfg = base_config(horizon=None, bounds=False, safety=1, label="run-1_a.b")
     assert validate_config(cfg) is cfg
+
+
+@pytest.mark.parametrize(
+    "overrides, key",
+    [
+        ({"bounds": "no"}, "config.bounds"),
+        ({"bounds": 1}, "config.bounds"),
+        ({"safety": "high"}, "config.safety"),
+        ({"safety": True}, "config.safety"),
+        ({"safety": 0.0}, "safety"),
+        ({"safety": 1.5}, "safety"),
+        ({"problem": {"case": 1, "N": 2, "n_g": 2, "K": 2.5}}, "problem.K"),
+        ({"problem": {"case": 1, "N": 2, "n_g": 2, "K": "10"}}, "problem.K"),
+        ({"problem": {"case": 1, "N": 2, "n_g": 2, "K": 0}}, "problem"),
+        ({"topology": {"kind": "small_world", "extra_edges": 1.5}}, "topology.extra_edges"),
+        ({"topology": {"kind": "small_world", "extra_edges": "2"}}, "topology.extra_edges"),
+        ({"label": "../../x"}, "label"),
+        ({"label": ""}, "label"),
+        ({"label": 7}, "config.label"),
+    ],
+)
+def test_config_rejects_mistyped_keys(overrides, key):
+    with pytest.raises(ConfigError, match=re.escape(key) + ":"):
+        validate_config(base_config(**overrides))
+
+
+def test_cli_check_exits_2_on_config_error(tmp_path, capsys):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(base_config(bounds="no")))
+    assert main(["check", str(path), "--out", str(tmp_path / "out")]) == 2
+    assert "config.bounds" in capsys.readouterr().err
 
 
 def test_load_config_reports_json_position(tmp_path):
@@ -353,6 +389,24 @@ def test_run_experiment_end_to_end(tmp_path, monkeypatch):
     again = run_experiment(cfg, out_dir=out, check=True)
     after = [p.read_bytes() for p in again.csv_paths]
     assert before == after
+
+
+def test_run_experiment_csv_reads_back_as_the_record(tmp_path, monkeypatch):
+    monkeypatch.setenv("NETPROX_CACHE", str(tmp_path / "cache"))
+    records = []
+    run = bench._simnet.run_synchronous
+
+    def recording(*args, **kwargs):
+        result = run(*args, **kwargs)
+        records.append(result.record)
+        return result
+
+    monkeypatch.setattr(bench._simnet, "run_synchronous", recording)
+    cfg = base_config(algorithms=["dpga", "dpga_w", "pg_extra"], bounds=True)
+    summary = run_experiment(cfg, out_dir=tmp_path / "runs")
+    assert len(records) == len(summary.csv_paths) == 3
+    for path, record in zip(summary.csv_paths, records):
+        assert RunRecord.read_csv(path).rows == record.rows
 
 
 def test_run_experiment_rejects_admm_with_unequal_gammas(tmp_path, monkeypatch):

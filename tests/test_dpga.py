@@ -73,9 +73,7 @@ def test_init_states():
     nodes = dpga_init(g, objs, gammas, x0)
     for i, nd in enumerate(nodes):
         assert nd.c == pytest.approx(0.999 / (objs[i].lipschitz + gammas[i] * 2))
-        expect_s = sum(
-            nd.coef[j] * (x0[i] - x0[j]) for j in nd.coef
-        )
+        expect_s = sum(w * x0[j] for j, w in nd.gamma_row.items())
         assert np.allclose(nd.s, expect_s, atol=1e-14)
         assert np.all(nd.p == 0)
     # consensus start zeroes the disagreement signal
@@ -102,7 +100,7 @@ def test_isolated_node_is_proximal_gradient():
     c = 0.999 / obj.lipschitz
     node = DpgaNode(
         node_id=0, x=x0.copy(), s=np.zeros(8), p=np.zeros(8),
-        c=c, gamma=1.0, L_running=obj.lipschitz, L_init=obj.lipschitz, coef={},
+        c=c, gamma=1.0, L_running=obj.lipschitz, L_init=obj.lipschitz, gamma_row={0: 0.0},
     )
     nodes = [node]
     x_ref = x0.copy()
@@ -221,7 +219,7 @@ def test_adaptive_backtrack_properties():
     node = DpgaNode(
         node_id=0, x=x0, s=rng.standard_normal(6) * 0.1, p=np.zeros(6),
         c=1.0 / (L + 2.0), gamma=1.0, L_running=L / 16.0, L_init=L,
-        coef={1: 0.5, 2: 0.5},
+        gamma_row={0: 1.0, 1: -0.5, 2: -0.5},
     )
     with pytest.raises(ValueError):
         adaptive_backtrack(node, obj, upsilon=1.0)
@@ -254,7 +252,7 @@ def test_adaptive_backtrack_flags_understated_curvature():
     node = DpgaNode(
         node_id=0, x=x0, s=np.zeros(5), p=np.zeros(5),
         c=1.0, gamma=1.0, L_running=true_L / 1000.0, L_init=true_L / 1000.0,
-        coef={1: 0.5},
+        gamma_row={0: 0.5, 1: -0.5},
     )
     with pytest.raises(RuntimeError):
         adaptive_backtrack(node, obj, upsilon=2.0)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from conftest import random_objectives
-from netprox.dpga import dpga_init, dpga_round, edge_consensus_problem
+from netprox.dpga import dpga_init, dpga_round
 from netprox.errors import ProtocolError
 from netprox.reference import fista_solve
 from netprox.simnet import (
@@ -155,29 +155,7 @@ def test_audit_matches_declared_profiles():
             assert res.audit.scalars_sent[i] == comm * n * 4
             assert res.audit.peak_vectors[i] == stored
     with pytest.raises(ValueError):
-        audit_check(AuditLog(node_count=1, n=1), "engine-direct")
-
-
-def test_engine_direct_has_no_audit():
-    g, objs = small_net()
-    res = run_synchronous(
-        "engine-direct", g, objs, RoundSchedule(max_rounds=3), 0, gammas=np.full(3, 1.2)
-    )
-    assert res.audit is None
-    assert res.record.column("cum_scalars_per_node") == [0, 0, 0]
-
-
-def test_engine_direct_tracks_dpga():
-    g, objs = small_net(seed=4)
-    gam = np.full(3, 1.2)
-    sched = RoundSchedule(max_rounds=30)
-    a = run_synchronous("dpga", g, objs, sched, 0, gammas=gam)
-    b = run_synchronous("engine-direct", g, objs, sched, 0, gammas=gam)
-    assert np.max(np.abs(a.final_x - b.final_x)) < 1e-10
-    # and an explicit problem can be handed over instead
-    prob, _ = edge_consensus_problem(g, objs, gam)
-    c = run_synchronous("engine-direct", g, objs, sched, 0, engine_problem=prob)
-    assert np.array_equal(b.final_x, c.final_x)
+        audit_check(AuditLog(node_count=1, n=1), "sgd")
 
 
 def test_stochastic_runs_reproduce_bit_for_bit():
@@ -292,4 +270,4 @@ def test_replayed_inboxes_reproduce_the_run():
 
 
 def test_algorithm_registry_covers_profiles():
-    assert set(TABLE_PROFILES) == set(ALGORITHMS) - {"engine-direct"}
+    assert set(TABLE_PROFILES) == set(ALGORITHMS)
