@@ -15,7 +15,6 @@ from .bench import (
     bound_curves,
     generate_problem,
     load_config,
-    metrics,
     run_experiment,
     validate_config,
 )
@@ -97,7 +96,6 @@ __all__ = [
     "generate_problem",
     "horizon_plan",
     "load_config",
-    "metrics",
     "mixing_pair",
     "pg_extra_init",
     "pg_extra_round",

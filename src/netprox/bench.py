@@ -11,9 +11,10 @@ Case 1 shares one group partition across nodes; case 2 draws one per node.
 from __future__ import annotations
 
 import json
+import math
 import os
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -23,8 +24,8 @@ from . import dpga_w as _dpga_w
 from . import simnet as _simnet
 from .objective import GroupPartition, NodeObjective
 from .reference import ReferenceSolution, fista_solve, load_reference, save_reference
-from .simnet import RoundSchedule, consensus_metrics, ergodic_aggregates, network_objective
-from .topology import Graph, build_topology, spectral_summary
+from .simnet import RoundSchedule
+from .topology import Graph, TopologySpec, build_topology, spectral_summary
 
 CSV_REL = _simnet.CSV_COLUMNS.index("rel_subopt")
 CSV_V = _simnet.CSV_COLUMNS.index("consensus_violation_V")
@@ -32,6 +33,7 @@ CSV_V = _simnet.CSV_COLUMNS.index("consensus_violation_V")
 __all__ = [
     "BoundCurve",
     "ConfigError",
+    "Experiment",
     "ExperimentSummary",
     "GeneratedProblem",
     "ProblemSpec",
@@ -40,11 +42,11 @@ __all__ = [
     "equal_gamma_simplified",
     "generate_problem",
     "load_config",
-    "metrics",
     "output_dir",
     "reference_for",
     "reference_key",
     "run_experiment",
+    "seed_setup",
     "theorem3_curve",
     "theorem4_curve",
     "validate_config",
@@ -327,170 +329,209 @@ def equal_gamma_simplified(graph: Graph, gamma, kappas, lipschitzes, x_star, x0_
     )
 
 
-def metrics(trace, graph: Graph, objectives, reference: ReferenceSolution):
-    """Per-round measurements recomputed from a stored trace.
-
-    trace[0] must be the starting point; rounds are trace[1:]. Returns a
-    dict of arrays: rel_subopt and V for the last iterates, plus the
-    ergodic-average aggregates the bounds speak about (suboptimality gap at
-    the running mean, the edge-sum consensus norm, and |Omega Xbar|_F).
-    """
-    F_star = reference.F_star
-    T = len(trace) - 1
-    rel = np.empty(T)
-    V = np.empty(T)
-    erg_gap = np.empty(T)
-    edge_agg = np.empty(T)
-    omega_norm = np.empty(T)
-    running = np.zeros_like(np.asarray(trace[0], dtype=float))
-    for k in range(1, T + 1):
-        X = np.asarray(trace[k], dtype=float)
-        F = network_objective(objectives, X)
-        rel[k - 1] = abs(F - F_star) / abs(F_star)
-        _, V[k - 1] = consensus_metrics(graph, X)
-        running += X
-        Xbar = running / k
-        erg_gap[k - 1] = network_objective(objectives, Xbar) - F_star
-        edge_agg[k - 1], omega_norm[k - 1], _ = ergodic_aggregates(graph, Xbar)
-    return {
-        "rel_subopt": rel,
-        "V": V,
-        "ergodic_gap": erg_gap,
-        "edge_aggregate": edge_agg,
-        "omega_norm": omega_norm,
-    }
-
-
 class ConfigError(ValueError):
     """Invalid experiment configuration; the message names the failing key."""
 
 
 def load_config(path) -> dict:
+    """Parse a JSON configuration file; validate_config decodes it."""
     text = Path(path).read_text()
     try:
-        cfg = json.loads(text)
+        return json.loads(text)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}: line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
-    return validate_config(cfg)
 
 
-_CONFIG_KEYS = {
-    "problem",
-    "topology",
-    "algorithms",
-    "step_mode",
-    "gamma_rule",
-    "sigma",
-    "seeds",
-    "schedule",
-    "bounds",
-    "horizon",
-    "safety",
-    "label",
-}
+@dataclass(frozen=True)
+class Experiment:
+    """A decoded experiment configuration: every choice a run makes, each
+    default filled in, and the graph its topology describes.
+
+    problem is the first seed's ProblemSpec; spec(seed) gives any seed's.
+    gamma_value is the c_factor of the heuristic rule, the per-node values
+    of the explicit rule, and None for the optimal rule.
+    """
+
+    problem: ProblemSpec
+    topology: TopologySpec
+    graph: Graph
+    algorithms: tuple[str, ...]
+    step_mode: str
+    gamma_rule: str
+    gamma_value: float | tuple[float, ...] | None
+    sigma: float
+    seeds: tuple[int, ...]
+    schedule: RoundSchedule
+    horizon: int | None
+    bounds: bool
+    safety: float
+    label: str
+
+    def spec(self, seed: int) -> ProblemSpec:
+        return replace(self.problem, seed=seed)
+
+    def gammas(self, reference: ReferenceSolution) -> np.ndarray:
+        """Per-node penalties; the optimal rule's gamma is for the x0 = 0
+        every run starts from."""
+        if self.gamma_rule == "explicit":
+            return np.array(self.gamma_value)
+        if self.gamma_rule == "heuristic":
+            g = _dpga.gamma_heuristic(self.graph, c_factor=self.gamma_value)
+        else:
+            psi = spectral_summary(self.graph).psi_min_pos
+            dist0 = float(np.linalg.norm(reference.x_star))
+            g = _dpga.gamma_star(reference.kappas, psi, self.graph.edge_count, dist0)
+        return np.full(self.problem.N, g)
 
 
 _LABEL = re.compile(r"[A-Za-z0-9._-]+")
+_REQUIRED = object()
 
 
-def _require(cfg: dict, key: str, kind, path: str):
-    if key not in cfg:
-        raise ConfigError(f"{path}.{key}: missing")
-    val = cfg[key]
-    if kind is float:
-        if not isinstance(val, (int, float)) or isinstance(val, bool):
-            raise ConfigError(f"{path}.{key}: expected a number, got {type(val).__name__}")
-        return float(val)
-    if not isinstance(val, kind) or (kind is int and isinstance(val, bool)):
-        raise ConfigError(f"{path}.{key}: expected {kind.__name__}, got {type(val).__name__}")
-    return val
+def _is_a(val, kind) -> bool:
+    """isinstance(val, kind) for JSON values: a bool is no number, and
+    every number is a float."""
+    if kind in (int, float) and isinstance(val, bool):
+        return False
+    return isinstance(val, (int, float) if kind is float else kind)
 
 
-def _optional(cfg: dict, key: str, kind, path: str, default):
-    return _require(cfg, key, kind, path) if key in cfg else default
+def _positive(val) -> bool:
+    return 0 < val < math.inf
 
 
-def validate_config(cfg: dict) -> dict:
-    """Check an experiment configuration and fill defaults; raises
-    ConfigError naming the offending key."""
+class _Section:
+    """One JSON object of a configuration. Each key is read once, with its
+    type, range and default; done() rejects every key that was not read."""
+
+    def __init__(self, obj, path: str):
+        self.obj, self.path, self.known = obj, path, set()
+
+    def __call__(self, key: str, kind, default=_REQUIRED, valid=None, rule: str = ""):
+        """obj[key] checked for its type (float means any JSON number, and
+        a None default admits null) and, when given, valid()."""
+        self.known.add(key)
+        name = f"{self.path}.{key}"
+        if key not in self.obj:
+            if default is _REQUIRED:
+                raise ConfigError(f"{name}: missing")
+            return default
+        val = self.obj[key]
+        if val is None and default is None:
+            return None
+        if not _is_a(val, kind):
+            what = "a number" if kind is float else kind.__name__
+            null = " or null" if default is None else ""
+            raise ConfigError(f"{name}: expected {what}{null}, got {type(val).__name__}")
+        val = float(val) if kind is float else val
+        if valid is not None and not valid(val):
+            raise ConfigError(f"{name}: {rule} (got {val!r})")
+        return val
+
+    def section(self, key: str, default=_REQUIRED) -> "_Section":
+        return _Section(self(key, dict, default), key)
+
+    def done(self) -> None:
+        for key in self.obj:
+            if key not in self.known:
+                raise ConfigError(f"{self.path}.{key}: unknown key")
+
+
+def _build(path: str, make, *args, **kwargs):
+    """make(*args, **kwargs), with its ValueError reported against path."""
+    try:
+        return make(*args, **kwargs)
+    except ValueError as exc:
+        raise ConfigError(f"{path}: {exc}") from exc
+
+
+def validate_config(cfg) -> Experiment:
+    """Decode an experiment configuration. Every key is read here once, with
+    its type, range and default; unknown keys are rejected at every level.
+    Raises ConfigError naming the offending key."""
     if not isinstance(cfg, dict):
         raise ConfigError("config: expected a JSON object")
-    for key in cfg:
-        if key not in _CONFIG_KEYS:
-            raise ConfigError(f"{key}: unknown key")
-    prob = _require(cfg, "problem", dict, "config")
-    case = _require(prob, "case", int, "problem")
-    N = _require(prob, "N", int, "problem")
-    n_g = _require(prob, "n_g", int, "problem")
-    K = _optional(prob, "K", int, "problem", 10)
-    try:
-        ProblemSpec(case=case, N=N, n_g=n_g, seed=0, K=K)
-    except ValueError as exc:
-        raise ConfigError(f"problem: {exc}") from exc
+    top = _Section(cfg, "config")
+    seeds = top(
+        "seeds", list,
+        valid=lambda v: v and all(_is_a(s, int) and s >= 0 for s in v),
+        rule="must be a non-empty list of nonnegative integers",
+    )
 
-    topo = _require(cfg, "topology", dict, "config")
-    kind = _require(topo, "kind", str, "topology")
-    extra_edges = _optional(topo, "extra_edges", int, "topology", 0)
-    topo_seed = topo.get("seed")
-    try:
-        build_topology(kind, N, extra_edges=extra_edges, seed=topo_seed)
-    except (ValueError, TypeError) as exc:
-        raise ConfigError(f"topology: {exc}") from exc
+    prob = top.section("problem")
+    case, N, n_g, K = prob("case", int), prob("N", int), prob("n_g", int), prob("K", int, 10)
+    prob.done()
+    problem = _build("problem", ProblemSpec, case=case, N=N, n_g=n_g, seed=seeds[0], K=K)
 
-    algorithms = _require(cfg, "algorithms", list, "config")
-    if not algorithms:
-        raise ConfigError("algorithms: must not be empty")
+    topo = top.section("topology")
+    topology = TopologySpec(
+        kind=topo("kind", str),
+        N=N,
+        extra_edges=topo("extra_edges", int, 0, lambda v: v >= 0, "must be nonnegative"),
+        seed=topo("seed", int, None, lambda v: v >= 0, "must be nonnegative"),
+    )
+    topo.done()
+    graph = _build(
+        "topology", build_topology, topology.kind, N, topology.extra_edges, topology.seed
+    )
+
+    algorithms = tuple(top("algorithms", list, valid=bool, rule="must not be empty"))
     for a in algorithms:
         if a not in _simnet.ALGORITHMS:
-            raise ConfigError(f"algorithms: unknown algorithm {a!r}")
-
-    step_mode = cfg.get("step_mode", "CS")
-    if step_mode not in ("CS", "AS"):
-        raise ConfigError(f"step_mode: expected 'CS' or 'AS', got {step_mode!r}")
+            raise ConfigError(f"config.algorithms: unknown algorithm {a!r}")
+    step_mode = top("step_mode", str, "CS", lambda v: v in ("CS", "AS"), "expected 'CS' or 'AS'")
     if step_mode == "AS" and any(a != "dpga" for a in algorithms):
-        raise ConfigError("step_mode: 'AS' only applies to dpga runs")
+        raise ConfigError("config.step_mode: 'AS' only applies to dpga runs")
 
-    rule = cfg.get("gamma_rule", {"rule": "heuristic", "c_factor": 2.6})
-    if not isinstance(rule, dict) or "rule" not in rule:
-        raise ConfigError("gamma_rule: expected an object with a 'rule' key")
-    if rule["rule"] not in ("heuristic", "explicit", "optimal"):
-        raise ConfigError(f"gamma_rule.rule: unknown rule {rule['rule']!r}")
-    if rule["rule"] == "explicit" and "value" not in rule:
-        raise ConfigError("gamma_rule.value: missing for explicit rule")
-    if rule["rule"] == "heuristic":
-        c_factor = rule.get("c_factor", 2.6)
-        if not isinstance(c_factor, (int, float)) or c_factor <= 0:
-            raise ConfigError("gamma_rule.c_factor: must be a positive number")
+    # each rule reads only its own key, so the others' keys are unknown to it
+    gam = top.section("gamma_rule", {"rule": "heuristic"})
+    gamma_rule = gam(
+        "rule", str, valid=lambda v: v in ("heuristic", "explicit", "optimal"),
+        rule="unknown rule; expected 'heuristic', 'explicit' or 'optimal'",
+    )
+    gamma_value = None
+    if gamma_rule == "heuristic":
+        gamma_value = gam("c_factor", float, 2.6, _positive, "must be a positive number")
+    elif gamma_rule == "explicit":
+        val = gam("value", object)
+        vals = val if isinstance(val, list) else [val] * N
+        if len(vals) != N or not all(_is_a(v, float) and _positive(v) for v in vals):
+            raise ConfigError(
+                f"gamma_rule.value: expected a positive number or a list of {N} (got {val!r})"
+            )
+        if "admm" in algorithms and len(set(vals)) > 1:
+            raise ConfigError("gamma_rule: admm needs one shared gamma")
+        gamma_value = tuple(float(v) for v in vals)
+    gam.done()
 
-    sigma = cfg.get("sigma", 0.0)
-    if not isinstance(sigma, (int, float)) or sigma < 0:
-        raise ConfigError("sigma: must be a nonnegative number")
+    sched = top.section("schedule")
+    max_rounds, check_every = sched("max_rounds", int), sched("check_every", int, 1)
+    stop_rel = sched("stop_rel_subopt", float, 1e-3, _positive, "must be a positive number")
+    stop_cons = sched("stop_consensus", float, 1e-4, _positive, "must be a positive number")
+    sched.done()
+    schedule = _build("schedule", RoundSchedule, max_rounds, stop_rel, stop_cons, check_every)
 
-    seeds = _require(cfg, "seeds", list, "config")
-    if not seeds or not all(isinstance(s, int) and not isinstance(s, bool) for s in seeds):
-        raise ConfigError("seeds: must be a non-empty list of integers")
-
-    sched = _require(cfg, "schedule", dict, "config")
-    try:
-        RoundSchedule(
-            max_rounds=_require(sched, "max_rounds", int, "schedule"),
-            stop_rel_subopt=float(sched.get("stop_rel_subopt", 1e-3)),
-            stop_consensus=float(sched.get("stop_consensus", 1e-4)),
-            check_every=int(sched.get("check_every", 1)),
-        )
-    except ValueError as exc:
-        raise ConfigError(f"schedule: {exc}") from exc
-
-    horizon = cfg.get("horizon")
-    if horizon is not None and (not isinstance(horizon, int) or horizon < 1):
-        raise ConfigError("horizon: must be a positive integer or null")
-
-    _optional(cfg, "bounds", bool, "config", False)
-    if not 0 < _optional(cfg, "safety", float, "config", 0.999) <= 1:
-        raise ConfigError("safety: must lie in (0, 1]")
-    if "label" in cfg and not _LABEL.fullmatch(_require(cfg, "label", str, "config")):
-        raise ConfigError("label: use only letters, digits, '.', '_' and '-'")
-    return cfg
+    exp = Experiment(
+        problem=problem,
+        topology=topology,
+        graph=graph,
+        algorithms=algorithms,
+        step_mode=step_mode,
+        gamma_rule=gamma_rule,
+        gamma_value=gamma_value,
+        sigma=top("sigma", float, 0.0, lambda v: 0 <= v < math.inf, "must be a nonnegative number"),
+        seeds=tuple(seeds),
+        schedule=schedule,
+        horizon=top("horizon", int, None, lambda v: v >= 1, "must be a positive integer"),
+        bounds=top("bounds", bool, False),
+        safety=top("safety", float, 0.999, lambda v: 0 < v <= 1, "must lie in (0, 1]"),
+        label=top(
+            "label", str, f"case{case}_N{N}_ng{n_g}_{topology.kind}",
+            _LABEL.fullmatch, "use only letters, digits, '.', '_' and '-'",
+        ),
+    )
+    top.done()
+    return exp
 
 
 def output_dir(override=None) -> Path:
@@ -508,56 +549,42 @@ class ExperimentSummary:
     checks_passed: bool
 
 
-def _resolve_gammas(cfg, graph, N, reference, x0_norm):
-    rule = cfg.get("gamma_rule", {"rule": "heuristic", "c_factor": 2.6})
-    name = rule["rule"]
-    if name == "heuristic":
-        g = _dpga.gamma_heuristic(graph, c_factor=float(rule.get("c_factor", 2.6)))
-        return np.full(N, g)
-    if name == "explicit":
-        val = rule["value"]
-        arr = np.full(N, float(val)) if np.isscalar(val) else np.asarray(val, dtype=float)
-        if arr.shape != (N,):
-            raise ConfigError("gamma_rule.value: wrong length for this network")
-        return arr
-    psi = spectral_summary(graph).psi_min_pos
-    g = _dpga.gamma_star(reference.kappas, psi, graph.edge_count, x0_norm)
-    return np.full(N, g)
-
-
-def _step_sizes_for(algorithm, graph, objectives, gammas, x0, safety):
-    if algorithm in ("dpga", "sdpga"):
-        mode = "constant" if algorithm == "dpga" else "horizon"
-        nodes = _dpga.dpga_init(graph, objectives, gammas, x0, safety=safety, step_mode=mode)
-    else:
-        W = _dpga_w.CommunicationMatrix.from_laplacian(graph)
-        mode = "constant" if algorithm == "dpga_w" else "horizon"
-        nodes = _dpga_w.dpgaw_init(graph, W, objectives, gammas, x0, safety=safety, step_mode=mode)
-    return [nd.c for nd in nodes]
-
-
-def _bound_for(algorithm, cfg, graph, objectives, gammas, x0, reference, safety):
+def _bound_for(algorithm, exp: Experiment, objectives, gammas, x0, reference):
+    """The bound curve of a dpga, dpga_w or sdpga run, over the step sizes
+    that run takes; None for the algorithms without one."""
     if algorithm not in ("dpga", "dpga_w", "sdpga"):
         return None
-    steps = _step_sizes_for(algorithm, graph, objectives, gammas, x0, safety)
-    common = dict(
-        gammas=gammas,
-        kappas=reference.kappas,
-        x_star=reference.x_star,
-        x0=x0,
-        step_sizes=steps,
-    )
-    if algorithm == "dpga":
-        return theorem3_curve(graph, **common)
+    graph = exp.graph
+    kwargs = dict(graph=graph, gammas=gammas, kappas=reference.kappas, x_star=reference.x_star)
     if algorithm == "dpga_w":
-        W = _dpga_w.CommunicationMatrix.from_laplacian(graph)
-        return theorem4_curve(graph, W, **common)
-    dbar = float(np.linalg.norm(reference.x_star - np.asarray(x0[0], dtype=float)))
-    return corollary2_curve(graph, sigma=float(cfg.get("sigma", 0.0)), dbar=dbar, **common)
+        W = kwargs["W"] = _dpga_w.CommunicationMatrix.from_laplacian(graph)
+        nodes = _dpga_w.dpgaw_init(graph, W, objectives, gammas, x0, safety=exp.safety)
+    else:
+        mode = "constant" if algorithm == "dpga" else "horizon"
+        nodes = _dpga.dpga_init(graph, objectives, gammas, x0, safety=exp.safety, step_mode=mode)
+    if algorithm == "sdpga":
+        kwargs.update(sigma=exp.sigma, dbar=float(np.linalg.norm(reference.x_star - x0[0])))
+    return bound_curves(algorithm, x0=x0, step_sizes=[nd.c for nd in nodes], **kwargs)
+
+
+def seed_setup(exp: Experiment, seed: int, bounds: bool):
+    """What the cells of one seed share: (instance, reference, penalties,
+    curves), where curves holds per configured algorithm its bound curve
+    from the x = 0 every run starts at, or None (always None without
+    bounds)."""
+    problem = generate_problem(exp.spec(seed))
+    reference = reference_for(problem)
+    gammas = exp.gammas(reference)
+    x0 = [np.zeros(problem.spec.n) for _ in range(exp.problem.N)]
+    curves = tuple(
+        _bound_for(a, exp, problem.objectives, gammas, x0, reference) if bounds else None
+        for a in exp.algorithms
+    )
+    return problem, reference, gammas, curves
 
 
 def run_experiment(config: dict, out_dir=None, check: bool = False) -> ExperimentSummary:
-    """Run every (algorithm, seed) cell of a validated configuration.
+    """Run every (algorithm, seed) cell of an experiment configuration.
 
     Writes one CSV per cell (seed explicit in the filename) plus a text
     summary with the final relative suboptimality, consensus violation,
@@ -566,100 +593,56 @@ def run_experiment(config: dict, out_dir=None, check: bool = False) -> Experimen
     are on) that the theoretical curves dominate the measured ergodic
     errors; checks_passed reflects the outcome.
     """
-    cfg = validate_config(config)
+    exp = validate_config(config)
     out = output_dir(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    prob_cfg = cfg["problem"]
-    topo_cfg = cfg["topology"]
-    kind = topo_cfg["kind"]
-    N = prob_cfg["N"]
-    graph = build_topology(
-        kind, N, extra_edges=int(topo_cfg.get("extra_edges", 0)), seed=topo_cfg.get("seed")
-    )
-    sched_cfg = cfg["schedule"]
-    schedule = RoundSchedule(
-        max_rounds=sched_cfg["max_rounds"],
-        stop_rel_subopt=float(sched_cfg.get("stop_rel_subopt", 1e-3)),
-        stop_consensus=float(sched_cfg.get("stop_consensus", 1e-4)),
-        check_every=int(sched_cfg.get("check_every", 1)),
-    )
-    step_mode = cfg.get("step_mode", "CS")
-    sigma = float(cfg.get("sigma", 0.0))
-    horizon = cfg.get("horizon")
-    safety = float(cfg.get("safety", 0.999))
-    want_bounds = bool(cfg.get("bounds", False))
-    label = cfg.get("label", f"case{prob_cfg['case']}_N{N}_ng{prob_cfg['n_g']}_{kind}")
-
     rows = []
     csv_paths = []
     checks_passed = True
-    for seed in cfg["seeds"]:
-        spec = ProblemSpec(
-            case=prob_cfg["case"], N=N, n_g=prob_cfg["n_g"], seed=seed, K=int(prob_cfg.get("K", 10))
-        )
-        problem = generate_problem(spec)
-        reference = reference_for(problem)
-        x0 = [np.zeros(spec.n) for _ in range(N)]
-        gammas = _resolve_gammas(cfg, graph, N, reference, float(np.linalg.norm(reference.x_star)))
-        if "admm" in cfg["algorithms"] and np.ptp(gammas) != 0:
-            raise ConfigError("gamma_rule: admm needs one shared gamma")
-        for algorithm in cfg["algorithms"]:
-            bound = (
-                _bound_for(algorithm, cfg, graph, problem.objectives, gammas, x0, reference, safety)
-                if want_bounds
-                else None
-            )
-            mode_tag = f"_{step_mode.lower()}" if algorithm == "dpga" else ""
+    for seed in exp.seeds:
+        problem, reference, gammas, curves = seed_setup(exp, seed, exp.bounds)
+        for algorithm, bound in zip(exp.algorithms, curves):
+            mode_tag = f"_{exp.step_mode.lower()}" if algorithm == "dpga" else ""
             result = _simnet.run_synchronous(
                 algorithm,
-                graph,
+                exp.graph,
                 problem.objectives,
-                schedule,
+                exp.schedule,
                 seed,
                 gammas=gammas,
-                sigma=sigma if algorithm in ("sdpga", "sdpga_w") else 0.0,
-                horizon=horizon,
-                step_mode=step_mode if algorithm == "dpga" else "CS",
+                sigma=exp.sigma if algorithm in ("sdpga", "sdpga_w") else 0.0,
+                horizon=exp.horizon,
+                step_mode=exp.step_mode if algorithm == "dpga" else "CS",
                 reference=reference,
                 bound=bound,
-                collect_ergodic=want_bounds,
-                safety=safety,
+                collect_ergodic=exp.bounds,
+                safety=exp.safety,
             )
-            path = out / f"{algorithm}{mode_tag}_{label}_seed{seed}.csv"
+            path = out / f"{algorithm}{mode_tag}_{exp.label}_seed{seed}.csv"
             result.record.write_csv(path)
             csv_paths.append(path)
             last = result.record.rows[-1]
-            rel = last[CSV_REL]
-            V = last[CSV_V]
             rows.append(
                 {
                     "algorithm": algorithm + mode_tag,
                     "seed": seed,
-                    "rel_subopt": rel,
-                    "V": V,
+                    "rel_subopt": last[CSV_REL],
+                    "V": last[CSV_V],
                     "rounds": result.rounds,
                     "solved": result.solved,
                 }
             )
             if check:
-                if not result.solved:
-                    checks_passed = False
-                if not _simnet.audit_check(result.audit, algorithm).ok:
-                    checks_passed = False
-                if bound is not None and result.ergodic is not None:
-                    ts = result.ergodic["t"]
-                    gaps = np.abs(result.ergodic["subopt_gap"])
-                    cons = (
-                        result.ergodic["omega_norm"]
-                        if algorithm == "dpga_w"
-                        else result.ergodic["edge_aggregate"]
-                    )
-                    for t, gap, cv in zip(ts, gaps, cons):
-                        if gap > bound.subopt_bound(t) or cv > bound.consensus_bound(t):
-                            checks_passed = False
-                            break
+                erg = result.ergodic
+                cons = "omega_norm" if algorithm == "dpga_w" else "edge_aggregate"
+                dominated = bound is None or not any(
+                    abs(gap) > bound.subopt_bound(t) or cv > bound.consensus_bound(t)
+                    for t, gap, cv in zip(erg["t"], erg["subopt_gap"], erg[cons])
+                )
+                audit_ok = _simnet.audit_check(result.audit, algorithm).ok
+                checks_passed = checks_passed and result.solved and audit_ok and dominated
 
-    summary_path = out / f"summary_{label}.txt"
+    summary_path = out / f"summary_{exp.label}.txt"
     lines = [
         f"{'algorithm':<12} {'seed':>4} {'rel_subopt':>12} {'V':>12} {'rounds':>7} solved"
     ]

@@ -15,7 +15,7 @@ import numpy as np
 
 from . import bench
 from .objective import objective_to_text
-from .topology import TopologySpec, edge_list_text
+from .topology import edge_list_text
 
 
 def _add_common(p) -> None:
@@ -27,17 +27,14 @@ def _add_common(p) -> None:
     )
 
 
-def _label(cfg) -> str:
-    prob = cfg["problem"]
-    return cfg.get(
-        "label",
-        f"case{prob['case']}_N{prob['N']}_ng{prob['n_g']}_{cfg['topology']['kind']}",
-    )
+def _count(text: str) -> int:
+    if not text.isdigit() or int(text) < 1:
+        raise argparse.ArgumentTypeError(f"expected a whole number >= 1, got {text!r}")
+    return int(text)
 
 
 def _cmd_run(args, check: bool) -> int:
-    cfg = bench.load_config(args.config)
-    summary = bench.run_experiment(cfg, out_dir=args.out, check=check)
+    summary = bench.run_experiment(bench.load_config(args.config), out_dir=args.out, check=check)
     for path in summary.csv_paths:
         print(path)
     print(summary.summary_path)
@@ -48,39 +45,12 @@ def _cmd_run(args, check: bool) -> int:
 
 
 def _cmd_bounds(args) -> int:
-    cfg = bench.load_config(args.config)
+    exp = bench.validate_config(bench.load_config(args.config))
     out = bench.output_dir(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    prob_cfg = cfg["problem"]
-    topo_cfg = cfg["topology"]
-    graph = bench.build_topology(
-        topo_cfg["kind"],
-        prob_cfg["N"],
-        extra_edges=int(topo_cfg.get("extra_edges", 0)),
-        seed=topo_cfg.get("seed"),
-    )
-    seed = cfg["seeds"][0]
-    spec = bench.ProblemSpec(
-        case=prob_cfg["case"],
-        N=prob_cfg["N"],
-        n_g=prob_cfg["n_g"],
-        seed=seed,
-        K=int(prob_cfg.get("K", 10)),
-    )
-    problem = bench.generate_problem(spec)
-    reference = bench.reference_for(problem)
-    x0 = [np.zeros(spec.n) for _ in range(spec.N)]
-    gammas = bench._resolve_gammas(
-        cfg, graph, spec.N, reference, float(np.linalg.norm(reference.x_star))
-    )
-    safety = float(cfg.get("safety", 0.999))
-    curves = []
-    for algorithm in cfg["algorithms"]:
-        curve = bench._bound_for(
-            algorithm, cfg, graph, problem.objectives, gammas, x0, reference, safety
-        )
-        if curve is not None:
-            curves.append(curve)
+    seed = exp.seeds[0]
+    *_, curves = bench.seed_setup(exp, seed, bounds=True)
+    curves = [c for c in curves if c is not None]
     if not curves:
         print("no bound curves for the configured algorithms", file=sys.stderr)
         return 2
@@ -97,37 +67,21 @@ def _cmd_bounds(args) -> int:
             cells.append(repr(float(c.subopt_bound(int(t)))))
             cells.append(repr(float(c.consensus_bound(int(t)))))
         lines.append(",".join(cells))
-    path = out / f"bounds_{_label(cfg)}_seed{seed}.csv"
+    path = out / f"bounds_{exp.label}_seed{seed}.csv"
     path.write_text("\n".join(lines) + "\n")
     print(path)
     return 0
 
 
 def _cmd_gen(args) -> int:
-    cfg = bench.load_config(args.config)
+    exp = bench.validate_config(bench.load_config(args.config))
     out = bench.output_dir(args.out)
-    prob_cfg = cfg["problem"]
-    topo_cfg = cfg["topology"]
-    label = _label(cfg)
-    for seed in cfg["seeds"]:
-        spec = bench.ProblemSpec(
-            case=prob_cfg["case"],
-            N=prob_cfg["N"],
-            n_g=prob_cfg["n_g"],
-            seed=seed,
-            K=int(prob_cfg.get("K", 10)),
-        )
-        problem = bench.generate_problem(spec)
-        inst = out / f"instance_{label}_seed{seed}"
+    for seed in exp.seeds:
+        problem = bench.generate_problem(exp.spec(seed))
+        inst = out / f"instance_{exp.label}_seed{seed}"
         inst.mkdir(parents=True, exist_ok=True)
-        topo_spec = TopologySpec(
-            kind=topo_cfg["kind"],
-            N=prob_cfg["N"],
-            extra_edges=int(topo_cfg.get("extra_edges", 0)),
-            seed=topo_cfg.get("seed"),
-        )
-        (inst / "topology.txt").write_text(topo_spec.to_text())
-        (inst / "edges.txt").write_text(edge_list_text(topo_spec.build()))
+        (inst / "topology.txt").write_text(exp.topology.to_text())
+        (inst / "edges.txt").write_text(edge_list_text(exp.graph))
         (inst / "planted.txt").write_text(
             "\n".join(repr(float(v)) for v in problem.x_planted) + "\n"
         )
@@ -152,8 +106,8 @@ def main(argv=None) -> int:
     _add_common(check_p)
     bounds_p = sub.add_parser("bounds", help="write the theoretical bound curves as a CSV")
     _add_common(bounds_p)
-    bounds_p.add_argument("--rounds", type=int, default=10000, help="largest t in the grid")
-    bounds_p.add_argument("--points", type=int, default=200, help="grid resolution")
+    bounds_p.add_argument("--rounds", type=_count, default=10000, help="largest t in the grid")
+    bounds_p.add_argument("--points", type=_count, default=200, help="grid resolution")
     gen_p = sub.add_parser("gen", help="write instance files (topology, objectives, planted signal)")
     _add_common(gen_p)
 

@@ -299,25 +299,20 @@ def run_synchronous(
     sigma: float = 0.0,
     horizon: int | None = None,
     step_mode: str = "CS",
-    upsilon: float = 2.0,
-    comm_matrix=None,
-    c: float | None = None,
-    x0=None,
     reference=None,
     bound=None,
     collect_ergodic: bool = False,
     keep_trace: bool = False,
     safety: float = 0.999,
-    inner_tol: float = 1e-10,
 ) -> RunResult:
     """Drive one algorithm for up to schedule.max_rounds synchronous rounds.
 
     Stops early only when a reference solution is supplied and both the
     relative suboptimality and the consensus violation fall below the
-    schedule's thresholds at a checked round. The seed feeds the per-node
-    gradient oracles of the stochastic variants; everything else is
-    deterministic, so a fixed (configuration, seed) pair reproduces the
-    record bit for bit.
+    schedule's thresholds at a checked round. Every node starts at x = 0.
+    The seed feeds the per-node gradient oracles of the stochastic variants;
+    everything else is deterministic, so a fixed (configuration, seed) pair
+    reproduces the record bit for bit.
 
     Parameters beyond the spec of the run (bound, collect_ergodic,
     keep_trace) only add observer output and never change iterates.
@@ -336,8 +331,7 @@ def run_synchronous(
 
     N = graph.node_count
     n = objectives[0].n
-    if x0 is None:
-        x0 = [np.zeros(n) for _ in range(N)]
+    x0 = [np.zeros(n) for _ in range(N)]
 
     audit = AuditLog(node_count=N, n=n)
     transport = Transport(graph, audit)
@@ -352,15 +346,15 @@ def run_synchronous(
             graph, objectives, gammas, x0, safety=safety, step_mode=mode
         )
     elif algorithm in ("dpga_w", "sdpga_w"):
-        W = comm_matrix or _dpga_w.CommunicationMatrix.from_laplacian(graph)
+        W = _dpga_w.CommunicationMatrix.from_laplacian(graph)
         nodes = _dpga_w.dpgaw_init(
             graph, W, objectives, gammas, x0, safety=safety, step_mode=mode
         )
     elif algorithm == "pg_extra":
         mixing = mixing_pair(graph)
-        nodes = _baselines.pg_extra_init(graph, mixing, objectives, x0, c=c)
+        nodes = _baselines.pg_extra_init(graph, mixing, objectives, x0)
     else:
-        W = comm_matrix or _dpga_w.CommunicationMatrix.from_laplacian(graph)
+        W = _dpga_w.CommunicationMatrix.from_laplacian(graph)
         gam = np.asarray(gammas, dtype=float)
         if np.ptp(gam) != 0:
             raise ValueError("the admm variant uses one shared gamma")
@@ -372,9 +366,7 @@ def run_synchronous(
         nonlocal nodes
         if algorithm == "dpga":
             if step_mode == "AS":
-                nodes, _ = _dpga.dpga_round_adaptive(
-                    nodes, objectives, transport.exchange, upsilon=upsilon
-                )
+                nodes, _ = _dpga.dpga_round_adaptive(nodes, objectives, transport.exchange)
             else:
                 nodes, _ = _dpga.dpga_round(nodes, objectives, transport.exchange)
         elif algorithm == "sdpga":
@@ -390,9 +382,7 @@ def run_synchronous(
         elif algorithm == "pg_extra":
             nodes, _ = _baselines.pg_extra_round(nodes, objectives, transport.exchange)
         else:
-            nodes, _, iters = _baselines.admm_round(
-                nodes, objectives, transport.exchange, inner_tol=inner_tol
-            )
+            nodes, _, iters = _baselines.admm_round(nodes, objectives, transport.exchange)
             inner_iterations.append(iters)
         return np.stack([nd.x_curr if algorithm == "pg_extra" else nd.x for nd in nodes])
 
@@ -406,16 +396,11 @@ def run_synchronous(
 
     erg_sum = np.zeros((N, n))
     erg = (
-        {"t": [], "ergodic_F": [], "subopt_gap": [], "edge_aggregate": [], "omega_norm": [], "w_norm": []}
+        {"t": [], "ergodic_F": [], "subopt_gap": [], "edge_aggregate": [], "omega_norm": []}
         if collect_ergodic
         else None
     )
-    W_for_erg = None
-    if collect_ergodic and comm_matrix is not None:
-        W_for_erg = comm_matrix.matrix
-    trace = None
-    if keep_trace:
-        trace = [np.stack([np.array(x, dtype=float) for x in x0])]
+    trace = [np.zeros((N, n))] if keep_trace else None
 
     rows = []
     solved = False
@@ -440,13 +425,12 @@ def run_synchronous(
         if collect_ergodic:
             Xbar = erg_sum / k
             F_erg = network_objective(objectives, Xbar)
-            edge_agg, omega_norm, w_norm = ergodic_aggregates(graph, Xbar, W_for_erg)
+            edge_agg, omega_norm, _ = ergodic_aggregates(graph, Xbar)
             erg["t"].append(k)
             erg["ergodic_F"].append(F_erg)
             erg["subopt_gap"].append(None if F_star is None else F_erg - F_star)
             erg["edge_aggregate"].append(edge_agg)
             erg["omega_norm"].append(omega_norm)
-            erg["w_norm"].append(w_norm)
         if (
             F_star is not None
             and rel <= schedule.stop_rel_subopt

@@ -16,7 +16,6 @@ from netprox.bench import (
     equal_gamma_simplified,
     generate_problem,
     load_config,
-    metrics,
     output_dir,
     reference_for,
     reference_key,
@@ -249,30 +248,6 @@ def test_equal_gamma_simplification_dominates():
         )
 
 
-def test_metrics_match_simulator_observers(tmp_path, monkeypatch):
-    monkeypatch.setenv("NETPROX_CACHE", str(tmp_path))
-    spec = tiny_spec()
-    prob = generate_problem(spec)
-    ref = reference_for(prob)
-    g = build_topology("clique", 2)
-    res = run_synchronous(
-        "dpga",
-        g,
-        prob.objectives,
-        RoundSchedule(max_rounds=15, stop_rel_subopt=1e-30, stop_consensus=1e-30),
-        0,
-        gammas=np.full(2, 1.5),
-        reference=ref,
-        keep_trace=True,
-        collect_ergodic=True,
-    )
-    out = metrics(res.trace, g, prob.objectives, ref)
-    assert np.allclose(out["rel_subopt"], res.record.column("rel_subopt"), rtol=1e-12)
-    assert np.allclose(out["V"], res.record.column("consensus_violation_V"), rtol=1e-12)
-    assert np.allclose(out["ergodic_gap"], res.ergodic["subopt_gap"], rtol=1e-10)
-    assert np.allclose(out["edge_aggregate"], res.ergodic["edge_aggregate"], rtol=1e-10)
-
-
 def test_config_validation_diagnostics():
     with pytest.raises(ConfigError, match="expected a JSON object"):
         validate_config([])
@@ -314,8 +289,28 @@ def test_config_validation_diagnostics():
         validate_config(base_config(schedule={"max_rounds": 0}))
     with pytest.raises(ConfigError, match="horizon"):
         validate_config(base_config(horizon=0))
-    cfg = base_config(horizon=None, bounds=False, safety=1, label="run-1_a.b")
-    assert validate_config(cfg) is cfg
+    cfg = base_config(
+        topology={"kind": "clique", "seed": None},
+        horizon=None,
+        bounds=False,
+        safety=1,
+        label="run-1_a.b",
+    )
+    exp = validate_config(cfg)
+    assert exp.problem == ProblemSpec(case=1, N=2, n_g=2, seed=0, K=10)
+    assert exp.spec(7) == ProblemSpec(case=1, N=2, n_g=2, seed=7, K=10)
+    assert (exp.topology.kind, exp.topology.extra_edges, exp.topology.seed) == ("clique", 0, None)
+    assert exp.graph == build_topology("clique", 2)
+    assert exp.algorithms == ("dpga",) and exp.seeds == (0,) and exp.step_mode == "CS"
+    assert (exp.gamma_rule, exp.gamma_value) == ("heuristic", 2.6)
+    assert exp.schedule == RoundSchedule(
+        max_rounds=4000, stop_rel_subopt=1e-3, stop_consensus=1e-4, check_every=10
+    )
+    assert (exp.sigma, exp.horizon, exp.bounds) == (0.0, None, False)
+    assert (exp.safety, exp.label) == (1.0, "run-1_a.b")
+    assert validate_config(base_config()).label == "case1_N2_ng2_clique"
+    explicit = validate_config(base_config(gamma_rule={"rule": "explicit", "value": 1.5}))
+    assert explicit.gamma_value == (1.5, 1.5)
 
 
 @pytest.mark.parametrize(
@@ -335,11 +330,32 @@ def test_config_validation_diagnostics():
         ({"label": "../../x"}, "label"),
         ({"label": ""}, "label"),
         ({"label": 7}, "config.label"),
+        ({"sigma": True}, "sigma"),
+        ({"gamma_rule": {"rule": "heuristic", "c_factor": True}}, "gamma_rule.c_factor"),
+        ({"schedule": {"max_rounds": 10, "check_every": 2.5}}, "schedule.check_every"),
+        ({"schedule": {"max_rounds": 10, "check_every": "3"}}, "schedule.check_every"),
+        ({"schedule": {"max_rounds": 10, "stop_rel_subopt": True}}, "schedule.stop_rel_subopt"),
+        ({"schedule": {"max_rounds": 10, "stop_rel_subopt": "1e-3"}}, "schedule.stop_rel_subopt"),
+        ({"schedule": {"max_rounds": 10, "chek_every": 3}}, "schedule.chek_every"),
+        ({"problem": {"case": 1, "N": 2, "n_g": 2, "k": 10}}, "problem.k"),
+        ({"gamma_rule": {"rule": "heuristic", "cfactor": 2.0}}, "gamma_rule.cfactor"),
+        ({"topology": {"kind": "clique", "seed": True}}, "topology.seed"),
+        ({"topology": {"kind": "clique", "seed": "x"}}, "topology.seed"),
+        ({"gamma_rule": {"rule": "explicit", "value": "abc"}}, "gamma_rule.value"),
+        ({"gamma_rule": {"rule": "explicit", "value": -1.0}}, "gamma_rule.value"),
+        ({"gamma_rule": {"rule": "explicit", "value": True}}, "gamma_rule.value"),
+        ({"gamma_rule": {"rule": "explicit", "value": [1.0, 1.0, 1.0]}}, "gamma_rule.value"),
+        ({"horizon": True}, "horizon"),
+        ({"seeds": [-1]}, "seeds"),
     ],
 )
-def test_config_rejects_mistyped_keys(overrides, key):
+def test_config_rejects_mistyped_keys(overrides, key, tmp_path, capsys):
     with pytest.raises(ConfigError, match=re.escape(key) + ":"):
         validate_config(base_config(**overrides))
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(base_config(**overrides)))
+    assert main(["check", str(path), "--out", str(tmp_path / "out")]) == 2
+    assert key + ":" in capsys.readouterr().err
 
 
 def test_cli_check_exits_2_on_config_error(tmp_path, capsys):
@@ -347,6 +363,21 @@ def test_cli_check_exits_2_on_config_error(tmp_path, capsys):
     path.write_text(json.dumps(base_config(bounds="no")))
     assert main(["check", str(path), "--out", str(tmp_path / "out")]) == 2
     assert "config.bounds" in capsys.readouterr().err
+    path.write_text(json.dumps(base_config(gamma_rule={"rule": "explicit", "value": -1.0})))
+    assert main(["check", str(path), "--out", str(tmp_path / "out")]) == 2
+    assert "gamma_rule.value" in capsys.readouterr().err
+
+
+def test_cli_bounds_rejects_an_empty_grid(tmp_path, capsys):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(base_config()))
+    bad = (("--rounds", "0"), ("--rounds", "-5"), ("--points", "0"), ("--points", "-3"))
+    for flag, value in bad:
+        with pytest.raises(SystemExit) as exc:
+            main(["bounds", str(path), "--out", str(tmp_path / "out"), flag, value])
+        assert exc.value.code == 2
+        assert flag in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_load_config_reports_json_position(tmp_path):
