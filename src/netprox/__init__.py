@@ -38,7 +38,7 @@ from .engine import (
     primal_dual_step,
     spgadmm_step,
 )
-from .errors import InnerSolveError, ProtocolError
+from .errors import DivergenceError, InnerSolveError, ProtocolError
 from .baselines import admm_init, admm_round, pg_extra_init, pg_extra_round
 from .objective import GroupPartition, NodeObjective, NoisyOracle, prox_sparse_group
 from .reference import ReferenceSolution, compute_kappas, fista_solve, prox_bruteforce
@@ -61,6 +61,7 @@ __all__ = [
     "BoundCurve",
     "CommunicationMatrix",
     "ConfigError",
+    "DivergenceError",
     "EngineState",
     "GeneratedProblem",
     "Graph",

@@ -1,25 +1,29 @@
 """Reference first-order methods run against the same transports.
 
-PG-EXTRA tracks four local n-vectors and broadcasts the (current, previous)
-iterate pair once per round. Consensus ADMM is the DPGA-W round run on
-prox-only objectives, whose prox is the composite x-update solved to high
-accuracy with an inner accelerated solver.
+PG-EXTRA stores four n-vectors per agent and broadcasts the (current,
+previous) iterate pair once per round; stacked over the network it is
+
+    X^{k+1/2} = W X^k - W~ X^{k-1} + X^{k-1/2} - c (grad f(X^k) - grad f(X^{k-1}))
+    X^{k+1}   = prox_{c xi}(X^{k+1/2})   row by row
+
+with the first round X^{1/2} = W X^0 - c grad f(X^0), and W, W~ the
+GraphOperator pair from ``mixing_pair``. Consensus ADMM is the DPGA-W round
+run on prox-only objectives, whose prox is the composite x-update solved to
+high accuracy with an inner accelerated solver.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
-from .dpga import mix, weight_row
-from .dpga_w import CommunicationMatrix, DpgaWNode, dpgaw_init, dpgaw_round
+from .dpga_w import CommunicationMatrix, dpgaw_init, dpgaw_round
 from .errors import InnerSolveError
 from .objective import NodeObjective
-from .topology import Graph, MixingPair
+from .topology import Graph, MixingPair, NetworkState
 
 __all__ = [
-    "PgExtraNode",
     "pg_extra_init",
     "pg_extra_round",
     "pg_extra_kkt_residuals",
@@ -30,27 +34,8 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class PgExtraNode:
-    """PG-EXTRA agent state: current/previous iterates, the pre-prox point,
-    and the previous gradient (four n-vectors)."""
-
-    node_id: int
-    x_curr: np.ndarray
-    x_prev: np.ndarray
-    x_half: np.ndarray
-    grad_prev: np.ndarray
-    c: float
-    stage: int
-    w_row: dict[int, float]
-    wt_row: dict[int, float]
-
-    def vector_count(self) -> int:
-        return 4
-
-
 def pg_extra_init(g: Graph, mixing: MixingPair, objectives, x0, c: float | None = None):
-    """Nodes for PG-EXTRA with a common stepsize.
+    """The PG-EXTRA network state with a common stepsize.
 
     The default c is 99% of the cap 2 lam_min(W_tilde) / L_max; the cap uses
     the largest smoothness constant in the network, so picking c needs one
@@ -64,55 +49,36 @@ def pg_extra_init(g: Graph, mixing: MixingPair, objectives, x0, c: float | None 
     cap = np.inf if L_max == 0 else 2.0 * mixing.lam_min_tilde / L_max
     if not 0 < c < cap:
         raise ValueError(f"stepsize {c} outside (0, {cap})")
-    nodes = []
-    for i in range(g.node_count):
-        x_i = np.array(x0[i], dtype=float)
-        nodes.append(
-            PgExtraNode(
-                node_id=i,
-                x_curr=x_i,
-                x_prev=x_i.copy(),
-                x_half=np.zeros_like(x_i),
-                grad_prev=np.zeros_like(x_i),
-                c=float(c),
-                stage=0,
-                w_row=weight_row(g, mixing.W, i),
-                wt_row=weight_row(g, mixing.W_tilde, i),
-            )
-        )
-    return nodes
+    X0 = np.array(x0, dtype=float)
+    fields = dict(
+        x=X0,
+        x_prev=X0.copy(),
+        x_half=np.zeros_like(X0),
+        grad_prev=np.zeros_like(X0),
+        c=np.full(g.node_count, float(c)),
+        stage=np.zeros(g.node_count, dtype=int),
+    )
+    return NetworkState(fields, {"W": mixing.W, "W_tilde": mixing.W_tilde})
 
 
-def pg_extra_round(nodes, objectives, exchange):
+def pg_extra_round(state: NetworkState, objectives, exchange):
     """One PG-EXTRA round.
 
-    Every node broadcasts the stacked pair (x_curr, x_prev); round zero sends
+    Every node broadcasts the stacked pair (x, x_prev); round zero sends
     the starting point twice so the message size never varies.
     """
-    payloads = {nd.node_id: np.stack([nd.x_curr, nd.x_prev]) for nd in nodes}
-    inboxes = exchange(payloads)
-    new_nodes = []
-    for node, obj in zip(nodes, objectives):
-        i = node.node_id
-        mix_curr = mix(node.w_row, i, payloads[i], inboxes[i])[0]
-        grad_new = obj.f_grad(node.x_curr)
-        if node.stage == 0:
-            half = mix_curr - node.c * grad_new
-        else:
-            mix_prev = mix(node.wt_row, i, payloads[i], inboxes[i])[1]
-            half = mix_curr - mix_prev + node.x_half - node.c * (grad_new - node.grad_prev)
-        x_next = obj.prox(half, node.c)
-        new_nodes.append(
-            replace(
-                node,
-                x_prev=node.x_curr,
-                x_curr=x_next,
-                x_half=half,
-                grad_prev=grad_new,
-                stage=node.stage + 1,
-            )
-        )
-    return new_nodes, payloads
+    payload = np.stack([state.x, state.x_prev], axis=1)
+    received = exchange(payload)
+    mix_curr = state.ops["W"] @ received[:, 0]
+    grads = np.stack([obj.f_grad(x) for obj, x in zip(objectives, state.x)])
+    c = state.c[:, None]
+    first = mix_curr - c * grads
+    mix_prev = state.ops["W_tilde"] @ received[:, 1]
+    later = mix_curr - mix_prev + state.x_half - c * (grads - state.grad_prev)
+    half = np.where((state.stage == 0)[:, None], first, later)
+    X = np.stack([obj.prox(v, ci) for obj, v, ci in zip(objectives, half, state.c.tolist())])
+    new = state.evolve(x=X, x_prev=state.x, x_half=half, grad_prev=grads, stage=state.stage + 1)
+    return new, payload
 
 
 def pg_extra_kkt_residuals(x_trace, half_trace, mixing: MixingPair, objectives, c):
@@ -131,7 +97,7 @@ def pg_extra_kkt_residuals(x_trace, half_trace, mixing: MixingPair, objectives, 
     T = len(half_trace)
     if len(x_trace) != T + 1:
         raise ValueError("need one more iterate than pre-prox point")
-    diff = mixing.W_tilde - mixing.W
+    diff = mixing.W_tilde.matrix - mixing.W.matrix
     evals, evecs = np.linalg.eigh(diff)
     U = (evecs * np.sqrt(np.clip(evals, 0.0, None))) @ evecs.T
     kkt_sq = np.empty(T)
@@ -218,24 +184,36 @@ class ProxOnlyObjective:
         return prox_composite(self.inner, vbar, t, tol=self.inner_tol, z0=vbar)
 
 
-def admm_init(g: Graph, W: CommunicationMatrix, objectives, gamma: float, x0) -> list[DpgaWNode]:
-    """DPGA-W nodes for prox-only objectives with one shared gamma: the exact
-    stepsizes c_i = 1 / (gamma |omega_i|^2) and tau_i^-1 = gamma / (d_i + 1)."""
+def admm_init(g: Graph, W: CommunicationMatrix, objectives, gamma: float, x0) -> NetworkState:
+    """The DPGA-W state for prox-only objectives with one shared gamma: the
+    exact stepsizes c_i = 1 / (gamma |omega_i|^2) and tau_i^-1 = gamma / (d_i + 1)."""
     if gamma <= 0:
         raise ValueError("gamma must be positive")
     shadows = [ProxOnlyObjective(o) for o in objectives]
-    nodes = dpgaw_init(g, W, shadows, np.full(g.node_count, gamma), x0, safety=1.0)
-    return [replace(nd, tau_inv=gamma / (g.degrees[nd.node_id] + 1)) for nd in nodes]
+    state = dpgaw_init(g, W, shadows, np.full(g.node_count, gamma), x0, safety=1.0)
+    return state.evolve(tau_inv=gamma / (np.array(g.degrees) + 1))
 
 
-def admm_round(nodes, objectives, exchange, inner_tol: float = 1e-10):
+@dataclass(frozen=True)
+class _WarmProxOnly(ProxOnlyObjective):
+    """ADMM's prox-only view of one node: the inner solve starts at the
+    node's current x_i, which the x-update moves little once the run
+    settles, rather than at the prox point."""
+
+    start: np.ndarray | None = None
+
+    def prox(self, vbar: np.ndarray, t: float) -> np.ndarray:
+        return prox_composite(self.inner, vbar, t, tol=self.inner_tol, z0=self.start)
+
+
+def admm_round(state: NetworkState, objectives, exchange, inner_tol: float = 1e-10):
     """One ADMM round: the DPGA-W round on prox-only views of the objectives
     (exchange p + s, solve the composite x-update to inner_tol, exchange x,
     update s and p). Returns the inner gradient calls per node as well."""
     counters = [_InnerCounter(obj) for obj in objectives]
-    shadows = [ProxOnlyObjective(counter, inner_tol=inner_tol) for counter in counters]
-    new_nodes, proposals = dpgaw_round(nodes, shadows, exchange)
-    return new_nodes, proposals, [counter.calls for counter in counters]
+    shadows = [_WarmProxOnly(cnt, inner_tol, start=x) for cnt, x in zip(counters, state.x)]
+    new_state, X = dpgaw_round(state, shadows, exchange)
+    return new_state, X, [counter.calls for counter in counters]
 
 
 class _InnerCounter:

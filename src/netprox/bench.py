@@ -31,6 +31,7 @@ CSV_REL = _simnet.CSV_COLUMNS.index("rel_subopt")
 CSV_V = _simnet.CSV_COLUMNS.index("consensus_violation_V")
 
 __all__ = [
+    "BOUNDED_ALGORITHMS",
     "BoundCurve",
     "ConfigError",
     "Experiment",
@@ -284,6 +285,10 @@ def corollary2_curve(graph: Graph, gammas, kappas, x_star, x0, step_sizes, sigma
         coef_sqrt=extra,
         constants=constants,
     )
+
+
+# the algorithms with a bound curve: theorem 3, theorem 4 and corollary 2
+BOUNDED_ALGORITHMS = ("dpga", "dpga_w", "sdpga")
 
 
 def bound_curves(algorithm: str, **kwargs) -> BoundCurve:
@@ -550,21 +555,21 @@ class ExperimentSummary:
 
 
 def _bound_for(algorithm, exp: Experiment, objectives, gammas, x0, reference):
-    """The bound curve of a dpga, dpga_w or sdpga run, over the step sizes
-    that run takes; None for the algorithms without one."""
-    if algorithm not in ("dpga", "dpga_w", "sdpga"):
+    """The bound curve of a run of one of BOUNDED_ALGORITHMS, over the step
+    sizes that run takes; None for the other algorithms."""
+    if algorithm not in BOUNDED_ALGORITHMS:
         return None
     graph = exp.graph
     kwargs = dict(graph=graph, gammas=gammas, kappas=reference.kappas, x_star=reference.x_star)
     if algorithm == "dpga_w":
         W = kwargs["W"] = _dpga_w.CommunicationMatrix.from_laplacian(graph)
-        nodes = _dpga_w.dpgaw_init(graph, W, objectives, gammas, x0, safety=exp.safety)
+        state = _dpga_w.dpgaw_init(graph, W, objectives, gammas, x0, safety=exp.safety)
     else:
         mode = "constant" if algorithm == "dpga" else "horizon"
-        nodes = _dpga.dpga_init(graph, objectives, gammas, x0, safety=exp.safety, step_mode=mode)
+        state = _dpga.dpga_init(graph, objectives, gammas, x0, safety=exp.safety, step_mode=mode)
     if algorithm == "sdpga":
         kwargs.update(sigma=exp.sigma, dbar=float(np.linalg.norm(reference.x_star - x0[0])))
-    return bound_curves(algorithm, x0=x0, step_sizes=[nd.c for nd in nodes], **kwargs)
+    return bound_curves(algorithm, x0=x0, step_sizes=state.c, **kwargs)
 
 
 def seed_setup(exp: Experiment, seed: int, bounds: bool):

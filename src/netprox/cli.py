@@ -46,14 +46,14 @@ def _cmd_run(args, check: bool) -> int:
 
 def _cmd_bounds(args) -> int:
     exp = bench.validate_config(bench.load_config(args.config))
+    if not set(exp.algorithms) & set(bench.BOUNDED_ALGORITHMS):
+        print("no bound curves for the configured algorithms", file=sys.stderr)
+        return 2
     out = bench.output_dir(args.out)
     out.mkdir(parents=True, exist_ok=True)
     seed = exp.seeds[0]
     *_, curves = bench.seed_setup(exp, seed, bounds=True)
     curves = [c for c in curves if c is not None]
-    if not curves:
-        print("no bound curves for the configured algorithms", file=sys.stderr)
-        return 2
     ts = np.unique(
         np.geomspace(1, args.rounds, num=min(args.points, args.rounds)).astype(int)
     )

@@ -1,34 +1,30 @@
-"""DPGA: node-based distributed proximal gradient over unweighted graphs.
+"""DPGA: distributed proximal gradient over unweighted graphs.
 
-Per round each node holds three n-vectors (x, s, p) and broadcasts one. The
-update is
+Each agent stores three n-vectors (x, s, p) and broadcasts one per round.
+Stacked over the network (row i is agent i) the round is
 
-    x_i^{k+1} = prox_{c_i xi_i}(x_i^k - c_i (grad f_i(x_i^k) + p_i^k + s_i^k))
-    s_i^{k+1} = sum_{j in N_i u {i}} Gamma_ij x_j^{k+1}
-    p_i^{k+1} = p_i^k + s_i^{k+1}
+    X^{k+1} = prox_{c xi}(X^k - c (grad f(X^k) + P^k + S^k))   row by row
+    S^{k+1} = Gamma X^{k+1}
+    P^{k+1} = P^k + S^{k+1}
 
-with Gamma the weighted-Laplacian matrix built from the per-node penalties.
-The module also carries the stochastic variant, the backtracking stepsize
-rule, the penalty heuristics, and a builder for the equivalent edge-variable
-block problem used by the equivalence tests.
+with Gamma the weighted-Laplacian operator built from the per-node
+penalties. The state is a NetworkState and Gamma a GraphOperator, so the
+only per-node loop is the gradient and prox calls. The module also carries
+the stochastic variant, the backtracking stepsize rule, the penalty
+heuristics, and a builder for the equivalent edge-variable block problem
+used by the equivalence tests.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-
 import numpy as np
 
 from .engine import Block, BlockProblem, Chunk, ZeroCoupling, base_step, scheduled_step, step_rule
-from .errors import ProtocolError
 from .objective import NoisyOracle, oracle_grad
-from .topology import Graph
+from .topology import Graph, GraphOperator, NetworkState
 
 __all__ = [
-    "DpgaNode",
     "GammaMatrix",
-    "weight_row",
-    "mix",
     "dpga_init",
     "dpga_round",
     "dpga_round_adaptive",
@@ -40,11 +36,8 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class GammaMatrix:
+class GammaMatrix(GraphOperator):
     """Gamma_ij = -gamma_i gamma_j / (gamma_i + gamma_j) on edges, row sums 0."""
-
-    matrix: np.ndarray
 
     @classmethod
     def build(cls, g: Graph, gammas: np.ndarray) -> "GammaMatrix":
@@ -59,49 +52,7 @@ class GammaMatrix:
         for i in range(N):
             # summed in neighbor order, as the node itself would
             m[i, i] = -sum(m[i, j] for j in g.neighbor_lists[i])
-        return cls(matrix=m)
-
-
-def weight_row(g: Graph, matrix: np.ndarray, i: int) -> dict[int, float]:
-    """Row i of a graph-supported matrix over N_i u {i}, in index order."""
-    return {j: float(matrix[i, j]) for j in sorted((*g.neighbor_lists[i], i))}
-
-
-def mix(row: dict[int, float], node_id: int, own: np.ndarray, inbox: dict) -> np.ndarray:
-    """row[i] own + sum_j row[j] inbox[j] over the closed neighborhood the
-    row spans; the inbox must hold exactly the node's neighbors."""
-    expected = row.keys() - {node_id}
-    if inbox.keys() != expected:
-        raise ProtocolError(
-            f"node {node_id} expected messages from {sorted(expected)}, got {sorted(inbox)}"
-        )
-    acc = row[node_id] * own
-    for j, w in row.items():
-        if j != node_id:
-            acc = acc + w * inbox[j]
-    return acc
-
-
-@dataclass(frozen=True)
-class DpgaNode:
-    """State of one DPGA agent: exactly three n-vectors plus scalars."""
-
-    node_id: int
-    x: np.ndarray
-    s: np.ndarray
-    p: np.ndarray
-    c: float
-    gamma: float
-    L_running: float
-    L_init: float
-    gamma_row: dict[int, float]  # j -> Gamma_ij over N_i u {i}
-
-    @property
-    def degree(self) -> int:
-        return len(self.gamma_row) - 1
-
-    def vector_count(self) -> int:
-        return 3
+        return cls(matrix=m, graph=g)
 
 
 def dpga_init(
@@ -113,89 +64,68 @@ def dpga_init(
     step_mode: str = "constant",
     optimistic_L: bool = False,
     upsilon: float = 2.0,
-) -> list[DpgaNode]:
-    """Set up DPGA nodes: stepsizes, Gamma rows, s0 and p0 = 0.
+) -> NetworkState:
+    """The DPGA network state: stepsizes, Gamma, s0 = Gamma x0 and p0 = 0.
 
     step_mode "constant" uses c_i = safety/(L_i + gamma_i d_i); the
     stochastic modes ("diminishing", "horizon") use the base
     c_i = 1/(L_i + gamma_i d_i + 1) that their schedules require.
     The one-time gamma exchange with neighbors happens here.
     """
-    gammas = np.asarray(gammas, dtype=float)
+    gammas = np.array(gammas, dtype=float)
     N = g.node_count
     if gammas.size != N or np.any(gammas <= 0):
         raise ValueError("need one positive gamma per node")
-    L = [objectives[i].lipschitz for i in range(N)]
-    c = base_step(np.array(L) + gammas * np.array(g.degrees), safety, step_mode)
-    Gamma = GammaMatrix.build(g, gammas).matrix
-    x0 = [np.asarray(x, dtype=float) for x in x0]
-    nodes = []
-    for i in range(N):
-        row = weight_row(g, Gamma, i)
-        s0 = mix(row, i, x0[i], {j: x0[j] for j in g.neighbor_lists[i]})
-        nodes.append(
-            DpgaNode(
-                node_id=i,
-                x=np.array(x0[i]),
-                s=s0,
-                p=np.zeros_like(s0),
-                c=float(c[i]),
-                gamma=float(gammas[i]),
-                L_running=L[i] / upsilon**4 if optimistic_L else L[i],
-                L_init=L[i],
-                gamma_row=row,
-            )
-        )
-    return nodes
+    L = np.array([objectives[i].lipschitz for i in range(N)])
+    degree = np.array(g.degrees)
+    Gamma = GammaMatrix.build(g, gammas)
+    X0 = np.array(x0, dtype=float)
+    S0 = Gamma @ X0
+    fields = dict(
+        x=X0,
+        s=S0,
+        p=np.zeros_like(S0),
+        c=base_step(L + gammas * degree, safety, step_mode),
+        gamma=gammas,
+        L_running=L / upsilon**4 if optimistic_L else L,
+        L_init=L,
+        degree=degree,
+    )
+    return NetworkState(fields, {"gamma": Gamma})
 
 
-def _round(nodes, objectives, exchange, step):
-    """The DPGA round. step(node, obj) returns the node's new x plus any
-    scalar fields it changes; the new x's are broadcast, then every node
-    mixes s = sum_j Gamma_ij x_j and accumulates p += s."""
-    proposals = {}
-    changed = {}
-    for node, obj in zip(nodes, objectives):
-        proposals[node.node_id], changed[node.node_id] = step(node, obj)
-    inboxes = exchange(proposals)
-    new_nodes = []
-    for node in nodes:
-        i = node.node_id
-        s_new = mix(node.gamma_row, i, proposals[i], inboxes[i])
-        new_nodes.append(
-            replace(node, x=proposals[i], s=s_new, p=node.p + s_new, **changed[i])
-        )
-    return new_nodes, proposals
+def _round(state: NetworkState, exchange, X: np.ndarray, **scalars):
+    """Broadcast the new iterates X, then S = Gamma X and P += S. Returns
+    the new state and the broadcast payload."""
+    S = state.ops["gamma"] @ exchange(X)
+    return state.evolve(x=X, s=S, p=state.p + S, **scalars), X
 
 
-def _prox_step(node: DpgaNode, obj, grad: np.ndarray, c: float) -> np.ndarray:
-    return obj.prox(node.x - c * (grad + node.p + node.s), c)
+def _prox_step(state: NetworkState, objectives, grads, steps) -> np.ndarray:
+    V = state.x - steps[:, None] * (np.stack(grads) + state.p + state.s)
+    return np.stack([obj.prox(v, c) for obj, v, c in zip(objectives, V, steps.tolist())])
 
 
-def dpga_round(nodes, objectives, exchange):
+def dpga_round(state: NetworkState, objectives, exchange):
     """One synchronous DPGA round (constant steps).
 
-    exchange maps the per-node broadcast payloads to per-node inboxes; the
-    simulator supplies it with auditing attached. Returns the new node list
-    and the payloads that were broadcast.
+    exchange hands the stacked (N, n) broadcast to the receivers; the
+    simulator supplies it with auditing attached. Returns the new state and
+    the payload that was broadcast.
     """
-    return _round(
-        nodes,
-        objectives,
-        exchange,
-        lambda node, obj: (_prox_step(node, obj, obj.f_grad(node.x), node.c), {}),
-    )
+    grads = [obj.f_grad(x) for obj, x in zip(objectives, state.x)]
+    return _round(state, exchange, _prox_step(state, objectives, grads, state.c))
 
 
 def adaptive_backtrack(
-    node: DpgaNode,
+    node,
     objective,
     upsilon: float,
     grad: np.ndarray | None = None,
     max_doublings: int = 60,
 ):
-    """Backtracking stepsize: smallest l >= 0 with L = L_prev Upsilon^(l-1)
-    passing the descent check
+    """Backtracking stepsize for one agent (a view ``state[i]``): smallest
+    l >= 0 with L = L_prev Upsilon^(l-1) passing the descent check
 
         f(x_trial) <= f(x) + <grad, dx> + L/2 ||dx||^2
 
@@ -204,16 +134,17 @@ def adaptive_backtrack(
     """
     if upsilon <= 1:
         raise ValueError("upsilon must exceed 1")
+    x, L_prev = node.x, node.L_running
     if grad is None:
-        grad = objective.f_grad(node.x)
-    f0 = objective.f_value(node.x)
+        grad = objective.f_grad(x)
+    f0 = objective.f_value(x)
     gd = node.gamma * node.degree
     drive = grad + node.p + node.s
     for l in range(max_doublings + 1):
-        L_cand = node.L_running * upsilon ** (l - 1)
+        L_cand = L_prev * upsilon ** (l - 1)
         c_cand = 1.0 / (L_cand + gd)
-        x_trial = objective.prox(node.x - c_cand * drive, c_cand)
-        dx = x_trial - node.x
+        x_trial = objective.prox(x - c_cand * drive, c_cand)
+        dx = x_trial - x
         if objective.f_value(x_trial) <= f0 + grad @ dx + 0.5 * L_cand * (dx @ dx):
             if L_cand > upsilon * node.L_init * (1 + 1e-12):
                 raise RuntimeError(
@@ -226,18 +157,16 @@ def adaptive_backtrack(
     )
 
 
-def dpga_round_adaptive(nodes, objectives, exchange, upsilon: float = 2.0):
+def dpga_round_adaptive(state: NetworkState, objectives, exchange, upsilon: float = 2.0):
     """DPGA round with the backtracking stepsize rule (AS mode)."""
-
-    def step(node, obj):
-        x_new, L_new, c_new = adaptive_backtrack(node, obj, upsilon)
-        return x_new, {"L_running": L_new, "c": c_new}
-
-    return _round(nodes, objectives, exchange, step)
+    xs, Ls, cs = zip(
+        *(adaptive_backtrack(node, obj, upsilon) for node, obj in zip(state, objectives))
+    )
+    return _round(state, exchange, np.stack(xs), L_running=np.array(Ls), c=np.array(cs))
 
 
 def sdpga_round(
-    nodes,
+    state: NetworkState,
     objectives,
     oracles: list[NoisyOracle],
     k: int,
@@ -253,13 +182,9 @@ def sdpga_round(
     then reproduces dpga_round exactly.
     """
     rule = step_rule(rule, horizon, oracles)
-    oracle_of = {nd.node_id: orc for nd, orc in zip(nodes, oracles)}
-
-    def step(node, obj):
-        grad = oracle_grad(obj, oracle_of[node.node_id], node.x)
-        return _prox_step(node, obj, grad, scheduled_step(node.c, rule, k, horizon)), {}
-
-    return _round(nodes, objectives, exchange, step)
+    grads = [oracle_grad(obj, orc, x) for obj, orc, x in zip(objectives, oracles, state.x)]
+    steps = scheduled_step(state.c, rule, k, horizon)
+    return _round(state, exchange, _prox_step(state, objectives, grads, steps))
 
 
 def gamma_heuristic(g: Graph, c_factor: float = 2.6) -> float:

@@ -2,25 +2,29 @@
 
 A communication matrix W (symmetric, zero row sums, negative off-diagonals
 on edges, positive semidefinite with rank N-1) defines the consensus
-constraints W_ij x_j = y_ij with per-row zero sums on y. Each round costs two
-neighbor exchanges: first p + s, then the fresh x. The graph Laplacian is the
-default W.
+constraints W_ij x_j = y_ij with per-row zero sums on y. Stacked over the
+network (row i is agent i) a round costs two neighbor exchanges:
+
+    X^{k+1} = prox_{c xi}(X^k - c (grad f(X^k) + W (P^k + S^k)))   row by row
+    S^{k+1} = T^{-1} W X^{k+1}
+    P^{k+1} = P^k + S^{k+1}
+
+with T^{-1} = diag(tau_i^{-1}). W is a GraphOperator and the state a
+NetworkState. The graph Laplacian is the default W.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dpga import mix, weight_row
 from .engine import Block, BlockProblem, Chunk, ZeroSumCoupling, base_step, scheduled_step, step_rule
 from .objective import NoisyOracle, oracle_grad
-from .topology import Graph
+from .topology import Graph, GraphOperator, NetworkState
 
 __all__ = [
     "CommunicationMatrix",
-    "DpgaWNode",
     "dpgaw_init",
     "dpgaw_round",
     "sdpgaw_round",
@@ -32,7 +36,7 @@ _W_TOL = 1e-10
 
 
 @dataclass(frozen=True)
-class CommunicationMatrix:
+class CommunicationMatrix(GraphOperator):
     """Validated weight matrix plus cached per-node columns omega_i.
 
     omega_i is column i of W restricted to N_i u {i}; its squared norm sets
@@ -40,30 +44,19 @@ class CommunicationMatrix:
     eigenvalue.
     """
 
-    matrix: np.ndarray
-    graph: Graph
     omegas: tuple[np.ndarray, ...] = field(init=False, repr=False)
     omega_norms_sq: tuple[float, ...] = field(init=False, repr=False)
     sigma_min_pos: float = field(init=False)
 
     def __post_init__(self) -> None:
-        m = np.asarray(self.matrix, dtype=float)
+        super().__post_init__()
+        m = self.matrix
         g = self.graph
-        N = g.node_count
-        if m.shape != (N, N):
-            raise ValueError(f"W has shape {m.shape}, expected ({N}, {N})")
         if not np.allclose(m, m.T, atol=_W_TOL):
             raise ValueError("W must be symmetric")
-        nbr = [set(lst) for lst in g.neighbor_lists]
-        for i in range(N):
-            for j in range(N):
-                if i == j:
-                    continue
-                if j in nbr[i]:
-                    if m[i, j] >= 0:
-                        raise ValueError(f"W[{i},{j}] must be negative on an edge")
-                elif m[i, j] != 0:
-                    raise ValueError(f"W[{i},{j}] must be zero off the graph")
+        for i, j in g.edges:
+            if m[i, j] >= 0 or m[j, i] >= 0:
+                raise ValueError(f"W[{i},{j}] must be negative on an edge")
         if np.max(np.abs(m.sum(axis=1))) > _W_TOL * max(1.0, float(np.max(np.abs(m)))):
             raise ValueError("W rows must sum to zero")
         eigs = np.linalg.eigvalsh(m)
@@ -72,42 +65,14 @@ class CommunicationMatrix:
             raise ValueError("W must be positive semidefinite")
         if eigs[1] <= _W_TOL * scale:
             raise ValueError("W must have rank N-1")
-        object.__setattr__(self, "matrix", m)
-        omegas = []
-        norms = []
-        for i in range(N):
-            idx = sorted(nbr[i] | {i})
-            col = m[idx, i]
-            omegas.append(col)
-            norms.append(float(col @ col))
-        object.__setattr__(self, "omegas", tuple(omegas))
-        object.__setattr__(self, "omega_norms_sq", tuple(norms))
+        omegas = tuple(m[sorted((*nbrs, i)), i] for i, nbrs in enumerate(g.neighbor_lists))
+        object.__setattr__(self, "omegas", omegas)
+        object.__setattr__(self, "omega_norms_sq", tuple(float(col @ col) for col in omegas))
         object.__setattr__(self, "sigma_min_pos", float(eigs[1]))
 
     @classmethod
     def from_laplacian(cls, g: Graph) -> "CommunicationMatrix":
         return cls(matrix=g.laplacian(), graph=g)
-
-
-@dataclass(frozen=True)
-class DpgaWNode:
-    """One DPGA-W agent: three n-vectors plus exchanged scalars."""
-
-    node_id: int
-    x: np.ndarray
-    s: np.ndarray
-    p: np.ndarray
-    c: float
-    gamma: float
-    tau_inv: float  # (sum_{j in N_i u {i}} 1/gamma_j)^{-1}
-    w_row: dict[int, float]  # j -> W_ij over N_i u {i}
-
-    @property
-    def degree(self) -> int:
-        return len(self.w_row) - 1
-
-    def vector_count(self) -> int:
-        return 3
 
 
 def dpgaw_init(
@@ -119,70 +84,50 @@ def dpgaw_init(
     p0=None,
     safety: float = 0.999,
     step_mode: str = "constant",
-) -> list[DpgaWNode]:
-    """Nodes with c_i from L_i + gamma_i ||omega_i||^2, s0 = 0.
+) -> NetworkState:
+    """The DPGA-W network state: c_i from L_i + gamma_i ||omega_i||^2,
+    tau_i^-1 = (sum_{j in N_i u {i}} 1/gamma_j)^-1 and s0 = 0.
 
     The weights W_ji and penalties gamma_j are exchanged with neighbors once
     here. p0 defaults to zero, which the ergodic bounds require.
     """
-    gammas = np.asarray(gammas, dtype=float)
+    gammas = np.array(gammas, dtype=float)
     N = g.node_count
     if gammas.size != N or np.any(gammas <= 0):
         raise ValueError("need one positive gamma per node")
     L = np.array([objectives[i].lipschitz for i in range(N)])
-    c = base_step(L + gammas * np.array(W.omega_norms_sq), safety, step_mode)
-    nodes = []
-    for i in range(N):
-        w_row = weight_row(g, W.matrix, i)
-        x_i = np.array(x0[i], dtype=float)
-        nodes.append(
-            DpgaWNode(
-                node_id=i,
-                x=x_i,
-                s=np.zeros_like(x_i),
-                p=np.zeros_like(x_i) if p0 is None else np.array(p0[i], dtype=float),
-                c=float(c[i]),
-                gamma=float(gammas[i]),
-                tau_inv=1.0 / sum(1.0 / gammas[j] for j in w_row),
-                w_row=w_row,
-            )
-        )
-    return nodes
-
-
-def _round(nodes, objectives, exchange, grad_of, step_of):
-    # phase A: exchange p + s, then the local prox-gradient step
-    phase_a = {nd.node_id: nd.p + nd.s for nd in nodes}
-    inbox_a = exchange(phase_a)
-    proposals = {}
-    for node, obj in zip(nodes, objectives):
-        i = node.node_id
-        drive = mix(node.w_row, i, phase_a[i], inbox_a[i])
-        ck = step_of(node)
-        proposals[i] = obj.prox(node.x - ck * (grad_of(node, obj) + drive), ck)
-    # phase B: exchange the fresh x, then the s and p recursions
-    inbox_b = exchange(proposals)
-    new_nodes = []
-    for node in nodes:
-        i = node.node_id
-        s_new = node.tau_inv * mix(node.w_row, i, proposals[i], inbox_b[i])
-        new_nodes.append(replace(node, x=proposals[i], s=s_new, p=node.p + s_new))
-    return new_nodes, proposals
-
-
-def dpgaw_round(nodes, objectives, exchange):
-    """One synchronous DPGA-W round: two neighbor exchanges (2n scalars)."""
-    return _round(
-        nodes,
-        objectives,
-        exchange,
-        grad_of=lambda node, obj: obj.f_grad(node.x),
-        step_of=lambda node: node.c,
+    X0 = np.array(x0, dtype=float)
+    closed = [sorted((*nbrs, i)) for i, nbrs in enumerate(g.neighbor_lists)]
+    fields = dict(
+        x=X0,
+        s=np.zeros_like(X0),
+        p=np.zeros_like(X0) if p0 is None else np.array(p0, dtype=float),
+        c=base_step(L + gammas * np.array(W.omega_norms_sq), safety, step_mode),
+        tau_inv=np.array([1.0 / sum(1.0 / gammas[j] for j in idx) for idx in closed]),
+        degree=np.array(g.degrees),
     )
+    return NetworkState(fields, {"W": W})
+
+
+def _round(state: NetworkState, objectives, exchange, grads, steps):
+    W = state.ops["W"]
+    # phase A: exchange p + s, then the local prox-gradient steps
+    drive = W @ exchange(state.p + state.s)
+    V = state.x - steps[:, None] * (np.stack(grads) + drive)
+    X = np.stack([obj.prox(v, c) for obj, v, c in zip(objectives, V, steps.tolist())])
+    # phase B: exchange the fresh x, then the s and p recursions
+    S = state.tau_inv[:, None] * (W @ exchange(X))
+    return state.evolve(x=X, s=S, p=state.p + S), X
+
+
+def dpgaw_round(state: NetworkState, objectives, exchange):
+    """One synchronous DPGA-W round: two neighbor exchanges (2n scalars)."""
+    grads = [obj.f_grad(x) for obj, x in zip(objectives, state.x)]
+    return _round(state, objectives, exchange, grads, state.c)
 
 
 def sdpgaw_round(
-    nodes,
+    state: NetworkState,
     objectives,
     oracles: list[NoisyOracle],
     k: int,
@@ -192,14 +137,8 @@ def sdpgaw_round(
 ):
     """Stochastic DPGA-W round; stepsize schedules as in sdpga_round."""
     rule = step_rule(rule, horizon, oracles)
-    oracle_of = {nd.node_id: orc for nd, orc in zip(nodes, oracles)}
-    return _round(
-        nodes,
-        objectives,
-        exchange,
-        grad_of=lambda node, obj: oracle_grad(obj, oracle_of[node.node_id], node.x),
-        step_of=lambda node: scheduled_step(node.c, rule, k, horizon),
-    )
+    grads = [oracle_grad(obj, orc, x) for obj, orc, x in zip(objectives, oracles, state.x)]
+    return _round(state, objectives, exchange, grads, scheduled_step(state.c, rule, k, horizon))
 
 
 def tau_values(g: Graph, gammas) -> tuple[float, float]:

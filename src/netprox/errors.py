@@ -2,7 +2,11 @@
 
 
 class ProtocolError(RuntimeError):
-    """A node broke the synchronous message protocol (missing/extra message)."""
+    """A delivery broke the synchronous message protocol: not one row per node."""
+
+
+class DivergenceError(RuntimeError):
+    """A run produced a non-finite iterate."""
 
 
 class InnerSolveError(RuntimeError):

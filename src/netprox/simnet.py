@@ -1,17 +1,21 @@
 """Synchronous message-passing simulator.
 
-Rounds are barriers. Inside a round every node computes from its own state
-plus inbound neighbor messages only; global quantities (objective value,
-consensus violation, ergodic averages) are computed by an observer between
-rounds and never fed back into node updates. A Transport routes payloads to
-neighbors and meters traffic under a local-broadcast model: one payload per
-node per exchange, counted once regardless of degree.
+Rounds are barriers. The network state is one stacked NetworkState and every
+exchange one stacked (N, ...) payload, a row per node. The Transport hands
+the payload over and meters it under a local-broadcast model: one row per
+node per exchange, counted once regardless of degree. Locality comes from
+the receivers' GraphOperators, whose support was checked against the graph
+when they were built, so node i only ever reads its neighbours' rows. Global
+quantities (objective value, consensus violation, ergodic averages) are
+computed by an observer between rounds and never fed back into the rounds.
+A small registry maps each algorithm to its init and round functions.
 """
 
 from __future__ import annotations
 
 import csv
 from dataclasses import dataclass, field
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -19,9 +23,9 @@ from . import baselines as _baselines
 from . import dpga as _dpga
 from . import dpga_w as _dpga_w
 from .engine import step_rule
-from .errors import ProtocolError
+from .errors import DivergenceError, ProtocolError
 from .objective import NoisyOracle
-from .topology import Graph, mixing_pair
+from .topology import Graph, NetworkState, mixing_pair
 
 __all__ = [
     "ALGORITHMS",
@@ -104,16 +108,17 @@ class AuditLog:
             self.scalars_sent.setdefault(i, 0)
             self.peak_vectors.setdefault(i, 0)
 
-    def record_exchange(self, payloads) -> None:
+    def record_exchange(self, payload: np.ndarray) -> None:
         self.exchange_calls += 1
-        for i, payload in payloads.items():
-            self.scalars_sent[i] += int(np.size(payload))
+        per_node = payload.size // self.node_count
+        for i in self.scalars_sent:
+            self.scalars_sent[i] += per_node
 
-    def record_storage(self, nodes) -> None:
-        for node in nodes:
-            count = node.vector_count()
-            if count > self.peak_vectors[node.node_id]:
-                self.peak_vectors[node.node_id] = count
+    def record_storage(self, state: NetworkState) -> None:
+        count = state.vector_count()
+        for i, peak in self.peak_vectors.items():
+            if count > peak:
+                self.peak_vectors[i] = count
 
 
 @dataclass(frozen=True)
@@ -123,33 +128,25 @@ class AuditReport:
 
 
 class Transport:
-    """Routes one payload per node to that node's neighbors.
+    """Delivers a stacked payload, one row per node, to the receivers.
 
-    Messages are handed over by reference; receivers must treat them as
-    read-only. Every exchange requires a payload from every node; missing or
-    extra senders abort the round.
+    The payload is handed over by reference; receivers must treat it as
+    read-only and read it only through their GraphOperator, which touches
+    neighbours' rows only. A payload without exactly one row per node aborts
+    the round.
     """
 
     def __init__(self, graph: Graph, audit: AuditLog | None = None):
         self.graph = graph
         self.audit = audit
-        self._all = frozenset(range(graph.node_count))
 
-    def exchange(self, payloads):
-        senders = set(payloads)
-        if senders != self._all:
-            missing = sorted(self._all - senders)
-            extra = sorted(senders - self._all)
-            raise ProtocolError(
-                f"exchange requires all {len(self._all)} nodes: "
-                f"missing {missing}, unknown {extra}"
-            )
+    def exchange(self, payload: np.ndarray) -> np.ndarray:
+        N = self.graph.node_count
+        if len(payload) != N:
+            raise ProtocolError(f"exchange needs one row per node, got {len(payload)} for {N}")
         if self.audit is not None:
-            self.audit.record_exchange(payloads)
-        return {
-            i: {j: payloads[j] for j in self.graph.neighbor_lists[i]}
-            for i in range(self.graph.node_count)
-        }
+            self.audit.record_exchange(payload)
+        return payload
 
 
 def plain_exchange(graph: Graph):
@@ -223,7 +220,6 @@ class RunResult:
     final_x: np.ndarray
     rounds: int
     solved: bool
-    nodes: list | None = None
     ergodic: dict | None = None
     trace: list | None = None
     inner_iterations: list | None = None
@@ -288,6 +284,69 @@ def audit_check(log: AuditLog, algorithm: str) -> AuditReport:
     )
 
 
+def _dpga_init(run) -> NetworkState:
+    return _dpga.dpga_init(
+        run.graph, run.objectives, run.gammas, run.x0, safety=run.safety, step_mode=run.mode
+    )
+
+
+def _dpgaw_init(run) -> NetworkState:
+    W = _dpga_w.CommunicationMatrix.from_laplacian(run.graph)
+    return _dpga_w.dpgaw_init(
+        run.graph, W, run.objectives, run.gammas, run.x0, safety=run.safety, step_mode=run.mode
+    )
+
+
+def _admm_init(run) -> NetworkState:
+    gam = np.asarray(run.gammas, dtype=float)
+    if np.ptp(gam) != 0:
+        raise ValueError("the admm variant uses one shared gamma")
+    W = _dpga_w.CommunicationMatrix.from_laplacian(run.graph)
+    return _baselines.admm_init(run.graph, W, run.objectives, float(gam.flat[0]), run.x0)
+
+
+def _admm_round(run, state: NetworkState, k: int) -> NetworkState:
+    state, _, iters = _baselines.admm_round(state, run.objectives, run.exchange)
+    run.inner_iterations.append(iters)
+    return state
+
+
+# algorithm -> (init(run), round(run, state, k) -> state). The round
+# functions are looked up on their modules at call time, so a wrapper put
+# there (as the benchmark's tracer does) sees every round.
+_REGISTRY = {
+    "dpga": (
+        _dpga_init,
+        lambda run, st, k: (
+            _dpga.dpga_round_adaptive if run.step_mode == "AS" else _dpga.dpga_round
+        )(st, run.objectives, run.exchange)[0],
+    ),
+    "sdpga": (
+        _dpga_init,
+        lambda run, st, k: _dpga.sdpga_round(
+            st, run.objectives, run.oracles, k, run.exchange, horizon=run.horizon
+        )[0],
+    ),
+    "dpga_w": (
+        _dpgaw_init,
+        lambda run, st, k: _dpga_w.dpgaw_round(st, run.objectives, run.exchange)[0],
+    ),
+    "sdpga_w": (
+        _dpgaw_init,
+        lambda run, st, k: _dpga_w.sdpgaw_round(
+            st, run.objectives, run.oracles, k, run.exchange, horizon=run.horizon
+        )[0],
+    ),
+    "pg_extra": (
+        lambda run: _baselines.pg_extra_init(
+            run.graph, mixing_pair(run.graph), run.objectives, run.x0
+        ),
+        lambda run, st, k: _baselines.pg_extra_round(st, run.objectives, run.exchange)[0],
+    ),
+    "admm": (_admm_init, _admm_round),
+}
+
+
 def run_synchronous(
     algorithm,
     graph: Graph,
@@ -309,10 +368,12 @@ def run_synchronous(
 
     Stops early only when a reference solution is supplied and both the
     relative suboptimality and the consensus violation fall below the
-    schedule's thresholds at a checked round. Every node starts at x = 0.
-    The seed feeds the per-node gradient oracles of the stochastic variants;
-    everything else is deterministic, so a fixed (configuration, seed) pair
-    reproduces the record bit for bit.
+    schedule's thresholds at a checked round; rel_subopt is |F - F*| / |F*|,
+    or the absolute gap |F - F*| when F* = 0. Raises DivergenceError, naming
+    the round and the first node, as soon as an iterate is not finite.
+    Every node starts at x = 0. The seed feeds the per-node gradient oracles
+    of the stochastic variants; everything else is deterministic, so a
+    fixed (configuration, seed) pair reproduces the record bit for bit.
 
     Parameters beyond the spec of the run (bound, collect_ergodic,
     keep_trace) only add observer output and never change iterates.
@@ -328,65 +389,29 @@ def run_synchronous(
     noisy = algorithm in ("sdpga", "sdpga_w")
     if sigma > 0 and not noisy:
         raise ValueError(f"{algorithm} has no gradient-noise mode")
-
-    N = graph.node_count
-    n = objectives[0].n
-    x0 = [np.zeros(n) for _ in range(N)]
-
-    audit = AuditLog(node_count=N, n=n)
-    transport = Transport(graph, audit)
     if algorithm != "pg_extra" and gammas is None:
         raise ValueError(f"{algorithm} needs gammas")
 
-    inner_iterations = [] if algorithm == "admm" else None
-    mode = step_rule(None, horizon) if noisy else "constant"
+    N = graph.node_count
+    n = objectives[0].n
+    audit = AuditLog(node_count=N, n=n)
+    run = SimpleNamespace(  # what the registry's init and round functions read
+        graph=graph,
+        objectives=objectives,
+        gammas=gammas,
+        x0=np.zeros((N, n)),
+        safety=safety,
+        mode=step_rule(None, horizon) if noisy else "constant",  # base stepsize rule
+        step_mode=step_mode,
+        horizon=horizon,
+        oracles=[NoisyOracle.for_node(sigma, seed, i) for i in range(N)] if noisy else None,
+        exchange=Transport(graph, audit).exchange,
+        inner_iterations=[] if algorithm == "admm" else None,
+    )
+    init, advance = _REGISTRY[algorithm]
+    state = init(run)
 
-    if algorithm in ("dpga", "sdpga"):
-        nodes = _dpga.dpga_init(
-            graph, objectives, gammas, x0, safety=safety, step_mode=mode
-        )
-    elif algorithm in ("dpga_w", "sdpga_w"):
-        W = _dpga_w.CommunicationMatrix.from_laplacian(graph)
-        nodes = _dpga_w.dpgaw_init(
-            graph, W, objectives, gammas, x0, safety=safety, step_mode=mode
-        )
-    elif algorithm == "pg_extra":
-        mixing = mixing_pair(graph)
-        nodes = _baselines.pg_extra_init(graph, mixing, objectives, x0)
-    else:
-        W = _dpga_w.CommunicationMatrix.from_laplacian(graph)
-        gam = np.asarray(gammas, dtype=float)
-        if np.ptp(gam) != 0:
-            raise ValueError("the admm variant uses one shared gamma")
-        nodes = _baselines.admm_init(graph, W, objectives, float(gam.flat[0]), x0)
-
-    oracles = [NoisyOracle.for_node(sigma, seed, i) for i in range(N)] if noisy else None
-
-    def advance(k_zero_based: int) -> np.ndarray:
-        nonlocal nodes
-        if algorithm == "dpga":
-            if step_mode == "AS":
-                nodes, _ = _dpga.dpga_round_adaptive(nodes, objectives, transport.exchange)
-            else:
-                nodes, _ = _dpga.dpga_round(nodes, objectives, transport.exchange)
-        elif algorithm == "sdpga":
-            nodes, _ = _dpga.sdpga_round(
-                nodes, objectives, oracles, k_zero_based, transport.exchange, horizon=horizon
-            )
-        elif algorithm == "dpga_w":
-            nodes, _ = _dpga_w.dpgaw_round(nodes, objectives, transport.exchange)
-        elif algorithm == "sdpga_w":
-            nodes, _ = _dpga_w.sdpgaw_round(
-                nodes, objectives, oracles, k_zero_based, transport.exchange, horizon=horizon
-            )
-        elif algorithm == "pg_extra":
-            nodes, _ = _baselines.pg_extra_round(nodes, objectives, transport.exchange)
-        else:
-            nodes, _, iters = _baselines.admm_round(nodes, objectives, transport.exchange)
-            inner_iterations.append(iters)
-        return np.stack([nd.x_curr if algorithm == "pg_extra" else nd.x for nd in nodes])
-
-    audit.record_storage(nodes)
+    audit.record_storage(state)
     F_star = None if reference is None else float(reference.F_star)
     bound_col = None
     if bound is not None:
@@ -406,10 +431,17 @@ def run_synchronous(
     solved = False
     rounds_run = 0
     for k in range(1, schedule.max_rounds + 1):
-        X = advance(k - 1)
+        state = advance(run, state, k - 1)
+        X = state.x
+        finite = np.isfinite(X).all(axis=1)
+        if not finite.all():
+            raise DivergenceError(
+                f"{algorithm} diverged in round {k}: node {int(np.argmin(finite))} "
+                "holds a non-finite iterate"
+            )
         rounds_run = k
         audit.rounds = k
-        audit.record_storage(nodes)
+        audit.record_storage(state)
         erg_sum += X
         if keep_trace:
             trace.append(X)
@@ -417,7 +449,7 @@ def run_synchronous(
             continue
         F = network_objective(objectives, X)
         max_edge, V = consensus_metrics(graph, X)
-        rel = None if F_star is None else abs(F - F_star) / abs(F_star)
+        rel = None if F_star is None else abs(F - F_star) / (abs(F_star) or 1.0)
         row = [k, F, rel, V, max_edge, audit.scalars_sent[0], None, None, None]
         if bound_col is not None:
             row[bound_col] = float(bound.subopt_bound(k))
@@ -450,8 +482,7 @@ def run_synchronous(
         final_x=X,
         rounds=rounds_run,
         solved=solved,
-        nodes=nodes,
         ergodic=erg,
         trace=trace,
-        inner_iterations=inner_iterations,
+        inner_iterations=run.inner_iterations,
     )

@@ -1,4 +1,11 @@
-"""Communication graphs: construction, Laplacian spectra, mixing matrices."""
+"""Communication graphs: construction, Laplacian spectra, mixing matrices,
+and the two types every round is written in.
+
+A GraphOperator is an N x N matrix whose nonzero entries lie on the graph's
+closed neighbourhoods, checked once at construction; that check is what
+keeps every round local. A NetworkState stacks all agents' local state,
+one row per agent: n-vectors as (N, n) arrays, scalars as (N,) arrays.
+"""
 
 from __future__ import annotations
 
@@ -6,8 +13,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .errors import ProtocolError
+
 __all__ = [
     "Graph",
+    "GraphOperator",
+    "NetworkState",
     "SpectralSummary",
     "MixingPair",
     "TopologySpec",
@@ -92,6 +103,108 @@ class Graph:
 
 
 @dataclass(frozen=True)
+class GraphOperator:
+    """A matrix supported on the graph: row i holds agent i's weights for
+    itself and its neighbours and is zero elsewhere.
+
+    ``op @ X`` mixes a stacked (N, n) payload as every agent would from the
+    messages it receives: its own term first, then its neighbours' in index
+    order, gathered slot by slot (short rows are padded with a zero weight
+    on the agent itself).
+    """
+
+    matrix: np.ndarray
+    graph: Graph
+    _slots: tuple = field(init=False, repr=False)  # (row ids, weights) per term
+
+    def __post_init__(self) -> None:
+        m = np.asarray(self.matrix, dtype=float)
+        g = self.graph
+        N = g.node_count
+        if m.shape != (N, N):
+            raise ValueError(f"matrix has shape {m.shape}, expected ({N}, {N})")
+        off = np.argwhere((m != 0) & (g.laplacian() == 0))
+        if off.size:
+            i, j = off[0]
+            raise ValueError(f"entry [{i},{j}] = {m[i, j]!r} must be zero off the graph")
+        rows = np.arange(N)
+        slots = [(slice(None), np.diag(m)[:, None])]
+        for k in range(g.max_degree):
+            ids = np.array([nb[k] if k < len(nb) else i for i, nb in enumerate(g.neighbor_lists)])
+            slots.append((ids, np.where(ids != rows, m[rows, ids], 0.0)[:, None]))
+        object.__setattr__(self, "matrix", m)
+        object.__setattr__(self, "_slots", tuple(slots))
+
+    def __matmul__(self, X: np.ndarray) -> np.ndarray:
+        N = self.graph.node_count
+        if len(X) != N:
+            raise ProtocolError(f"mixing needs one row per node, got {len(X)} for {N}")
+        return sum(weights * X[ids] for ids, weights in self._slots)
+
+
+@dataclass(frozen=True, eq=False)
+class NetworkState:
+    """Every agent's local state, stacked: row i of each field is agent i's.
+
+    Fields of shape (N, n) are the n-vectors an agent stores, fields of
+    shape (N,) its scalars; ``state.x`` reads a field, and the arrays are
+    made read-only. ``ops`` holds the graph operators whose rows the agents
+    know. Indexing and iteration yield agent i's view of its rows
+    (``state[i].x``); ``a + b`` lists the views of both states.
+    """
+
+    fields: dict
+    ops: dict = field(default_factory=dict)
+
+    def __post_init__(self) -> None:
+        if len({len(a) for a in self.fields.values()}) > 1:
+            raise ValueError("every field needs one row per node")
+        for a in self.fields.values():
+            a.flags.writeable = False
+
+    def __getattr__(self, name: str):
+        try:
+            return self.__dict__["fields"][name]
+        except KeyError:
+            raise AttributeError(name) from None
+
+    def evolve(self, **changes) -> "NetworkState":
+        return NetworkState({**self.fields, **changes}, self.ops)
+
+    def vector_count(self) -> int:
+        """n-vectors each agent stores: the number of (N, n) fields."""
+        return sum(a.ndim == 2 for a in self.fields.values())
+
+    def __len__(self) -> int:
+        return len(self.x)
+
+    def __getitem__(self, i: int) -> "_AgentView":
+        if not 0 <= i < len(self):
+            raise IndexError(i)
+        return _AgentView(self, i)
+
+    def __add__(self, other) -> list:
+        return [*self, *other]
+
+
+class _AgentView:
+    """Agent i's local state: row i of every field, scalars as Python numbers."""
+
+    __slots__ = ("_state", "node_id")
+
+    def __init__(self, state: NetworkState, i: int):
+        self._state = state
+        self.node_id = i
+
+    def __getattr__(self, name: str):
+        try:
+            column = self._state.fields[name]
+        except KeyError:
+            raise AttributeError(name) from None
+        return column[self.node_id] if column.ndim > 1 else column[self.node_id].item()
+
+
+@dataclass(frozen=True)
 class SpectralSummary:
     laplacian: np.ndarray
     incidence: np.ndarray
@@ -103,8 +216,8 @@ class SpectralSummary:
 
 @dataclass(frozen=True)
 class MixingPair:
-    W: np.ndarray
-    W_tilde: np.ndarray
+    W: GraphOperator
+    W_tilde: GraphOperator
     lam_min_tilde: float
 
 
@@ -201,7 +314,7 @@ def mixing_pair(g: Graph) -> MixingPair:
     w = np.eye(g.node_count) - omega / (g.max_degree + 1)
     w_tilde = 0.5 * (np.eye(g.node_count) + w)
     lam_min = float(np.linalg.eigvalsh(w_tilde)[0])
-    return MixingPair(W=w, W_tilde=w_tilde, lam_min_tilde=lam_min)
+    return MixingPair(GraphOperator(w, g), GraphOperator(w_tilde, g), lam_min_tilde=lam_min)
 
 
 @dataclass(frozen=True)

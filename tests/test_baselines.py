@@ -68,7 +68,7 @@ def test_pg_extra_matches_matrix_recursion():
 
         nodes, _ = pg_extra_round(nodes, objs, exchange)
         for i, nd in enumerate(nodes):
-            assert np.linalg.norm(nd.x_curr - X[i]) < 1e-12
+            assert np.linalg.norm(nd.x - X[i]) < 1e-12
             assert np.linalg.norm(nd.x_half - half[i]) < 1e-12
 
 
@@ -82,8 +82,8 @@ def test_pg_extra_kkt_residuals_identity_and_decay():
     half_trace = []
     for _ in range(250):
         nodes, _ = pg_extra_round(nodes, objs, exchange)
-        x_trace.append(np.stack([nd.x_curr for nd in nodes]))
-        half_trace.append(np.stack([nd.x_half for nd in nodes]))
+        x_trace.append(nodes.x)
+        half_trace.append(nodes.x_half)
     kkt_sq, cons_sq = pg_extra_kkt_residuals(x_trace, half_trace, mix, objs, c)
     # r^m collapses to W~ X^m - X^{m+1}
     for m in (0, 3, 60, 249):
@@ -103,7 +103,7 @@ def test_pg_extra_protocol_error():
     g, objs, x0 = network(seed=3)
     nodes = pg_extra_init(g, mixing_pair(g), objs, x0)
     with pytest.raises(ProtocolError):
-        pg_extra_round(nodes, objs, lambda payloads: {i: {} for i in payloads})
+        pg_extra_round(nodes, objs, lambda payload: payload[:2])
 
 
 def quadratic_prox_reference(obj, v, c):
@@ -177,7 +177,7 @@ def test_admm_round_counts_inner_work():
     assert len(inner) == g.node_count
     assert all(k > 0 for k in inner)
     with pytest.raises(ProtocolError):
-        admm_round(nodes, objs, lambda payloads: {i: {} for i in payloads})
+        admm_round(nodes, objs, lambda payload: payload[:2])
 
 
 def test_admm_is_the_w_variant_with_prox_only_objectives():
@@ -199,3 +199,32 @@ def test_admm_is_the_w_variant_with_prox_only_objectives():
         for a, b in zip(admm_nodes, w_nodes):
             assert np.linalg.norm(a.x - b.x) < 1e-10
             assert np.linalg.norm(a.p - b.p) < 1e-10
+
+
+class CountingObjective:
+    """Counts gradient calls of a NodeObjective."""
+
+    def __init__(self, obj):
+        self.obj, self.calls, self.lipschitz = obj, 0, obj.lipschitz
+
+    def f_grad(self, x):
+        self.calls += 1
+        return self.obj.f_grad(x)
+
+    def prox(self, v, t):
+        return self.obj.prox(v, t)
+
+
+def test_admm_inner_solve_starts_at_the_iterate():
+    g, objs, x0 = network(seed=11)
+    W = CommunicationMatrix.from_laplacian(g)
+    exchange = plain_exchange(g)
+    state = admm_init(g, W, objs, 1.3, x0)
+    for _ in range(100):
+        state, _, _ = admm_round(state, objs, exchange)
+    # once the run settles x_i is near its next x-update, the prox point is not
+    cold = [CountingObjective(o) for o in objs]
+    dpgaw_round(state, [ProxOnlyObjective(o) for o in cold], exchange)
+    _, _, warm = admm_round(state, objs, exchange)
+    for w, c in zip(warm, cold):
+        assert 0 < w < c.calls

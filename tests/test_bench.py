@@ -380,6 +380,18 @@ def test_cli_bounds_rejects_an_empty_grid(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+
+def test_cli_bounds_without_a_bounded_algorithm_exits_before_solving(tmp_path, capsys, monkeypatch):
+    def no_solve(*args, **kwargs):
+        raise AssertionError("reference solved for a config with no bound curve")
+
+    monkeypatch.setattr(bench, "reference_for", no_solve)
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(base_config(algorithms=["pg_extra", "admm"])))
+    assert main(["bounds", str(path), "--out", str(tmp_path / "out")]) == 2
+    assert "no bound curves" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
 def test_load_config_reports_json_position(tmp_path):
     path = tmp_path / "broken.json"
     path.write_text('{\n  "problem": oops\n}\n')

@@ -2,10 +2,11 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import random_objective, random_objectives, random_partition
 from netprox.dpga import (
-    DpgaNode,
     GammaMatrix,
     adaptive_backtrack,
     dpga_init,
@@ -26,7 +27,7 @@ from netprox.engine import (
 from netprox.errors import ProtocolError
 from netprox.objective import NodeObjective, NoisyOracle
 from netprox.simnet import plain_exchange
-from netprox.topology import build_topology
+from netprox.topology import GraphOperator, NetworkState, build_topology
 
 
 def triangle_setup(seed=0, n=6, gammas=(1.0, 2.0, 0.7)):
@@ -71,10 +72,10 @@ def test_init_validations():
 def test_init_states():
     g, objs, gammas, x0 = triangle_setup()
     nodes = dpga_init(g, objs, gammas, x0)
+    expect_s = GammaMatrix.build(g, gammas).matrix @ np.stack(x0)
     for i, nd in enumerate(nodes):
         assert nd.c == pytest.approx(0.999 / (objs[i].lipschitz + gammas[i] * 2))
-        expect_s = sum(w * x0[j] for j, w in nd.gamma_row.items())
-        assert np.allclose(nd.s, expect_s, atol=1e-14)
+        assert np.allclose(nd.s, expect_s[i], atol=1e-14)
         assert np.all(nd.p == 0)
     # consensus start zeroes the disagreement signal
     same = [np.ones(6)] * 3
@@ -85,12 +86,27 @@ def test_init_states():
         assert nd.c == pytest.approx(1.0 / (objs[i].lipschitz + gammas[i] * 2 + 1.0))
 
 
+def agent(x, s, c, L_running, L_init, degree):
+    """One DPGA agent's view, from a one-row state with gamma_i = 1."""
+    state = NetworkState(
+        dict(
+            x=x[None], s=s[None], p=np.zeros((1, x.size)), c=np.array([c]),
+            gamma=np.array([1.0]), L_running=np.array([L_running]),
+            L_init=np.array([L_init]), degree=np.array([degree]),
+        )
+    )
+    return state[0]
+
+
 def test_protocol_error_on_wrong_inbox():
     g, objs, gammas, x0 = triangle_setup()
     nodes = dpga_init(g, objs, gammas, x0)
-    bad = lambda payloads: {i: {} for i in payloads}
+    # a delivery that drops a node's message
     with pytest.raises(ProtocolError):
-        dpga_round(nodes, objs, bad)
+        dpga_round(nodes, objs, lambda payload: payload[:2])
+    # Gamma carries the locality guarantee: no weight off the graph
+    with pytest.raises(ValueError, match="zero off the graph"):
+        GraphOperator(np.ones((3, 3)), build_topology("star", 3))
 
 
 def test_isolated_node_is_proximal_gradient():
@@ -98,16 +114,17 @@ def test_isolated_node_is_proximal_gradient():
     obj = random_objective(rng, n=8, m=5)
     x0 = rng.standard_normal(8)
     c = 0.999 / obj.lipschitz
-    node = DpgaNode(
-        node_id=0, x=x0.copy(), s=np.zeros(8), p=np.zeros(8),
-        c=c, gamma=1.0, L_running=obj.lipschitz, L_init=obj.lipschitz, gamma_row={0: 0.0},
+    g = build_topology("star", 2)
+    # zero coupling weights: each agent runs plain proximal gradient
+    state = NetworkState(
+        dict(x=np.stack([x0, x0]), s=np.zeros((2, 8)), p=np.zeros((2, 8)), c=np.full(2, c)),
+        {"gamma": GraphOperator(np.zeros((2, 2)), g)},
     )
-    nodes = [node]
     x_ref = x0.copy()
     for _ in range(40):
-        nodes, _ = dpga_round(nodes, [obj], lambda payloads: {0: {}})
+        state, _ = dpga_round(state, [obj, obj], plain_exchange(g))
         x_ref = obj.prox(x_ref - c * obj.f_grad(x_ref), c)
-        assert np.array_equal(nodes[0].x, x_ref)
+        assert np.array_equal(state[0].x, x_ref)
 
 
 def test_matches_edge_variable_block_problem():
@@ -147,6 +164,36 @@ def test_matches_edge_variable_block_problem():
             )
             assert np.linalg.norm(state.y[e] - mid) < 1e-10
 
+
+
+@st.composite
+def random_networks(draw):
+    """A small world on 3-8 nodes with random extra edges, unequal
+    penalties and a random start."""
+    N = draw(st.integers(3, 8))
+    extra = draw(st.integers(0, N * (N - 3) // 2))
+    seed = draw(st.integers(0, 2**16))
+    rng = np.random.default_rng(seed)
+    g = build_topology("small_world", N, extra_edges=extra, seed=seed)
+    objs = random_objectives(rng, N, n=5, m=3)
+    return g, objs, rng.uniform(0.3, 3.0, N), [rng.standard_normal(5) for _ in range(N)]
+
+
+@settings(max_examples=25, deadline=None)
+@given(random_networks())
+def test_matches_edge_variable_block_problem_on_random_networks(net):
+    g, objs, gammas, x0 = net
+    state = dpga_init(g, objs, gammas, x0)
+    prob, _ = edge_consensus_problem(g, objs, gammas)
+    plan = constant_plan(prob, explicit=state.c)
+    engine = EngineState.initial(prob, x0)
+    exchange = plain_exchange(g)
+    for _ in range(30):
+        state, _ = dpga_round(state, objs, exchange)
+        engine = pgadmm_step(engine, prob, plan)
+        for i in range(g.node_count):
+            assert np.linalg.norm(state.x[i] - engine.x[i]) < 1e-10
+            assert np.linalg.norm(state.p[i] - sum(engine.lam[i])) < 1e-10
 
 def test_noiseless_constant_stochastic_round_is_exact():
     g, objs, gammas, x0 = triangle_setup(seed=5)
@@ -216,11 +263,7 @@ def test_adaptive_backtrack_properties():
     obj = random_objective(rng, n=6, m=4)
     L = obj.lipschitz
     x0 = rng.standard_normal(6)
-    node = DpgaNode(
-        node_id=0, x=x0, s=rng.standard_normal(6) * 0.1, p=np.zeros(6),
-        c=1.0 / (L + 2.0), gamma=1.0, L_running=L / 16.0, L_init=L,
-        gamma_row={0: 1.0, 1: -0.5, 2: -0.5},
-    )
+    node = agent(x0, rng.standard_normal(6) * 0.1, 1.0 / (L + 2.0), L / 16.0, L, degree=2)
     with pytest.raises(ValueError):
         adaptive_backtrack(node, obj, upsilon=1.0)
     x_new, L_new, c_new = adaptive_backtrack(node, obj, upsilon=2.0)
@@ -249,11 +292,7 @@ def test_adaptive_backtrack_flags_understated_curvature():
         partition=random_partition(rng, 5, 2), lipschitz=true_L / 1000.0,
     )
     x0 = rng.standard_normal(5) * 10
-    node = DpgaNode(
-        node_id=0, x=x0, s=np.zeros(5), p=np.zeros(5),
-        c=1.0, gamma=1.0, L_running=true_L / 1000.0, L_init=true_L / 1000.0,
-        gamma_row={0: 0.5, 1: -0.5},
-    )
+    node = agent(x0, np.zeros(5), 1.0, true_L / 1000.0, true_L / 1000.0, degree=1)
     with pytest.raises(RuntimeError):
         adaptive_backtrack(node, obj, upsilon=2.0)
 

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import random_objectives
 from netprox.dpga_w import (
@@ -126,9 +128,9 @@ def test_round_uses_two_exchanges():
 def test_protocol_error_on_bad_inbox():
     g, W, objs, gammas, x0 = quad_setup(seed=2)
     nodes = dpgaw_init(g, W, objs, gammas, x0)
-    bad = lambda payloads: {i: {} for i in payloads}
+    # a delivery that drops a node's message
     with pytest.raises(ProtocolError):
-        dpgaw_round(nodes, objs, bad)
+        dpgaw_round(nodes, objs, lambda payload: payload[:3])
 
 
 def test_matches_w_block_problem_with_multiplier_identity():
@@ -152,6 +154,39 @@ def test_matches_w_block_problem_with_multiplier_identity():
             r = closed[j].index(i)
             assert np.linalg.norm(state.lam[j][r] - nodes[i].p) < 1e-10
 
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    N=st.integers(3, 8),
+    extra_frac=st.floats(0.0, 1.0),
+    seed=st.integers(0, 2**16),
+)
+def test_matches_w_block_problem_on_random_networks(N, extra_frac, seed):
+    # a small world on 3-8 nodes, random edge weights, unequal penalties
+    rng = np.random.default_rng(seed)
+    g = build_topology("small_world", N, extra_edges=int(extra_frac * N * (N - 3) // 2), seed=seed)
+    W = CommunicationMatrix(
+        matrix=weighted_laplacian(g, rng.uniform(0.5, 2.0, g.edge_count)), graph=g
+    )
+    objs = random_objectives(rng, N, n=5, m=3)
+    gammas = rng.uniform(0.3, 3.0, N)
+    x0 = [rng.standard_normal(5) for _ in range(N)]
+    state = dpgaw_init(g, W, objs, gammas, x0)
+    prob, slot_of = w_consensus_problem(g, W, objs, gammas)
+    y0 = [None] * len(slot_of)
+    for (i, j), s in slot_of.items():
+        y0[s] = W.matrix[i, j] * x0[j]
+    plan = constant_plan(prob, explicit=state.c)
+    engine = EngineState.initial(prob, x0, y0=y0)
+    closed = [sorted((*g.neighbor_lists[i], i)) for i in range(N)]
+    exchange = plain_exchange(g)
+    for _ in range(30):
+        state, _ = dpgaw_round(state, objs, exchange)
+        engine = pgadmm_step(engine, prob, plan)
+        assert np.max(np.abs(state.x - np.stack(engine.x))) < 1e-10
+        for (i, j) in slot_of:
+            assert np.linalg.norm(engine.lam[j][closed[j].index(i)] - state.p[i]) < 1e-10
 
 def test_noiseless_constant_stochastic_round_is_exact():
     g, W, objs, gammas, x0 = quad_setup(seed=4)

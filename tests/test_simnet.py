@@ -6,8 +6,9 @@ import numpy as np
 import pytest
 
 from conftest import random_objectives
-from netprox.dpga import dpga_init, dpga_round
-from netprox.errors import ProtocolError
+from netprox import dpga, dpga_w
+from netprox.dpga import GammaMatrix, dpga_init, dpga_round
+from netprox.errors import DivergenceError, ProtocolError
 from netprox.reference import fista_solve
 from netprox.simnet import (
     ALGORITHMS,
@@ -44,23 +45,26 @@ def small_net(seed=0, N=3, n=6):
 def test_transport_routes_neighbors_only():
     g = build_topology("star", 4)
     tr = Transport(g)
-    payloads = {i: np.full(2, float(i)) for i in range(4)}
-    inboxes = tr.exchange(payloads)
-    assert set(inboxes[0]) == {1, 2, 3}
-    assert set(inboxes[2]) == {0}
-    assert inboxes[2][0] is payloads[0]
+    payload = np.arange(8.0).reshape(4, 2)
+    assert tr.exchange(payload) is payload
     with pytest.raises(ProtocolError):
-        tr.exchange({0: payloads[0]})
+        tr.exchange(payload[:1])
     with pytest.raises(ProtocolError):
-        tr.exchange({**payloads, 9: np.zeros(2)})
+        tr.exchange(np.zeros((5, 2)))
+    # a leaf mixes its own row and the hub's only; the hub mixes every row
+    gamma = GammaMatrix.build(g, np.ones(4))
+    moved = payload.copy()
+    moved[3] += 100.0
+    changed = np.any(gamma @ moved != gamma @ payload, axis=1)
+    assert changed.tolist() == [True, False, False, True]
 
 
 def test_transport_meters_traffic():
     g = build_topology("circle", 3)
     audit = AuditLog(node_count=3, n=2)
     tr = Transport(g, audit)
-    tr.exchange({i: np.zeros(2) for i in range(3)})
-    tr.exchange({i: np.zeros((2, 2)) for i in range(3)})
+    tr.exchange(np.zeros((3, 2)))
+    tr.exchange(np.zeros((3, 2, 2)))
     assert audit.exchange_calls == 2
     assert all(audit.scalars_sent[i] == 2 + 4 for i in range(3))
 
@@ -271,3 +275,51 @@ def test_replayed_inboxes_reproduce_the_run():
 
 def test_algorithm_registry_covers_profiles():
     assert set(TABLE_PROFILES) == set(ALGORITHMS)
+
+
+def test_rounds_are_called_through_their_modules(monkeypatch):
+    g, objs = small_net(seed=11)
+    sched = RoundSchedule(max_rounds=6, check_every=3)
+    rounds = ((dpga, "dpga_round", "dpga"), (dpga_w, "dpgaw_round", "dpga_w"))
+    for module, name, algorithm in rounds:
+        original = getattr(module, name)
+        calls = []
+
+        def counting(*args, _original=original, **kwargs):
+            calls.append(1)
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counting)
+        res = run_synchronous(algorithm, g, objs, sched, 0, gammas=np.full(3, 1.0))
+        assert len(calls) == res.rounds == 6
+
+
+class NanAfter:
+    """A node objective whose prox returns NaN from its k-th call on."""
+
+    def __init__(self, obj, k):
+        self.obj, self.k, self.calls = obj, k, 0
+
+    def __getattr__(self, name):
+        return getattr(self.obj, name)
+
+    def prox(self, v, t):
+        self.calls += 1
+        out = self.obj.prox(v, t)
+        return np.full_like(out, np.nan) if self.calls >= self.k else out
+
+
+def test_divergence_names_the_round_and_node():
+    g, objs = small_net(seed=12)
+    objs = [objs[0], objs[1], NanAfter(objs[2], 3)]
+    sched = RoundSchedule(max_rounds=10)
+    with pytest.raises(DivergenceError, match="round 3: node 2 "):
+        run_synchronous("dpga", g, objs, sched, 0, gammas=np.full(3, 1.0))
+
+
+def test_zero_optimal_value_reports_the_absolute_gap():
+    g, objs = small_net(seed=13)
+    sched = RoundSchedule(max_rounds=5)
+    zero = dataclasses.make_dataclass("Reference", ["F_star"])(0.0)
+    res = run_synchronous("dpga", g, objs, sched, 0, gammas=np.full(3, 1.0), reference=zero)
+    assert res.record.column("rel_subopt") == [abs(F) for F in res.record.column("F")]

@@ -135,15 +135,16 @@ def test_frobenius_norm_sq_star5():
 def test_mixing_pair_star5():
     mp = mixing_pair(build_topology("star", 5))
     assert mp.lam_min_tilde == pytest.approx(0.5, abs=1e-12)
-    assert np.allclose(mp.W_tilde, 0.5 * (np.eye(5) + mp.W))
-    assert np.allclose(mp.W.sum(axis=1), 1.0)
-    assert np.allclose(mp.W, mp.W.T)
+    W, W_tilde = mp.W.matrix, mp.W_tilde.matrix
+    assert np.allclose(W_tilde, 0.5 * (np.eye(5) + W))
+    assert np.allclose(W.sum(axis=1), 1.0)
+    assert np.allclose(W, W.T)
 
 
 def test_mixing_matrices_strictly_positive_definite():
     for kind, N in (("circle", 8), ("clique", 6), ("star", 7)):
         mp = mixing_pair(build_topology(kind, N))
-        ew = np.linalg.eigvalsh(mp.W_tilde)
+        ew = np.linalg.eigvalsh(mp.W_tilde.matrix)
         assert ew[0] > 0
         assert mp.lam_min_tilde == pytest.approx(ew[0])
 
