@@ -167,11 +167,12 @@ def reference_key(spec: ProblemSpec) -> str:
 
 def reference_for(problem: GeneratedProblem, tol: float = 1e-12, use_cache: bool = True) -> ReferenceSolution:
     """Certified central solution, loaded from the on-disk cache when the
-    same instance was solved before."""
+    same instance was solved before to a certificate within tol; otherwise
+    solved (and the cache entry overwritten)."""
     key = reference_key(problem.spec)
     if use_cache:
         cached = load_reference(key)
-        if cached is not None:
+        if cached is not None and cached.certificate <= tol:
             return cached
     sol = fista_solve(problem.objectives, tol=tol)
     if use_cache:
@@ -340,7 +341,12 @@ class ConfigError(ValueError):
 
 def load_config(path) -> dict:
     """Parse a JSON configuration file; validate_config decodes it."""
-    text = Path(path).read_text()
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: not UTF-8 text: {exc.reason} at byte {exc.start}") from exc
+    except OSError as exc:
+        raise ConfigError(f"{path}: cannot read: {exc.strerror or exc}") from exc
     try:
         return json.loads(text)
     except json.JSONDecodeError as exc:
@@ -640,9 +646,9 @@ def run_experiment(config: dict, out_dir=None, check: bool = False) -> Experimen
             if check:
                 erg = result.ergodic
                 cons = "omega_norm" if algorithm == "dpga_w" else "edge_aggregate"
-                dominated = bound is None or not any(
-                    abs(gap) > bound.subopt_bound(t) or cv > bound.consensus_bound(t)
-                    for t, gap, cv in zip(erg["t"], erg["subopt_gap"], erg[cons])
+                dominated = bound is None or not np.any(
+                    (np.abs(erg["subopt_gap"]) > bound.subopt_bound(erg["t"]))
+                    | (erg[cons] > bound.consensus_bound(erg["t"]))
                 )
                 audit_ok = _simnet.audit_check(result.audit, algorithm).ok
                 checks_passed = checks_passed and result.solved and audit_ok and dominated

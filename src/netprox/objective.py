@@ -22,7 +22,6 @@ __all__ = [
     "NoisyOracle",
     "huber_value_grad",
     "prox_sparse_group",
-    "node_eval",
     "oracle_grad",
     "group_norm",
     "power_iteration_sq_norm",
@@ -182,24 +181,11 @@ class NodeObjective:
         _, g = huber_value_grad(self.A @ x - self.b, self.delta)
         return self.A.T @ g
 
-    def f_value_grad(self, x: np.ndarray) -> tuple[float, np.ndarray]:
-        value, g = huber_value_grad(self.A @ x - self.b, self.delta)
-        return value, self.A.T @ g
-
     def phi(self, x: np.ndarray) -> float:
         return self.xi_value(x) + self.f_value(x)
 
     def prox(self, v: np.ndarray, t: float) -> np.ndarray:
         return prox_sparse_group(v, t, self.beta1, self.beta2, self.partition)
-
-
-def node_eval(obj: NodeObjective, x: np.ndarray) -> tuple[float, float, np.ndarray]:
-    """(Phi_i(x), f_i(x), grad f_i(x)) in one pass."""
-    x = np.asarray(x, dtype=float)
-    if x.shape != (obj.n,):
-        raise ValueError(f"x has shape {x.shape}, expected ({obj.n},)")
-    f, grad = obj.f_value_grad(x)
-    return obj.xi_value(x) + f, f, grad
 
 
 @dataclass

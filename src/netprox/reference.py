@@ -11,6 +11,8 @@ sqrt(2 t g) of the true prox.
 from __future__ import annotations
 
 import os
+import tempfile
+import zipfile
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -262,27 +264,39 @@ def cache_dir() -> Path:
 
 
 def save_reference(key: str, sol: ReferenceSolution) -> Path:
-    """Persist a solution under cache_dir()/<key>.npz."""
+    """Persist a solution under cache_dir()/<key>.npz. The file is written
+    next to its final name and then renamed into place, so a reader never
+    sees a partial file."""
     path = cache_dir() / f"{key}.npz"
     path.parent.mkdir(parents=True, exist_ok=True)
-    np.savez(
-        path,
-        x_star=sol.x_star,
-        F_star=np.array(sol.F_star),
-        certificate=np.array(sol.certificate),
-        kappas=np.array(sol.kappas),
-    )
+    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{key}.", suffix=".tmp")
+    try:
+        with os.fdopen(fd, "wb") as fh:
+            np.savez(
+                fh,
+                x_star=sol.x_star,
+                F_star=np.array(sol.F_star),
+                certificate=np.array(sol.certificate),
+                kappas=np.array(sol.kappas),
+            )
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
     return path
 
 
 def load_reference(key: str) -> ReferenceSolution | None:
+    """The cached solution under key, or None when there is none or the
+    file cannot be read back."""
     path = cache_dir() / f"{key}.npz"
-    if not path.exists():
+    try:
+        with np.load(path, allow_pickle=False) as data:
+            return ReferenceSolution(
+                x_star=data["x_star"].copy(),
+                F_star=float(data["F_star"]),
+                certificate=float(data["certificate"]),
+                kappas=tuple(float(k) for k in data["kappas"]),
+            )
+    except (OSError, EOFError, KeyError, ValueError, TypeError, zipfile.BadZipFile):
         return None
-    with np.load(path, allow_pickle=False) as data:
-        return ReferenceSolution(
-            x_star=data["x_star"].copy(),
-            F_star=float(data["F_star"]),
-            certificate=float(data["certificate"]),
-            kappas=tuple(float(k) for k in data["kappas"]),
-        )

@@ -71,6 +71,8 @@ CSV_COLUMNS = (
 
 _BOUND_COLUMNS = ("bound_theorem3", "bound_theorem4", "bound_sdpga")
 
+_ERGODIC_KEYS = ("t", "ergodic_F", "subopt_gap", "edge_aggregate", "omega_norm")
+
 
 @dataclass(frozen=True)
 class RoundSchedule:
@@ -212,8 +214,7 @@ class RunRecord:
 @dataclass
 class RunResult:
     """Everything a run produced: the CSV-faithful record plus in-memory
-    state for analysis (final iterates, audit, optional ergodic curves and
-    trace)."""
+    state for analysis (final iterates, audit, optional ergodic curves)."""
 
     record: RunRecord
     audit: AuditLog
@@ -221,7 +222,6 @@ class RunResult:
     rounds: int
     solved: bool
     ergodic: dict | None = None
-    trace: list | None = None
     inner_iterations: list | None = None
 
 
@@ -230,30 +230,25 @@ def network_objective(objectives, X) -> float:
     return float(sum(obj.phi(X[i]) for i, obj in enumerate(objectives)))
 
 
+def _edge_sq(graph: Graph, X) -> np.ndarray:
+    """|x_i - x_j|^2 for every edge (i, j), as a batched d @ d: the dot
+    product a per-edge loop takes, not a pairwise sum."""
+    i, j = graph.edge_ends
+    D = X[i] - X[j]
+    return (D[:, None, :] @ D[:, :, None]).ravel()
+
+
 def consensus_metrics(graph: Graph, X) -> tuple[float, float]:
     """Largest edge disagreement and its sqrt(n)-normalized version V."""
-    max_edge = 0.0
-    for i, j in graph.edges:
-        d = float(np.linalg.norm(X[i] - X[j]))
-        if d > max_edge:
-            max_edge = d
+    max_edge = float(np.sqrt(_edge_sq(graph, X).max()))
     return max_edge, max_edge / np.sqrt(X.shape[1])
 
 
-def ergodic_aggregates(graph: Graph, Xbar, W_matrix=None):
+def ergodic_aggregates(graph: Graph, Xbar) -> tuple[float, float]:
     """Consensus aggregates of an averaged iterate: the edge-sum norm
-    (sum over edges of |xbar_i - xbar_j|^2)^(1/2), |Omega Xbar|_F, and
-    |W Xbar|_F (equal to the Omega version when no W is supplied)."""
-    edge_sq = 0.0
-    for i, j in graph.edges:
-        d = Xbar[i] - Xbar[j]
-        edge_sq += float(d @ d)
-    omega_norm = float(np.linalg.norm(graph.laplacian() @ Xbar))
-    if W_matrix is None:
-        w_norm = omega_norm
-    else:
-        w_norm = float(np.linalg.norm(np.asarray(W_matrix) @ Xbar))
-    return np.sqrt(edge_sq), omega_norm, w_norm
+    (sum over edges of |xbar_i - xbar_j|^2)^(1/2) and |Omega Xbar|_F."""
+    edge_agg = float(np.sqrt(_edge_sq(graph, Xbar).sum()))
+    return edge_agg, float(np.linalg.norm(graph.laplacian() @ Xbar))
 
 
 def audit_check(log: AuditLog, algorithm: str) -> AuditReport:
@@ -361,7 +356,6 @@ def run_synchronous(
     reference=None,
     bound=None,
     collect_ergodic: bool = False,
-    keep_trace: bool = False,
     safety: float = 0.999,
 ) -> RunResult:
     """Drive one algorithm for up to schedule.max_rounds synchronous rounds.
@@ -375,8 +369,10 @@ def run_synchronous(
     of the stochastic variants; everything else is deterministic, so a
     fixed (configuration, seed) pair reproduces the record bit for bit.
 
-    Parameters beyond the spec of the run (bound, collect_ergodic,
-    keep_trace) only add observer output and never change iterates.
+    Parameters beyond the spec of the run (bound, collect_ergodic) only add
+    observer output and never change iterates. The ergodic curves hold t,
+    ergodic_F, subopt_gap, edge_aggregate and omega_norm, one value per
+    checked round; subopt_gap is a list of None without a reference.
     """
     if algorithm not in ALGORITHMS:
         raise ValueError(f"unknown algorithm {algorithm!r}; expected one of {ALGORITHMS}")
@@ -420,16 +416,8 @@ def run_synchronous(
         bound_col = CSV_COLUMNS.index(bound.column)
 
     erg_sum = np.zeros((N, n))
-    erg = (
-        {"t": [], "ergodic_F": [], "subopt_gap": [], "edge_aggregate": [], "omega_norm": []}
-        if collect_ergodic
-        else None
-    )
-    trace = [np.zeros((N, n))] if keep_trace else None
-
-    rows = []
+    rows, erg_rows = [], []
     solved = False
-    rounds_run = 0
     for k in range(1, schedule.max_rounds + 1):
         state = advance(run, state, k - 1)
         X = state.x
@@ -439,12 +427,9 @@ def run_synchronous(
                 f"{algorithm} diverged in round {k}: node {int(np.argmin(finite))} "
                 "holds a non-finite iterate"
             )
-        rounds_run = k
         audit.rounds = k
         audit.record_storage(state)
         erg_sum += X
-        if keep_trace:
-            trace.append(X)
         if not (k % schedule.check_every == 0 or k == schedule.max_rounds):
             continue
         F = network_objective(objectives, X)
@@ -457,12 +442,8 @@ def run_synchronous(
         if collect_ergodic:
             Xbar = erg_sum / k
             F_erg = network_objective(objectives, Xbar)
-            edge_agg, omega_norm, _ = ergodic_aggregates(graph, Xbar)
-            erg["t"].append(k)
-            erg["ergodic_F"].append(F_erg)
-            erg["subopt_gap"].append(None if F_star is None else F_erg - F_star)
-            erg["edge_aggregate"].append(edge_agg)
-            erg["omega_norm"].append(omega_norm)
+            gap = None if F_star is None else F_erg - F_star
+            erg_rows.append((k, F_erg, gap, *ergodic_aggregates(graph, Xbar)))
         if (
             F_star is not None
             and rel <= schedule.stop_rel_subopt
@@ -471,18 +452,17 @@ def run_synchronous(
             solved = True
             break
 
-    if erg is not None:
-        erg = {
-            key: (np.array(val) if key != "subopt_gap" or F_star is not None else val)
-            for key, val in erg.items()
-        }
+    erg = None
+    if collect_ergodic:  # the last round is always checked, so rows exist
+        erg = {key: np.array(col) for key, col in zip(_ERGODIC_KEYS, zip(*erg_rows))}
+        if F_star is None:
+            erg["subopt_gap"] = [None] * len(erg_rows)
     return RunResult(
         record=RunRecord(rows=tuple(rows)),
         audit=audit,
         final_x=X,
-        rounds=rounds_run,
+        rounds=audit.rounds,
         solved=solved,
         ergodic=erg,
-        trace=trace,
         inner_iterations=run.inner_iterations,
     )

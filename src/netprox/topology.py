@@ -44,6 +44,9 @@ class Graph:
     edges: tuple[tuple[int, int], ...]
     neighbor_lists: tuple[tuple[int, ...], ...] = field(init=False)
     degrees: tuple[int, ...] = field(init=False)
+    # the edges' (low, high) endpoint index arrays and the Laplacian, built once
+    edge_ends: tuple[np.ndarray, np.ndarray] = field(init=False, repr=False, compare=False)
+    _laplacian: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         n = self.node_count
@@ -73,6 +76,14 @@ class Graph:
                     stack.append(v)
         if len(reached) != n:
             raise ValueError("graph is not connected")
+        i, j = np.array(self.edges, dtype=np.intp).reshape(-1, 2).T
+        omega = np.zeros((n, n))
+        omega[i, j] = omega[j, i] = -1.0
+        np.fill_diagonal(omega, self.degrees)
+        for a in (i, j, omega):
+            a.flags.writeable = False
+        object.__setattr__(self, "edge_ends", (i, j))
+        object.__setattr__(self, "_laplacian", omega)
 
     @property
     def edge_count(self) -> int:
@@ -87,18 +98,15 @@ class Graph:
         return min(self.degrees)
 
     def laplacian(self) -> np.ndarray:
-        omega = np.zeros((self.node_count, self.node_count))
-        for i, j in self.edges:
-            omega[i, j] = omega[j, i] = -1.0
-        np.fill_diagonal(omega, self.degrees)
-        return omega
+        """The graph Laplacian Omega (read-only)."""
+        return self._laplacian
 
     def incidence(self) -> np.ndarray:
         """Oriented incidence matrix M, one row per edge: +1 at i, -1 at j."""
         m = np.zeros((self.edge_count, self.node_count))
-        for r, (i, j) in enumerate(self.edges):
-            m[r, i] = 1.0
-            m[r, j] = -1.0
+        rows = np.arange(self.edge_count)
+        m[rows, self.edge_ends[0]] = 1.0
+        m[rows, self.edge_ends[1]] = -1.0
         return m
 
 

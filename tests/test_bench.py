@@ -122,6 +122,46 @@ def test_reference_key_and_cache(tmp_path, monkeypatch):
     assert fresh.F_star == pytest.approx(sol.F_star, rel=1e-10)
 
 
+def test_reference_cache_honours_the_requested_tolerance(tmp_path, monkeypatch):
+    from netprox.reference import load_reference
+
+    monkeypatch.setenv("NETPROX_CACHE", str(tmp_path))
+    prob = generate_problem(ProblemSpec(case=1, N=5, n_g=4, seed=0))
+    key = reference_key(prob.spec)
+    coarse = reference_for(prob, tol=1e-3)
+    assert 1e-12 < coarse.certificate <= 1e-3
+    # a cached solution certified looser than asked for is solved again
+    fine = reference_for(prob)
+    assert fine.certificate <= 1e-12
+    assert load_reference(key).certificate == fine.certificate
+    # and one certified at least as tight is reused
+    assert reference_for(prob, tol=1e-3).certificate == fine.certificate
+
+
+def test_corrupt_reference_cache_is_a_miss(tmp_path, monkeypatch):
+    from netprox.reference import load_reference
+
+    monkeypatch.setenv("NETPROX_CACHE", str(tmp_path))
+    prob = generate_problem(tiny_spec())
+    key = reference_key(prob.spec)
+    path = tmp_path / f"{key}.npz"
+    path.write_bytes(b"garbage, not an archive" * 8)
+    assert load_reference(key) is None
+    sol = reference_for(prob)
+    assert sol.certificate <= 1e-12
+    back = load_reference(key)
+    assert back is not None and np.array_equal(back.x_star, sol.x_star)
+    # a truncated archive is a miss, and the rewrite leaves no temp file
+    path.write_bytes(path.read_bytes()[:200])
+    assert load_reference(key) is None
+    assert reference_for(prob).certificate <= 1e-12
+    assert np.array_equal(load_reference(key).x_star, sol.x_star)
+    assert sorted(p.name for p in tmp_path.iterdir()) == [path.name]
+    # an archive that lacks one of the arrays is a miss too
+    np.savez(path, x_star=sol.x_star)
+    assert load_reference(key) is None
+
+
 def test_bound_curve_shape():
     with pytest.raises(ValueError):
         BoundCurve(algorithm="dpga", column="bound_theorem3", coef_subopt=0.0, coef_consensus=1.0)
@@ -366,6 +406,14 @@ def test_cli_check_exits_2_on_config_error(tmp_path, capsys):
     path.write_text(json.dumps(base_config(gamma_rule={"rule": "explicit", "value": -1.0})))
     assert main(["check", str(path), "--out", str(tmp_path / "out")]) == 2
     assert "gamma_rule.value" in capsys.readouterr().err
+    # a config that cannot be read at all: missing, a directory, not UTF-8
+    binary = tmp_path / "binary.json"
+    binary.write_bytes(b'{"seeds": [0], "label": "\xff\xfe"}')
+    for unreadable in (tmp_path / "missing.json", tmp_path, binary):
+        assert main(["check", str(unreadable), "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: " + str(unreadable) + ": ")
+        assert err.count("\n") == 1
 
 
 def test_cli_bounds_rejects_an_empty_grid(tmp_path, capsys):

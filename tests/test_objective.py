@@ -12,7 +12,6 @@ from netprox.objective import (
     NoisyOracle,
     group_norm,
     huber_value_grad,
-    node_eval,
     objective_from_text,
     objective_to_text,
     oracle_grad,
@@ -173,18 +172,6 @@ def test_gradient_matches_finite_differences():
             fd[j] = (obj.f_value(x + e) - obj.f_value(x - e)) / (2 * h)
         assert np.linalg.norm(fd - g) <= 1e-5 * max(1.0, np.linalg.norm(g))
         checked += 1
-
-
-def test_node_eval_consistency():
-    rng = np.random.default_rng(2)
-    obj = random_objective(rng)
-    x = rng.standard_normal(obj.n)
-    phi, f, grad = node_eval(obj, x)
-    assert phi == pytest.approx(obj.phi(x))
-    assert f == pytest.approx(obj.f_value(x))
-    assert np.allclose(grad, obj.f_grad(x))
-    with pytest.raises(ValueError):
-        node_eval(obj, np.zeros(obj.n + 1))
 
 
 def test_oracle_moments():

@@ -22,6 +22,7 @@ from netprox.simnet import (
     consensus_metrics,
     ergodic_aggregates,
     network_objective,
+    plain_exchange,
     run_synchronous,
 )
 from netprox.topology import build_topology
@@ -108,15 +109,29 @@ def test_metric_helpers():
 
     g3 = build_topology("star", 3)
     Xbar = np.array([[1.0, 0.0], [0.0, 1.0], [2.0, 2.0]])
-    edge_agg, omega_norm, w_norm = ergodic_aggregates(g3, Xbar)
+    edge_agg, omega_norm = ergodic_aggregates(g3, Xbar)
     by_hand = np.sqrt(
         np.linalg.norm(Xbar[0] - Xbar[1]) ** 2 + np.linalg.norm(Xbar[0] - Xbar[2]) ** 2
     )
     assert edge_agg == pytest.approx(by_hand)
     assert omega_norm == pytest.approx(np.linalg.norm(g3.laplacian() @ Xbar))
-    assert w_norm == omega_norm
-    W = 2.0 * g3.laplacian()
-    assert ergodic_aggregates(g3, Xbar, W)[2] == pytest.approx(2.0 * omega_norm)
+
+    # a 6-node small world whose edges all disagree by different amounts
+    g6 = build_topology("small_world", 6, extra_edges=3, seed=1)
+    X6 = np.random.default_rng(5).standard_normal((6, 4)) * np.arange(1, 7)[:, None]
+    dists = [np.linalg.norm(X6[i] - X6[j]) for i, j in g6.edges]
+    assert len(set(dists)) == g6.edge_count == 9
+    max_edge, V = consensus_metrics(g6, X6)
+    assert max_edge == pytest.approx(max(dists), rel=1e-14)
+    assert V == pytest.approx(max(dists) / 2.0, rel=1e-14)
+    omega_rows = [
+        g6.degrees[i] * X6[i] - sum(X6[j] for j in g6.neighbor_lists[i]) for i in range(6)
+    ]
+    edge_agg, omega_norm = ergodic_aggregates(g6, X6)
+    assert edge_agg == pytest.approx(np.sqrt(sum(d**2 for d in dists)), rel=1e-14)
+    assert omega_norm == pytest.approx(
+        np.sqrt(sum(float(r @ r) for r in omega_rows)), rel=1e-14
+    )
 
 
 def test_run_validations():
@@ -200,6 +215,17 @@ def test_early_stop_needs_reference():
     assert all(cell is None for cell in without.record.column("rel_subopt"))
 
 
+def dpga_iterates(g, objs, gammas, rounds):
+    """X^0 = 0, X^1, ..., X^rounds of dpga stepped directly, as the
+    simulator runs it."""
+    state = dpga_init(g, objs, gammas, np.zeros((g.node_count, objs[0].n)))
+    trace = [state.x]
+    for _ in range(rounds):
+        state, _ = dpga_round(state, objs, plain_exchange(g))
+        trace.append(state.x)
+    return trace
+
+
 def test_trace_and_bound_column():
     g, objs = small_net(seed=8)
     sched = RoundSchedule(max_rounds=6, check_every=2)
@@ -210,12 +236,12 @@ def test_trace_and_bound_column():
         sched,
         0,
         gammas=np.full(3, 1.0),
-        keep_trace=True,
         bound=FakeBound(column="bound_theorem3"),
     )
-    assert len(res.trace) == 7
-    assert np.array_equal(res.trace[0], np.zeros((3, objs[0].n)))
-    assert np.array_equal(res.trace[-1], res.final_x)
+    trace = dpga_iterates(g, objs, np.full(3, 1.0), 6)
+    assert np.array_equal(trace[0], np.zeros((3, objs[0].n)))
+    assert np.array_equal(trace[-1], res.final_x)
+    assert res.record.column("F") == [network_objective(objs, trace[k]) for k in (2, 4, 6)]
     assert res.record.column("bound_theorem3") == [2.5, 1.25, 5.0 / 6.0]
     assert res.record.column("bound_theorem4") == [None, None, None]
 
@@ -235,10 +261,9 @@ def test_ergodic_observer_output():
         gammas=np.full(3, 1.0),
         reference=ref,
         collect_ergodic=True,
-        keep_trace=True,
     )
     assert list(res.ergodic["t"]) == [3, 6, 9, 12]
-    Xbar = np.mean(res.trace[1:7], axis=0)
+    Xbar = np.mean(dpga_iterates(g, objs, np.full(3, 1.0), 6)[1:7], axis=0)
     assert res.ergodic["ergodic_F"][1] == pytest.approx(
         network_objective(objs, Xbar), rel=1e-12
     )
