@@ -20,7 +20,7 @@ import numpy as np
 
 from .dpga_w import CommunicationMatrix, dpgaw_init, dpgaw_round
 from .errors import InnerSolveError
-from .objective import NodeObjective
+from .objective import NodeObjective, network
 from .topology import Graph, MixingPair, NetworkState
 
 __all__ = [
@@ -70,13 +70,14 @@ def pg_extra_round(state: NetworkState, objectives, exchange):
     payload = np.stack([state.x, state.x_prev], axis=1)
     received = exchange(payload)
     mix_curr = state.ops["W"] @ received[:, 0]
-    grads = np.stack([obj.f_grad(x) for obj, x in zip(objectives, state.x)])
+    net = network(objectives)
+    grads = net.f_grad(state.x)
     c = state.c[:, None]
     first = mix_curr - c * grads
     mix_prev = state.ops["W_tilde"] @ received[:, 1]
     later = mix_curr - mix_prev + state.x_half - c * (grads - state.grad_prev)
     half = np.where((state.stage == 0)[:, None], first, later)
-    X = np.stack([obj.prox(v, ci) for obj, v, ci in zip(objectives, half, state.c.tolist())])
+    X = net.prox(half, state.c)
     new = state.evolve(x=X, x_prev=state.x, x_half=half, grad_prev=grads, stage=state.stage + 1)
     return new, payload
 
@@ -102,14 +103,14 @@ def pg_extra_kkt_residuals(x_trace, half_trace, mixing: MixingPair, objectives, 
     U = (evecs * np.sqrt(np.clip(evals, 0.0, None))) @ evecs.T
     kkt_sq = np.empty(T)
     cons_sq = np.empty(T)
+    net = network(objectives)
     running = np.zeros_like(np.asarray(x_trace[0], dtype=float))
     for m in range(T):
         X_m = np.asarray(x_trace[m], dtype=float)
         X_next = np.asarray(x_trace[m + 1], dtype=float)
         running = running + X_m
-        grads = np.stack([obj.f_grad(X_m[i]) for i, obj in enumerate(objectives)])
         G = (np.asarray(half_trace[m], dtype=float) - X_next) / c
-        R = diff @ running + c * (grads + G)
+        R = diff @ running + c * (net.f_grad(X_m) + G)
         kkt_sq[m] = float(np.sum(R * (mixing.W_tilde @ R)))
         UX = U @ X_next
         cons_sq[m] = float(np.sum(UX * UX))
@@ -155,33 +156,22 @@ def prox_composite(
 class ProxOnlyObjective:
     """Presents Phi_i = xi_i + f_i as a pure prox term with a zero smooth
     part, so composite-prox methods can be driven through the same round
-    functions. The prox itself is an inner solve."""
+    functions. The prox itself is an inner solve, started at start or, when
+    start is None, at the prox point."""
 
     inner: NodeObjective
     inner_tol: float = 1e-10
-
-    @property
-    def n(self) -> int:
-        return self.inner.n
+    start: np.ndarray | None = None
 
     @property
     def lipschitz(self) -> float:
         return 0.0
 
-    def xi_value(self, x: np.ndarray) -> float:
-        return self.inner.phi(x)
-
-    def f_value(self, x: np.ndarray) -> float:
-        return 0.0
-
     def f_grad(self, x: np.ndarray) -> np.ndarray:
         return np.zeros_like(np.asarray(x, dtype=float))
 
-    def phi(self, x: np.ndarray) -> float:
-        return self.inner.phi(x)
-
     def prox(self, vbar: np.ndarray, t: float) -> np.ndarray:
-        return prox_composite(self.inner, vbar, t, tol=self.inner_tol, z0=vbar)
+        return prox_composite(self.inner, vbar, t, tol=self.inner_tol, z0=self.start)
 
 
 def admm_init(g: Graph, W: CommunicationMatrix, objectives, gamma: float, x0) -> NetworkState:
@@ -194,24 +184,14 @@ def admm_init(g: Graph, W: CommunicationMatrix, objectives, gamma: float, x0) ->
     return state.evolve(tau_inv=gamma / (np.array(g.degrees) + 1))
 
 
-@dataclass(frozen=True)
-class _WarmProxOnly(ProxOnlyObjective):
-    """ADMM's prox-only view of one node: the inner solve starts at the
-    node's current x_i, which the x-update moves little once the run
-    settles, rather than at the prox point."""
-
-    start: np.ndarray | None = None
-
-    def prox(self, vbar: np.ndarray, t: float) -> np.ndarray:
-        return prox_composite(self.inner, vbar, t, tol=self.inner_tol, z0=self.start)
-
-
 def admm_round(state: NetworkState, objectives, exchange, inner_tol: float = 1e-10):
     """One ADMM round: the DPGA-W round on prox-only views of the objectives
     (exchange p + s, solve the composite x-update to inner_tol, exchange x,
-    update s and p). Returns the inner gradient calls per node as well."""
+    update s and p). Each inner solve starts at the node's current x_i, which
+    the x-update moves little once the run settles. Returns the inner
+    gradient calls per node as well."""
     counters = [_InnerCounter(obj) for obj in objectives]
-    shadows = [_WarmProxOnly(cnt, inner_tol, start=x) for cnt, x in zip(counters, state.x)]
+    shadows = [ProxOnlyObjective(cnt, inner_tol, start=x) for cnt, x in zip(counters, state.x)]
     new_state, X = dpgaw_round(state, shadows, exchange)
     return new_state, X, [counter.calls for counter in counters]
 

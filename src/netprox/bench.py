@@ -465,8 +465,8 @@ def validate_config(cfg) -> Experiment:
     top = _Section(cfg, "config")
     seeds = top(
         "seeds", list,
-        valid=lambda v: v and all(_is_a(s, int) and s >= 0 for s in v),
-        rule="must be a non-empty list of nonnegative integers",
+        valid=lambda v: v and all(_is_a(s, int) and s >= 0 for s in v) and len(set(v)) == len(v),
+        rule="must be a non-empty list of distinct nonnegative integers",
     )
 
     prob = top.section("problem")
@@ -490,6 +490,8 @@ def validate_config(cfg) -> Experiment:
     for a in algorithms:
         if a not in _simnet.ALGORITHMS:
             raise ConfigError(f"config.algorithms: unknown algorithm {a!r}")
+    if len(set(algorithms)) != len(algorithms):
+        raise ConfigError(f"config.algorithms: duplicate entries in {list(algorithms)!r}")
     step_mode = top("step_mode", str, "CS", lambda v: v in ("CS", "AS"), "expected 'CS' or 'AS'")
     if step_mode == "AS" and any(a != "dpga" for a in algorithms):
         raise ConfigError("config.step_mode: 'AS' only applies to dpga runs")

@@ -8,11 +8,11 @@ Stacked over the network (row i is agent i) the round is
     P^{k+1} = P^k + S^{k+1}
 
 with Gamma the weighted-Laplacian operator built from the per-node
-penalties. The state is a NetworkState and Gamma a GraphOperator, so the
-only per-node loop is the gradient and prox calls. The module also carries
-the stochastic variant, the backtracking stepsize rule, the penalty
-heuristics, and a builder for the equivalent edge-variable block problem
-used by the equivalence tests.
+penalties. State, Gamma and objectives are a NetworkState, a GraphOperator
+and a NetworkObjective; only backtracking works node by node. The module
+also carries the stochastic variant, the backtracking stepsize rule, the
+penalty heuristics, and a builder for the equivalent edge-variable block
+problem used by the equivalence tests.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from __future__ import annotations
 import numpy as np
 
 from .engine import Block, BlockProblem, Chunk, ZeroCoupling, base_step, scheduled_step, step_rule
-from .objective import NoisyOracle, oracle_grad
+from .objective import NoisyOracle, network, oracle_grad
 from .topology import Graph, GraphOperator, NetworkState
 
 __all__ = [
@@ -101,9 +101,8 @@ def _round(state: NetworkState, exchange, X: np.ndarray, **scalars):
     return state.evolve(x=X, s=S, p=state.p + S, **scalars), X
 
 
-def _prox_step(state: NetworkState, objectives, grads, steps) -> np.ndarray:
-    V = state.x - steps[:, None] * (np.stack(grads) + state.p + state.s)
-    return np.stack([obj.prox(v, c) for obj, v, c in zip(objectives, V, steps.tolist())])
+def _prox_step(state: NetworkState, net, grads, steps) -> np.ndarray:
+    return net.prox(state.x - steps[:, None] * (grads + state.p + state.s), steps)
 
 
 def dpga_round(state: NetworkState, objectives, exchange):
@@ -113,8 +112,8 @@ def dpga_round(state: NetworkState, objectives, exchange):
     simulator supplies it with auditing attached. Returns the new state and
     the payload that was broadcast.
     """
-    grads = [obj.f_grad(x) for obj, x in zip(objectives, state.x)]
-    return _round(state, exchange, _prox_step(state, objectives, grads, state.c))
+    net = network(objectives)
+    return _round(state, exchange, _prox_step(state, net, net.f_grad(state.x), state.c))
 
 
 def adaptive_backtrack(
@@ -182,9 +181,10 @@ def sdpga_round(
     then reproduces dpga_round exactly.
     """
     rule = step_rule(rule, horizon, oracles)
-    grads = [oracle_grad(obj, orc, x) for obj, orc, x in zip(objectives, oracles, state.x)]
+    net = network(objectives)
+    grads = oracle_grad(net, oracles, state.x)
     steps = scheduled_step(state.c, rule, k, horizon)
-    return _round(state, exchange, _prox_step(state, objectives, grads, steps))
+    return _round(state, exchange, _prox_step(state, net, grads, steps))
 
 
 def gamma_heuristic(g: Graph, c_factor: float = 2.6) -> float:

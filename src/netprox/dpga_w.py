@@ -9,8 +9,8 @@ network (row i is agent i) a round costs two neighbor exchanges:
     S^{k+1} = T^{-1} W X^{k+1}
     P^{k+1} = P^k + S^{k+1}
 
-with T^{-1} = diag(tau_i^{-1}). W is a GraphOperator and the state a
-NetworkState. The graph Laplacian is the default W.
+with T^{-1} = diag(tau_i^{-1}). W is a GraphOperator (the graph Laplacian by
+default), the state a NetworkState and the objectives a NetworkObjective.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .engine import Block, BlockProblem, Chunk, ZeroSumCoupling, base_step, scheduled_step, step_rule
-from .objective import NoisyOracle, oracle_grad
+from .objective import NoisyOracle, network, oracle_grad
 from .topology import Graph, GraphOperator, NetworkState
 
 __all__ = [
@@ -109,12 +109,11 @@ def dpgaw_init(
     return NetworkState(fields, {"W": W})
 
 
-def _round(state: NetworkState, objectives, exchange, grads, steps):
+def _round(state: NetworkState, net, exchange, grads, steps):
     W = state.ops["W"]
     # phase A: exchange p + s, then the local prox-gradient steps
     drive = W @ exchange(state.p + state.s)
-    V = state.x - steps[:, None] * (np.stack(grads) + drive)
-    X = np.stack([obj.prox(v, c) for obj, v, c in zip(objectives, V, steps.tolist())])
+    X = net.prox(state.x - steps[:, None] * (grads + drive), steps)
     # phase B: exchange the fresh x, then the s and p recursions
     S = state.tau_inv[:, None] * (W @ exchange(X))
     return state.evolve(x=X, s=S, p=state.p + S), X
@@ -122,8 +121,8 @@ def _round(state: NetworkState, objectives, exchange, grads, steps):
 
 def dpgaw_round(state: NetworkState, objectives, exchange):
     """One synchronous DPGA-W round: two neighbor exchanges (2n scalars)."""
-    grads = [obj.f_grad(x) for obj, x in zip(objectives, state.x)]
-    return _round(state, objectives, exchange, grads, state.c)
+    net = network(objectives)
+    return _round(state, net, exchange, net.f_grad(state.x), state.c)
 
 
 def sdpgaw_round(
@@ -137,8 +136,9 @@ def sdpgaw_round(
 ):
     """Stochastic DPGA-W round; stepsize schedules as in sdpga_round."""
     rule = step_rule(rule, horizon, oracles)
-    grads = [oracle_grad(obj, orc, x) for obj, orc, x in zip(objectives, oracles, state.x)]
-    return _round(state, objectives, exchange, grads, scheduled_step(state.c, rule, k, horizon))
+    net = network(objectives)
+    grads = oracle_grad(net, oracles, state.x)
+    return _round(state, net, exchange, grads, scheduled_step(state.c, rule, k, horizon))
 
 
 def tau_values(g: Graph, gammas) -> tuple[float, float]:

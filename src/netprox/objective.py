@@ -18,13 +18,16 @@ import numpy as np
 
 __all__ = [
     "GroupPartition",
+    "NetworkObjective",
     "NodeObjective",
     "NoisyOracle",
     "huber_value_grad",
     "prox_sparse_group",
     "oracle_grad",
     "group_norm",
+    "network",
     "power_iteration_sq_norm",
+    "row_norms",
     "objective_to_text",
     "objective_from_text",
 ]
@@ -32,9 +35,11 @@ __all__ = [
 
 @dataclass(frozen=True)
 class GroupPartition:
-    """Disjoint index groups covering {0, ..., n-1}."""
+    """Disjoint index groups covering {0, ..., n-1}. index holds them as the
+    rows of a (K, g) array, short groups padded with the sentinel entry n."""
 
     groups: tuple[np.ndarray, ...]
+    index: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not self.groups:
@@ -47,6 +52,10 @@ class GroupPartition:
         n = total.size
         if np.unique(total).size != n or total.min() != 0 or total.max() != n - 1:
             raise ValueError("groups must disjointly cover 0..n-1")
+        index = np.full((len(cleaned), max(g.size for g in cleaned)), n, dtype=np.intp)
+        for row, g in zip(index, cleaned):
+            row[: g.size] = g
+        object.__setattr__(self, "index", index)
 
     @property
     def n(self) -> int:
@@ -57,27 +66,59 @@ class GroupPartition:
         return len(self.groups)
 
 
+def row_norms(E: np.ndarray) -> np.ndarray:
+    """Euclidean norms over the last axis, each as the dot product e @ e that
+    np.linalg.norm takes for one vector, so the bits match it."""
+    return np.sqrt((E[..., None, :] @ E[..., :, None])[..., 0, 0])
+
+
+def _flat(X: np.ndarray) -> np.ndarray:
+    """The rows of X (N, n), each followed by a zero sentinel entry, as one flat
+    array of N (n + 1) entries: the array the group indices point into."""
+    return np.concatenate((X, np.zeros((len(X), 1))), axis=1).ravel()
+
+
+def _group_norm_sums(X: np.ndarray, index: np.ndarray) -> np.ndarray:
+    """||x_i||_{G_i} for every row, the group norms summed in group order."""
+    return sum(row_norms(_flat(X)[index]).T)
+
+
+def _sparse_group_prox(V, t, beta1, beta2, index) -> np.ndarray:
+    """prox_sparse_group on each row of V; t and the weights are scalars or columns."""
+    eta = np.sign(V) * np.maximum(np.abs(V) - t * beta1, 0.0)
+    flat = _flat(eta)
+    E = flat[index]
+    norms = row_norms(E)
+    thresh = t * beta2
+    keep = norms > thresh
+    scale = np.where(keep, 1.0 - thresh / np.where(keep, norms, 1.0), 0.0)
+    out = np.zeros_like(flat)
+    out[index] = E * scale[..., None]
+    return out.reshape(len(eta), -1)[:, :-1].copy()
+
+
 def group_norm(x: np.ndarray, partition: GroupPartition) -> float:
     """Sum over groups of the Euclidean norm of the group's coordinates."""
-    return float(sum(np.linalg.norm(x[g]) for g in partition.groups))
+    return float(_group_norm_sums(np.asarray(x, dtype=float)[None], partition.index[None])[0])
 
 
-def huber_value_grad(y: np.ndarray, delta: float) -> tuple[float, np.ndarray]:
+def huber_value_grad(y: np.ndarray, delta) -> tuple:
     """Huber loss value and gradient.
 
     h_delta(y) = sum_j 0.5 y_j^2 on |y_j| <= delta, else delta |y_j| - delta^2/2.
     The gradient clamps y to [-delta, delta] coordinatewise and is 1-Lipschitz.
+    Rows y (N, m) with a positive delta column (N, 1) give one value per row.
     """
-    if delta <= 0:
+    if np.isscalar(delta) and delta <= 0:
         raise ValueError(f"delta must be positive, got {delta}")
     y = np.asarray(y, dtype=float)
     if not np.all(np.isfinite(y)):
         raise ValueError("non-finite input to huber_value_grad")
     a = np.abs(y)
     quad = a <= delta
-    value = float(np.sum(np.where(quad, 0.5 * y * y, delta * a - 0.5 * delta * delta)))
+    value = np.sum(np.where(quad, 0.5 * y * y, delta * a - 0.5 * delta * delta), axis=-1)
     grad = np.clip(y, -delta, delta)
-    return value, grad
+    return (float(value) if y.ndim == 1 else value), grad
 
 
 def prox_sparse_group(
@@ -99,16 +140,7 @@ def prox_sparse_group(
     if beta1 < 0 or beta2 < 0:
         raise ValueError("negative regularization weight")
     xbar = np.asarray(xbar, dtype=float)
-    eta = np.sign(xbar) * np.maximum(np.abs(xbar) - t * beta1, 0.0)
-    if beta2 == 0.0:
-        return eta
-    out = np.zeros_like(eta)
-    thresh = t * beta2
-    for g in partition.groups:
-        ng = np.linalg.norm(eta[g])
-        if ng > thresh:
-            out[g] = eta[g] * (1.0 - thresh / ng)
-    return out
+    return _sparse_group_prox(xbar[None], t, beta1, beta2, partition.index[None])[0]
 
 
 def power_iteration_sq_norm(A: np.ndarray, tol: float = 1e-10, max_iter: int = 50000) -> float:
@@ -207,13 +239,69 @@ class NoisyOracle:
         return cls(sigma=sigma, rng=np.random.default_rng((seed, node)))
 
 
-def oracle_grad(obj: NodeObjective, noisy: NoisyOracle, x: np.ndarray) -> np.ndarray:
+class NetworkObjective(tuple):
+    """The N node objectives of a network, evaluated on stacked (N, n) rows.
+
+    NodeObjectives with A of one shape are stacked once: A as (N, m, n), b
+    as (N, m), delta, beta1, beta2 and the group counts K as (N, 1) columns,
+    and one (N, K, g) group index into the flat rows with their sentinels. On
+    equal-size groups the kernels match the per-node methods bit for bit.
+    Anything else leaves A None, and each method calls the nodes one by one."""
+
+    A = b = delta = beta1 = beta2 = K = index = None
+
+    def __new__(cls, objectives):
+        self = super().__new__(cls, objectives)
+        if all(isinstance(o, NodeObjective) for o in self) and len({o.A.shape for o in self}) == 1:
+            n, shapes = self[0].n, np.array([o.partition.index.shape for o in self])
+            index = np.full((len(self), *shapes.max(axis=0)), n)
+            for rows, o, (K, g) in zip(index, self, shapes):
+                rows[:K, :g] = o.partition.index
+            self.index = index + (n + 1) * np.arange(len(self))[:, None, None]
+            self.A, self.b = np.stack([o.A for o in self]), np.stack([o.b for o in self])
+            columns = [[o.delta, o.beta1, o.beta2, o.partition.K] for o in self]
+            self.delta, self.beta1, self.beta2, self.K = np.array(columns).T[:, :, None]
+        return self
+
+    def f_grad(self, X: np.ndarray) -> np.ndarray:
+        """Row i is grad f_i(x_i)."""
+        if self.A is None:
+            return np.stack([o.f_grad(x) for o, x in zip(self, X)])
+        _, C = huber_value_grad((self.A @ X[:, :, None])[:, :, 0] - self.b, self.delta)
+        # on the transposed view, as NodeObjective.f_grad multiplies by A.T
+        return (self.A.transpose(0, 2, 1) @ C[:, :, None])[:, :, 0]
+
+    def prox(self, V: np.ndarray, steps: np.ndarray) -> np.ndarray:
+        """Row i is prox_{c_i xi_i}(v_i) with c_i = steps[i]."""
+        if self.A is None:
+            return np.stack([o.prox(v, c) for o, v, c in zip(self, V, steps.tolist())])
+        return _sparse_group_prox(V, steps[:, None], self.beta1, self.beta2, self.index)
+
+    def phi(self, X: np.ndarray) -> float:
+        """F = sum_i Phi_i(x_i), summed over groups and then over nodes in
+        node order, as the per-node values would be."""
+        if self.A is None:
+            return float(sum(o.phi(x) for o, x in zip(self, X)))
+        f, _ = huber_value_grad((self.A @ X[:, :, None])[:, :, 0] - self.b, self.delta)
+        xi = self.beta1[:, 0] * np.sum(np.abs(X), axis=1)
+        xi = xi + self.beta2[:, 0] * _group_norm_sums(X, self.index)
+        return float(sum((xi + f).tolist()))
+
+
+def network(objectives) -> NetworkObjective:
+    """The objectives as one NetworkObjective, built once: one is returned as is."""
+    return objectives if isinstance(objectives, NetworkObjective) else NetworkObjective(objectives)
+
+
+def oracle_grad(obj, noisy, x: np.ndarray) -> np.ndarray:
+    """Gradient plus noise for one node and its NoisyOracle, or for a NetworkObjective's
+    rows and the per-node oracles, drawing one standard_normal(n) per noisy node."""
     grad = obj.f_grad(x)
-    if noisy.sigma == 0.0:
-        return grad
-    n = grad.size
-    eps = noisy.rng.standard_normal(n) * (noisy.sigma / np.sqrt(n))
-    return grad + eps
+    n = grad.shape[-1]
+    for row, orc in zip(grad.reshape(-1, n), [noisy] if isinstance(noisy, NoisyOracle) else noisy):
+        if orc.sigma != 0.0:
+            row += orc.rng.standard_normal(n) * (orc.sigma / np.sqrt(n))
+    return grad
 
 
 def objective_to_text(obj: NodeObjective) -> str:

@@ -21,7 +21,9 @@ import numpy as np
 from .objective import (
     GroupPartition,
     group_norm,
+    network,
     power_iteration_sq_norm,
+    row_norms,
     prox_sparse_group,
 )
 
@@ -135,23 +137,19 @@ def _same_partition(p: GroupPartition, q: GroupPartition) -> bool:
     )
 
 
-def _central_solve(objectives, tol, max_iter, x0):
-    n = objectives[0].n
-    partition = objectives[0].partition
-    beta1_tot = float(sum(o.beta1 for o in objectives))
-    beta2_tot = float(sum(o.beta2 for o in objectives))
-    deltas = {o.delta for o in objectives}
-    if len(deltas) == 1:
-        L = power_iteration_sq_norm(np.vstack([o.A for o in objectives]))
+def _central_solve(net, tol, max_iter, x0):
+    N, m, n = net.A.shape
+    partition = net[0].partition
+    beta1_tot = float(sum(o.beta1 for o in net))
+    beta2_tot = float(sum(o.beta2 for o in net))
+    if np.ptp(net.delta) == 0:
+        L = power_iteration_sq_norm(net.A.reshape(N * m, n))
     else:
-        L = float(sum(o.lipschitz for o in objectives))
+        L = float(sum(o.lipschitz for o in net))
     step = 1.0 / L
 
     def grad_sum(x):
-        g = np.zeros(n)
-        for o in objectives:
-            g += o.f_grad(x)
-        return g
+        return net.f_grad(np.tile(x, (N, 1))).sum(axis=0)
 
     def gm_at(x):
         z = prox_sparse_group(x - step * grad_sum(x), step, beta1_tot, beta2_tot, partition)
@@ -180,22 +178,17 @@ def _central_solve(objectives, tol, max_iter, x0):
     )
 
 
-def _product_solve(objectives, tol, max_iter, x0):
+def _product_solve(net, tol, max_iter, x0):
     # three-operator splitting on the product space: smooth part sum_i f_i(z_i),
     # per-node prox of xi_i, and projection onto the consensus subspace
-    N = len(objectives)
-    n = objectives[0].n
-    tau = 1.0 / max(o.lipschitz for o in objectives)
+    N, _, n = net.A.shape
+    tau = 1.0 / max(o.lipschitz for o in net)
+    steps = np.full(N, tau)
     Z = np.zeros((N, n)) if x0 is None else np.tile(np.array(x0, dtype=float), (N, 1))
     cert = np.inf
     for _ in range(max_iter):
         mu = Z.mean(axis=0)
-        X_A = np.stack(
-            [
-                obj.prox(2.0 * mu - Z[i] - tau * obj.f_grad(mu), tau)
-                for i, obj in enumerate(objectives)
-            ]
-        )
+        X_A = net.prox(2.0 * mu - Z - tau * net.f_grad(np.tile(mu, (N, 1))), steps)
         Z += X_A - mu
         cert = float(np.linalg.norm(X_A - mu)) / tau
         if cert <= tol:
@@ -224,21 +217,21 @@ def fista_solve(
 
     Raises RuntimeError with the achieved residual if max_iter is exhausted.
     """
+    net = network(objectives)
     if method is None:
-        shared = all(_same_partition(objectives[0].partition, o.partition) for o in objectives)
+        shared = all(_same_partition(net[0].partition, o.partition) for o in net)
         method = "central" if shared else "product"
     if method == "central":
-        x_star, cert = _central_solve(objectives, tol, max_iter, x0)
+        x_star, cert = _central_solve(net, tol, max_iter, x0)
     elif method == "product":
-        x_star, cert = _product_solve(objectives, tol, max_iter, x0)
+        x_star, cert = _product_solve(net, tol, max_iter, x0)
     else:
         raise ValueError(f"unknown method {method!r}")
-    F_star = float(sum(o.phi(x_star) for o in objectives))
     return ReferenceSolution(
         x_star=x_star,
-        F_star=F_star,
+        F_star=net.phi(np.tile(x_star, (len(net), 1))),
         certificate=cert,
-        kappas=compute_kappas(objectives, x_star),
+        kappas=compute_kappas(net, x_star),
     )
 
 
@@ -246,14 +239,10 @@ def compute_kappas(objectives, x_star) -> tuple[float, ...]:
     """Conservative per-node bounds on subgradient norms at the solution:
     |grad f_i(x*)| plus beta1 sqrt(n) for the l1 part plus beta2 sqrt(K)
     for the K disjoint group terms."""
-    kappas = []
-    for o in objectives:
-        kappas.append(
-            float(np.linalg.norm(o.f_grad(x_star)))
-            + o.beta1 * np.sqrt(o.n)
-            + o.beta2 * np.sqrt(o.partition.K)
-        )
-    return tuple(kappas)
+    net = network(objectives)
+    grads = net.f_grad(np.tile(x_star, (len(net), 1)))
+    kappas = row_norms(grads) + net.beta1[:, 0] * np.sqrt(grads.shape[1])
+    return tuple((kappas + net.beta2[:, 0] * np.sqrt(net.K[:, 0])).tolist())
 
 
 def cache_dir() -> Path:

@@ -24,7 +24,7 @@ from . import dpga as _dpga
 from . import dpga_w as _dpga_w
 from .engine import step_rule
 from .errors import DivergenceError, ProtocolError
-from .objective import NoisyOracle
+from .objective import NoisyOracle, network
 from .topology import Graph, NetworkState, mixing_pair
 
 __all__ = [
@@ -227,7 +227,7 @@ class RunResult:
 
 def network_objective(objectives, X) -> float:
     """F evaluated node-wise: sum_i Phi_i(x_i)."""
-    return float(sum(obj.phi(X[i]) for i, obj in enumerate(objectives)))
+    return network(objectives).phi(X)
 
 
 def _edge_sq(graph: Graph, X) -> np.ndarray:
@@ -388,8 +388,8 @@ def run_synchronous(
     if algorithm != "pg_extra" and gammas is None:
         raise ValueError(f"{algorithm} needs gammas")
 
-    N = graph.node_count
-    n = objectives[0].n
+    objectives = network(objectives)  # stacked once; every round reads it
+    N, n = graph.node_count, objectives[0].n
     audit = AuditLog(node_count=N, n=n)
     run = SimpleNamespace(  # what the registry's init and round functions read
         graph=graph,

@@ -387,6 +387,8 @@ def test_config_validation_diagnostics():
         ({"gamma_rule": {"rule": "explicit", "value": [1.0, 1.0, 1.0]}}, "gamma_rule.value"),
         ({"horizon": True}, "horizon"),
         ({"seeds": [-1]}, "seeds"),
+        ({"seeds": [0, 0]}, "config.seeds"),
+        ({"algorithms": ["dpga", "dpga"]}, "config.algorithms"),
     ],
 )
 def test_config_rejects_mistyped_keys(overrides, key, tmp_path, capsys):

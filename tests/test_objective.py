@@ -6,12 +6,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_objective, random_partition
+from netprox.bench import ProblemSpec, generate_problem
 from netprox.objective import (
     GroupPartition,
     NodeObjective,
     NoisyOracle,
     group_norm,
     huber_value_grad,
+    network,
     objective_from_text,
     objective_to_text,
     oracle_grad,
@@ -222,3 +224,98 @@ def test_objective_text_roundtrip():
 def test_objective_text_rejects_garbage():
     with pytest.raises(ValueError):
         objective_from_text("m=2 n=2\nnot-a-number\n")
+
+
+def loop_prox(o, v, t):
+    """The sparse-group prox as a loop over groups with one np.linalg.norm
+    each: the bit-level reference for the gather kernels."""
+    eta = np.sign(v) * np.maximum(np.abs(v) - t * o.beta1, 0.0)
+    out = np.zeros_like(eta)
+    for g in o.partition.groups:
+        ng = np.linalg.norm(eta[g])
+        if ng > t * o.beta2:
+            out[g] = eta[g] * (1.0 - t * o.beta2 / ng)
+    return out
+
+
+def loop_phi(o, x):
+    groups = float(sum(np.linalg.norm(x[g]) for g in o.partition.groups))
+    return o.beta1 * float(np.sum(np.abs(x))) + o.beta2 * groups + o.f_value(x)
+
+
+def per_node(objs, X, V, steps):
+    """Node-by-node gradients, proxes and F, from the NodeObjective methods
+    and from the loop references; both must agree before either is used."""
+    grads = np.stack([o.f_grad(x) for o, x in zip(objs, X)])
+    proxes = np.stack([o.prox(v, c) for o, v, c in zip(objs, V, steps.tolist())])
+    loops = np.stack([loop_prox(o, v, c) for o, v, c in zip(objs, V, steps.tolist())])
+    F = float(sum(o.phi(x) for o, x in zip(objs, X)))
+    F_loop = float(sum(loop_phi(o, x) for o, x in zip(objs, X)))
+    return grads, (proxes, loops), (F, F_loop)
+
+
+@given(st.integers(0, 2**32 - 1), st.sampled_from([1, 2]), st.sampled_from([1, 2, 5]))
+@settings(max_examples=30, deadline=None)
+def test_network_objective_is_bit_identical_on_equal_groups(seed, case, N):
+    rng = np.random.default_rng(seed)
+    K = int(rng.choice([2, 5, 10]))
+    spec = ProblemSpec(case=case, N=N, n_g=2 * N * int(rng.integers(1, 3)), seed=seed % 1000, K=K)
+    objs = generate_problem(spec).objectives
+    net = network(objs)
+    assert net.A is not None and network(net) is net
+    X = 2.0 * rng.standard_normal((N, spec.n))
+    V = 2.0 * rng.standard_normal((N, spec.n))
+    steps = rng.uniform(0.1, 8.0, N)
+    grads, proxes, Fs = per_node(objs, X, V, steps)
+    assert np.array_equal(net.f_grad(X), grads)
+    for reference in proxes:
+        assert np.array_equal(net.prox(V, steps), reference)
+    assert net.phi(X) == Fs[0] == Fs[1]
+
+
+@given(st.integers(0, 2**32 - 1))
+@settings(max_examples=40, deadline=None)
+def test_network_objective_matches_nodes_on_ragged_groups(seed):
+    rng = np.random.default_rng(seed)
+    N, n, m = int(rng.integers(1, 6)), int(rng.integers(3, 16)), int(rng.integers(1, 6))
+    objs = []
+    for _ in range(N):  # a K of its own per node, most of them ragged
+        A = rng.standard_normal((m, n))
+        objs.append(
+            NodeObjective(
+                A=A, b=A @ rng.standard_normal(n), delta=float(rng.uniform(0.2, 2.0)),
+                beta1=float(rng.uniform(0.0, 0.5)),
+                beta2=float(rng.choice([0.0, rng.uniform(0.0, 1.5)])),
+                partition=random_partition(rng, n, int(rng.integers(1, n + 1))),
+            )
+        )
+    net = network(objs)
+    assert net.A is not None
+    X = rng.standard_normal((N, n))
+    V = rng.standard_normal((N, n)) * rng.choice([0.1, 1.0, 5.0], size=(N, 1))
+    steps = rng.uniform(0.1, 3.0, N)  # large steps zero whole groups
+    grads, proxes, Fs = per_node(objs, X, V, steps)
+    assert np.max(np.abs(net.f_grad(X) - grads), initial=0.0) <= 1e-12
+    for reference in proxes:
+        assert np.max(np.abs(net.prox(V, steps) - reference), initial=0.0) <= 1e-12
+    for F in Fs:
+        assert net.phi(X) == pytest.approx(F, rel=1e-12, abs=1e-12)
+
+
+def test_stacked_oracle_draws_the_per_node_streams():
+    rng = np.random.default_rng(17)
+    objs = generate_problem(ProblemSpec(case=2, N=4, n_g=8, seed=3, K=4)).objectives
+    X = rng.standard_normal((4, objs[0].n))
+    sigmas = (0.3, 0.0, 0.1, 0.0)
+
+    def oracles():
+        return [NoisyOracle.for_node(s, seed=11, node=i) for i, s in enumerate(sigmas)]
+
+    stacked_orcs, node_orcs = oracles(), oracles()
+    silent = [o.rng.bit_generator.state for o in stacked_orcs]
+    for _ in range(3):  # one draw per node per call, in node order
+        stacked = oracle_grad(network(objs), stacked_orcs, X)
+        rows = [oracle_grad(o, orc, x) for o, orc, x in zip(objs, node_orcs, X)]
+        assert np.array_equal(stacked, np.stack(rows))
+    for orc, before, s in zip(stacked_orcs, silent, sigmas):
+        assert (orc.rng.bit_generator.state == before) == (s == 0.0)

@@ -7,8 +7,10 @@ import pytest
 
 from conftest import random_objectives
 from netprox import dpga, dpga_w
+from netprox.bench import ProblemSpec, generate_problem
 from netprox.dpga import GammaMatrix, dpga_init, dpga_round
 from netprox.errors import DivergenceError, ProtocolError
+from netprox.objective import network
 from netprox.reference import fista_solve
 from netprox.simnet import (
     ALGORITHMS,
@@ -319,14 +321,23 @@ def test_rounds_are_called_through_their_modules(monkeypatch):
         assert len(calls) == res.rounds == 6
 
 
-class NanAfter:
-    """A node objective whose prox returns NaN from its k-th call on."""
+class Delegate:
+    """A node objective that is not a NodeObjective, so network() falls
+    back to calling it node by node."""
 
-    def __init__(self, obj, k):
-        self.obj, self.k, self.calls = obj, k, 0
+    def __init__(self, obj):
+        self.obj = obj
 
     def __getattr__(self, name):
         return getattr(self.obj, name)
+
+
+class NanAfter(Delegate):
+    """A node objective whose prox returns NaN from its k-th call on."""
+
+    def __init__(self, obj, k):
+        super().__init__(obj)
+        self.k, self.calls = k, 0
 
     def prox(self, v, t):
         self.calls += 1
@@ -348,3 +359,31 @@ def test_zero_optimal_value_reports_the_absolute_gap():
     zero = dataclasses.make_dataclass("Reference", ["F_star"])(0.0)
     res = run_synchronous("dpga", g, objs, sched, 0, gammas=np.full(3, 1.0), reference=zero)
     assert res.record.column("rel_subopt") == [abs(F) for F in res.record.column("F")]
+
+
+@pytest.mark.parametrize("case", [1, 2])
+def test_stacked_and_per_node_runs_are_bit_identical(case):
+    objs = generate_problem(ProblemSpec(case=case, N=5, n_g=4, seed=1, K=5)).objectives
+    g = build_topology("star", 5)
+    assert network(objs).A is not None
+    assert network([Delegate(o) for o in objs]).A is None
+    runs = [
+        ("dpga", {}),
+        ("dpga", {"step_mode": "AS"}),
+        ("sdpga", {"sigma": 0.1, "horizon": 60}),
+        ("dpga_w", {}),
+        ("sdpga_w", {"sigma": 0.1, "horizon": 60}),
+        ("pg_extra", {}),
+    ]
+    for algorithm, kw in runs:
+        stacked, nodes = (
+            run_synchronous(
+                algorithm, g, nets, RoundSchedule(max_rounds=60), 4,
+                gammas=np.full(5, 0.8), collect_ergodic=True, **kw,
+            )
+            for nets in (objs, [Delegate(o) for o in objs])
+        )
+        assert stacked.record == nodes.record, algorithm
+        assert np.array_equal(stacked.final_x, nodes.final_x), algorithm
+        for key, col in stacked.ergodic.items():
+            assert np.array_equal(col, nodes.ergodic[key]), (algorithm, key)
