@@ -12,7 +12,6 @@ from .bench import (
     ConfigError,
     GeneratedProblem,
     ProblemSpec,
-    bound_curves,
     generate_problem,
     load_config,
     run_experiment,
@@ -80,7 +79,6 @@ __all__ = [
     "admm_init",
     "admm_round",
     "audit_check",
-    "bound_curves",
     "build_topology",
     "compute_kappas",
     "constant_plan",

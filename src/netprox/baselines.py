@@ -34,21 +34,17 @@ __all__ = [
 ]
 
 
-def pg_extra_init(g: Graph, mixing: MixingPair, objectives, x0, c: float | None = None):
+def pg_extra_init(g: Graph, mixing: MixingPair, objectives, x0):
     """The PG-EXTRA network state with a common stepsize.
 
-    The default c is 99% of the cap 2 lam_min(W_tilde) / L_max; the cap uses
-    the largest smoothness constant in the network, so picking c needs one
-    max-reduction before the run starts.
+    c is 99% of the cap 2 lam_min(W_tilde) / L_max; the cap uses the largest
+    smoothness constant in the network, so picking c needs one max-reduction
+    before the run starts.
     """
     L_max = max(o.lipschitz for o in objectives)
-    if c is None:
-        if L_max <= 0:
-            raise ValueError("cannot default the stepsize when every L_i is zero")
-        c = 0.99 * 2.0 * mixing.lam_min_tilde / L_max
-    cap = np.inf if L_max == 0 else 2.0 * mixing.lam_min_tilde / L_max
-    if not 0 < c < cap:
-        raise ValueError(f"stepsize {c} outside (0, {cap})")
+    if L_max <= 0:
+        raise ValueError("cannot set the stepsize when every L_i is zero")
+    c = 0.99 * 2.0 * mixing.lam_min_tilde / L_max
     X0 = np.array(x0, dtype=float)
     fields = dict(
         x=X0,

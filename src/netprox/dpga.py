@@ -35,6 +35,10 @@ __all__ = [
     "edge_consensus_problem",
 ]
 
+# backtracking's growth factor Upsilon, and its fault limit on doublings
+UPSILON = 2.0
+MAX_DOUBLINGS = 60
+
 
 class GammaMatrix(GraphOperator):
     """Gamma_ij = -gamma_i gamma_j / (gamma_i + gamma_j) on edges, row sums 0."""
@@ -62,8 +66,6 @@ def dpga_init(
     x0,
     safety: float = 0.999,
     step_mode: str = "constant",
-    optimistic_L: bool = False,
-    upsilon: float = 2.0,
 ) -> NetworkState:
     """The DPGA network state: stepsizes, Gamma, s0 = Gamma x0 and p0 = 0.
 
@@ -87,7 +89,7 @@ def dpga_init(
         p=np.zeros_like(S0),
         c=base_step(L + gammas * degree, safety, step_mode),
         gamma=gammas,
-        L_running=L / upsilon**4 if optimistic_L else L,
+        L_running=L,
         L_init=L,
         degree=degree,
     )
@@ -116,13 +118,7 @@ def dpga_round(state: NetworkState, objectives, exchange):
     return _round(state, exchange, _prox_step(state, net, net.f_grad(state.x), state.c))
 
 
-def adaptive_backtrack(
-    node,
-    objective,
-    upsilon: float,
-    grad: np.ndarray | None = None,
-    max_doublings: int = 60,
-):
+def adaptive_backtrack(node, objective):
     """Backtracking stepsize for one agent (a view ``state[i]``): smallest
     l >= 0 with L = L_prev Upsilon^(l-1) passing the descent check
 
@@ -131,36 +127,31 @@ def adaptive_backtrack(
     where x_trial is the prox step with c = 1/(L + gamma_i d_i). Returns
     (x_new, L_new, c_new). L_new stays at or below Upsilon * L_i.
     """
-    if upsilon <= 1:
-        raise ValueError("upsilon must exceed 1")
     x, L_prev = node.x, node.L_running
-    if grad is None:
-        grad = objective.f_grad(x)
+    grad = objective.f_grad(x)
     f0 = objective.f_value(x)
     gd = node.gamma * node.degree
     drive = grad + node.p + node.s
-    for l in range(max_doublings + 1):
-        L_cand = L_prev * upsilon ** (l - 1)
+    for l in range(MAX_DOUBLINGS + 1):
+        L_cand = L_prev * UPSILON ** (l - 1)
         c_cand = 1.0 / (L_cand + gd)
         x_trial = objective.prox(x - c_cand * drive, c_cand)
         dx = x_trial - x
         if objective.f_value(x_trial) <= f0 + grad @ dx + 0.5 * L_cand * (dx @ dx):
-            if L_cand > upsilon * node.L_init * (1 + 1e-12):
+            if L_cand > UPSILON * node.L_init * (1 + 1e-12):
                 raise RuntimeError(
                     f"accepted L {L_cand} exceeds upsilon * L_i; "
                     "gradient or Lipschitz constant is inconsistent"
                 )
             return x_trial, L_cand, c_cand
     raise RuntimeError(
-        f"descent check failed after {max_doublings} doublings at node {node.node_id}"
+        f"descent check failed after {MAX_DOUBLINGS} doublings at node {node.node_id}"
     )
 
 
-def dpga_round_adaptive(state: NetworkState, objectives, exchange, upsilon: float = 2.0):
+def dpga_round_adaptive(state: NetworkState, objectives, exchange):
     """DPGA round with the backtracking stepsize rule (AS mode)."""
-    xs, Ls, cs = zip(
-        *(adaptive_backtrack(node, obj, upsilon) for node, obj in zip(state, objectives))
-    )
+    xs, Ls, cs = zip(*(adaptive_backtrack(node, obj) for node, obj in zip(state, objectives)))
     return _round(state, exchange, np.stack(xs), L_running=np.array(Ls), c=np.array(cs))
 
 

@@ -81,15 +81,15 @@ def dpgaw_init(
     objectives,
     gammas,
     x0,
-    p0=None,
     safety: float = 0.999,
     step_mode: str = "constant",
 ) -> NetworkState:
     """The DPGA-W network state: c_i from L_i + gamma_i ||omega_i||^2,
-    tau_i^-1 = (sum_{j in N_i u {i}} 1/gamma_j)^-1 and s0 = 0.
+    tau_i^-1 = (sum_{j in N_i u {i}} 1/gamma_j)^-1, s0 = 0 and p0 = 0 (the
+    start the ergodic bounds require).
 
     The weights W_ji and penalties gamma_j are exchanged with neighbors once
-    here. p0 defaults to zero, which the ergodic bounds require.
+    here.
     """
     gammas = np.array(gammas, dtype=float)
     N = g.node_count
@@ -101,10 +101,9 @@ def dpgaw_init(
     fields = dict(
         x=X0,
         s=np.zeros_like(X0),
-        p=np.zeros_like(X0) if p0 is None else np.array(p0, dtype=float),
+        p=np.zeros_like(X0),
         c=base_step(L + gammas * np.array(W.omega_norms_sq), safety, step_mode),
         tau_inv=np.array([1.0 / sum(1.0 / gammas[j] for j in idx) for idx in closed]),
-        degree=np.array(g.degrees),
     )
     return NetworkState(fields, {"W": W})
 

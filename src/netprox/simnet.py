@@ -103,7 +103,6 @@ class AuditLog:
     scalars_sent: dict[int, int] = field(default_factory=dict)
     peak_vectors: dict[int, int] = field(default_factory=dict)
     rounds: int = 0
-    exchange_calls: int = 0
 
     def __post_init__(self) -> None:
         for i in range(self.node_count):
@@ -111,7 +110,6 @@ class AuditLog:
             self.peak_vectors.setdefault(i, 0)
 
     def record_exchange(self, payload: np.ndarray) -> None:
-        self.exchange_calls += 1
         per_node = payload.size // self.node_count
         for i in self.scalars_sent:
             self.scalars_sent[i] += per_node

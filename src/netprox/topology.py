@@ -214,8 +214,6 @@ class _AgentView:
 
 @dataclass(frozen=True)
 class SpectralSummary:
-    laplacian: np.ndarray
-    incidence: np.ndarray
     eigenvalues: np.ndarray
     psi_min_pos: float
     psi_max: float
@@ -295,7 +293,6 @@ def spectral_summary(g: Graph) -> SpectralSummary:
     relative to psi_max.
     """
     omega = g.laplacian()
-    m = g.incidence()
     try:
         eigs = np.linalg.eigvalsh(omega)
     except np.linalg.LinAlgError as exc:
@@ -307,8 +304,6 @@ def spectral_summary(g: Graph) -> SpectralSummary:
             f"expected exactly one zero Laplacian eigenvalue, found {zero_count}"
         )
     return SpectralSummary(
-        laplacian=omega,
-        incidence=m,
         eigenvalues=eigs,
         psi_min_pos=float(eigs[1]),
         psi_max=psi_max,

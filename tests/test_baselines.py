@@ -33,15 +33,9 @@ def test_pg_extra_default_step_and_caps():
     L_max = max(o.lipschitz for o in objs)
     nodes = pg_extra_init(g, mix, objs, x0)
     assert nodes[0].c == pytest.approx(0.99 * 2.0 * mix.lam_min_tilde / L_max)
-    cap = 2.0 * mix.lam_min_tilde / L_max
-    with pytest.raises(ValueError):
-        pg_extra_init(g, mix, objs, x0, c=cap)
-    with pytest.raises(ValueError):
-        pg_extra_init(g, mix, objs, x0, c=0.0)
     smooth_free = [ProxOnlyObjective(o) for o in objs]
     with pytest.raises(ValueError):
         pg_extra_init(g, mix, smooth_free, x0)
-    assert pg_extra_init(g, mix, smooth_free, x0, c=5.0)[0].c == 5.0
 
 
 def test_pg_extra_matches_matrix_recursion():

@@ -11,7 +11,6 @@ from netprox.bench import (
     BoundCurve,
     ConfigError,
     ProblemSpec,
-    bound_curves,
     corollary2_curve,
     equal_gamma_simplified,
     generate_problem,
@@ -63,7 +62,6 @@ def test_problem_spec_validation_and_sizes():
 def test_generated_instances_are_deterministic():
     a = generate_problem(tiny_spec())
     b = generate_problem(tiny_spec())
-    assert a.pis == b.pis
     for oa, ob in zip(a.objectives, b.objectives):
         assert np.array_equal(oa.A, ob.A)
         assert np.array_equal(oa.b, ob.b)
@@ -83,20 +81,20 @@ def test_planted_signal_shape():
 
 
 def test_partition_sharing_by_case():
-    shared = generate_problem(tiny_spec())
-    assert all(p is shared.partitions[0] for p in shared.partitions)
+    shared = [o.partition for o in generate_problem(tiny_spec()).objectives]
+    assert all(p is shared[0] for p in shared)
     per_node = generate_problem(ProblemSpec(case=2, N=2, n_g=2, seed=0))
-    pa, pb = per_node.partitions
+    pa, pb = (o.partition for o in per_node.objectives)
     assert any(
         not np.array_equal(ga, gb) for ga, gb in zip(pa.groups, pb.groups)
     )
 
 
 def test_conditioning_spread_from_the_scaling_coin():
-    ratios = [
-        generate_problem(ProblemSpec(case=1, N=5, n_g=20, seed=s)).lipschitz_ratio
-        for s in range(20)
-    ]
+    ratios = []
+    for s in range(20):
+        ls = [o.lipschitz for o in generate_problem(ProblemSpec(case=1, N=5, n_g=20, seed=s)).objectives]
+        ratios.append(max(ls) / min(ls))
     assert 2.5 <= float(np.mean(ratios)) <= 6.0
 
 
@@ -118,7 +116,8 @@ def test_reference_key_and_cache(tmp_path, monkeypatch):
         ReferenceSolution(x_star=sol.x_star, F_star=-123.0, certificate=0.0, kappas=sol.kappas),
     )
     assert reference_for(prob).F_star == -123.0
-    fresh = reference_for(prob, use_cache=False)
+    monkeypatch.setenv("NETPROX_CACHE", str(tmp_path / "empty"))
+    fresh = reference_for(prob)
     assert fresh.F_star == pytest.approx(sol.F_star, rel=1e-10)
 
 
@@ -162,12 +161,38 @@ def test_corrupt_reference_cache_is_a_miss(tmp_path, monkeypatch):
     assert load_reference(key) is None
 
 
+@pytest.mark.parametrize(
+    "corrupt",
+    [
+        lambda s: dict(x_star=s.x_star[:-1]),
+        lambda s: dict(x_star=np.full_like(s.x_star, np.nan)),
+        lambda s: dict(kappas=s.kappas[:1]),
+        lambda s: dict(F_star=float("nan")),
+    ],
+    ids=["short_x_star", "nan_x_star", "one_kappa", "nan_F_star"],
+)
+def test_reference_cache_entry_that_does_not_fit_is_a_miss(corrupt, tmp_path, monkeypatch):
+    from dataclasses import replace
+
+    from netprox.reference import load_reference, save_reference
+
+    monkeypatch.setenv("NETPROX_CACHE", str(tmp_path))
+    prob = generate_problem(tiny_spec())
+    key = reference_key(prob.spec)
+    sol = reference_for(prob)
+    # certified, but not a solution of this instance: re-solved and overwritten
+    save_reference(key, replace(sol, certificate=0.0, **corrupt(sol)))
+    again = reference_for(prob)
+    assert again.certificate <= 1e-12 and np.array_equal(again.x_star, sol.x_star)
+    assert again.F_star == sol.F_star and again.kappas == sol.kappas
+    back = load_reference(key)
+    assert np.array_equal(back.x_star, sol.x_star) and back.F_star == sol.F_star
+
+
 def test_bound_curve_shape():
     with pytest.raises(ValueError):
-        BoundCurve(algorithm="dpga", column="bound_theorem3", coef_subopt=0.0, coef_consensus=1.0)
-    curve = BoundCurve(
-        algorithm="sdpga", column="bound_sdpga", coef_subopt=8.0, coef_consensus=4.0, coef_sqrt=6.0
-    )
+        BoundCurve(column="bound_theorem3", coef_subopt=0.0, coef_consensus=1.0)
+    curve = BoundCurve(column="bound_sdpga", coef_subopt=8.0, coef_consensus=4.0, coef_sqrt=6.0)
     assert curve.subopt_bound(4) == pytest.approx(8.0 / 4 + 6.0 / 2)
     assert curve.consensus_bound(16) == pytest.approx(4.0 / 16 + 6.0 / 4)
     ts = np.arange(1, 50)
@@ -233,23 +258,6 @@ def test_corollary2_adds_the_noise_term():
     assert sto.coef_sqrt == pytest.approx(4 * (4.0 + 0.5) / 2.0)
     assert sto.column == "bound_sdpga"
     assert sto.subopt_bound(100) == pytest.approx(det.coef_subopt / 100 + sto.coef_sqrt / 10)
-
-
-def test_bound_dispatcher():
-    g = build_topology("star", 3)
-    kw = dict(
-        gammas=np.ones(3),
-        kappas=(1.0,) * 3,
-        x_star=np.ones(2),
-        x0=[np.zeros(2)] * 3,
-        step_sizes=[0.3] * 3,
-    )
-    assert bound_curves("dpga", graph=g, **kw).algorithm == "dpga"
-    W = CommunicationMatrix.from_laplacian(g)
-    assert bound_curves("dpga_w", graph=g, W=W, **kw).algorithm == "dpga_w"
-    assert bound_curves("sdpga", graph=g, sigma=0.1, dbar=1.0, **kw).algorithm == "sdpga"
-    with pytest.raises(ValueError):
-        bound_curves("pg_extra", graph=g, **kw)
 
 
 def test_equal_gamma_simplification_dominates():
@@ -332,6 +340,7 @@ def test_config_validation_diagnostics():
     cfg = base_config(
         topology={"kind": "clique", "seed": None},
         horizon=None,
+        sigma=0,
         bounds=False,
         safety=1,
         label="run-1_a.b",
@@ -389,6 +398,12 @@ def test_config_validation_diagnostics():
         ({"seeds": [-1]}, "seeds"),
         ({"seeds": [0, 0]}, "config.seeds"),
         ({"algorithms": ["dpga", "dpga"]}, "config.algorithms"),
+        ({"sigma": 0.1}, "config.sigma"),
+        ({"algorithms": ["dpga", "pg_extra"], "sigma": 0.5}, "config.sigma"),
+        ({"horizon": 100}, "config.horizon"),
+        ({"algorithms": ["dpga_w"], "horizon": 1}, "config.horizon"),
+        ({"problem": {"case": 1, "N": 1, "n_g": 2}}, "problem.N"),
+        ({"problem": {"case": 1, "N": 0, "n_g": 2}}, "problem.N"),
     ],
 )
 def test_config_rejects_mistyped_keys(overrides, key, tmp_path, capsys):
@@ -495,11 +510,23 @@ def test_run_experiment_csv_reads_back_as_the_record(tmp_path, monkeypatch):
         return result
 
     monkeypatch.setattr(bench._simnet, "run_synchronous", recording)
-    cfg = base_config(algorithms=["dpga", "dpga_w", "pg_extra"], bounds=True)
+    cfg = base_config(algorithms=["dpga", "dpga_w", "sdpga", "pg_extra"], bounds=True)
     summary = run_experiment(cfg, out_dir=tmp_path / "runs")
-    assert len(records) == len(summary.csv_paths) == 3
+    assert len(records) == len(summary.csv_paths) == 4
     for path, record in zip(summary.csv_paths, records):
         assert RunRecord.read_csv(path).rows == record.rows
+    # each bounded algorithm fills its own theorem's column, pg_extra none
+    columns = ("bound_theorem3", "bound_theorem4", "bound_sdpga")
+    filled = {
+        row["algorithm"]: [c for c in columns if None not in record.column(c)]
+        for row, record in zip(summary.rows, records)
+    }
+    assert filled == {
+        "dpga_cs": ["bound_theorem3"],
+        "dpga_w": ["bound_theorem4"],
+        "sdpga": ["bound_sdpga"],
+        "pg_extra": [],
+    }
 
 
 def test_run_experiment_rejects_admm_with_unequal_gammas(tmp_path, monkeypatch):

@@ -264,9 +264,7 @@ def test_adaptive_backtrack_properties():
     L = obj.lipschitz
     x0 = rng.standard_normal(6)
     node = agent(x0, rng.standard_normal(6) * 0.1, 1.0 / (L + 2.0), L / 16.0, L, degree=2)
-    with pytest.raises(ValueError):
-        adaptive_backtrack(node, obj, upsilon=1.0)
-    x_new, L_new, c_new = adaptive_backtrack(node, obj, upsilon=2.0)
+    x_new, L_new, c_new = adaptive_backtrack(node, obj)
     assert L_new <= 2.0 * L * (1 + 1e-12)
     assert c_new == pytest.approx(1.0 / (L_new + node.gamma * node.degree))
     grad = obj.f_grad(x0)
@@ -294,15 +292,14 @@ def test_adaptive_backtrack_flags_understated_curvature():
     x0 = rng.standard_normal(5) * 10
     node = agent(x0, np.zeros(5), 1.0, true_L / 1000.0, true_L / 1000.0, degree=1)
     with pytest.raises(RuntimeError):
-        adaptive_backtrack(node, obj, upsilon=2.0)
+        adaptive_backtrack(node, obj)
 
 
 def test_adaptive_round_tracks_accepted_steps():
     g, objs, gammas, x0 = triangle_setup(seed=11)
     exchange = plain_exchange(g)
-    nodes = dpga_init(g, objs, gammas, x0, optimistic_L=True)
-    for nd, obj in zip(nodes, objs):
-        assert nd.L_running == pytest.approx(obj.lipschitz / 16.0)
+    nodes = dpga_init(g, objs, gammas, x0)
+    nodes = nodes.evolve(L_running=nodes.L_init / 16)
     for _ in range(30):
         nodes, _ = dpga_round_adaptive(nodes, objs, exchange)
     for nd, obj in zip(nodes, objs):

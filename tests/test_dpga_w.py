@@ -87,14 +87,10 @@ def test_init_states_and_validations():
         tau = sum(1.0 / gammas[j] for j in set(g.neighbor_lists[i]) | {i})
         assert nd.tau_inv == pytest.approx(1.0 / tau)
         assert np.all(nd.s == 0) and np.all(nd.p == 0)
-        assert nd.degree == g.degrees[i]
     # equal penalties collapse tau to (d_i + 1)/gamma
     eq = dpgaw_init(g, W, objs, np.full(4, 2.0), x0)
     for i, nd in enumerate(eq):
         assert nd.tau_inv == pytest.approx(2.0 / (g.degrees[i] + 1))
-    p0 = [np.full(5, float(i)) for i in range(4)]
-    with_p = dpgaw_init(g, W, objs, gammas, x0, p0=p0)
-    assert np.allclose(with_p[2].p, 2.0)
     with pytest.raises(ValueError):
         dpgaw_init(g, W, objs, gammas[:2], x0)
     with pytest.raises(ValueError):

@@ -68,7 +68,6 @@ def test_transport_meters_traffic():
     tr = Transport(g, audit)
     tr.exchange(np.zeros((3, 2)))
     tr.exchange(np.zeros((3, 2, 2)))
-    assert audit.exchange_calls == 2
     assert all(audit.scalars_sent[i] == 2 + 4 for i in range(3))
 
 
