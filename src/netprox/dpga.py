@@ -9,10 +9,9 @@ Stacked over the network (row i is agent i) the round is
 
 with Gamma the weighted-Laplacian operator built from the per-node
 penalties. State, Gamma and objectives are a NetworkState, a GraphOperator
-and a NetworkObjective; only backtracking works node by node. The module
-also carries the stochastic variant, the backtracking stepsize rule, the
-penalty heuristics, and a builder for the equivalent edge-variable block
-problem used by the equivalence tests.
+and a NetworkObjective. The module also carries the stochastic variant, the
+backtracking stepsize rule, the penalty heuristics, and a builder for the
+equivalent edge-variable block problem used by the equivalence tests.
 """
 
 from __future__ import annotations
@@ -20,7 +19,7 @@ from __future__ import annotations
 import numpy as np
 
 from .engine import Block, BlockProblem, Chunk, ZeroCoupling, base_step, scheduled_step, step_rule
-from .objective import NoisyOracle, network, oracle_grad
+from .objective import NoisyOracle, network, oracle_grad, row_dot
 from .topology import Graph, GraphOperator, NetworkState
 
 __all__ = [
@@ -48,14 +47,11 @@ class GammaMatrix(GraphOperator):
         gammas = np.asarray(gammas, dtype=float)
         if np.any(gammas <= 0):
             raise ValueError("penalties must be positive")
-        N = g.node_count
-        m = np.zeros((N, N))
-        for i, j in g.edges:
-            v = gammas[i] * gammas[j] / (gammas[i] + gammas[j])
-            m[i, j] = m[j, i] = -v
-        for i in range(N):
-            # summed in neighbor order, as the node itself would
-            m[i, i] = -sum(m[i, j] for j in g.neighbor_lists[i])
+        i, j = g.edge_ends
+        m = np.zeros((g.node_count, g.node_count))
+        m[i, j] = m[j, i] = -gammas[i] * gammas[j] / (gammas[i] + gammas[j])
+        # row sums taken left to right, in neighbor order, as the node itself would
+        np.fill_diagonal(m, -np.cumsum(m, axis=1)[:, -1])
         return cls(matrix=m, graph=g)
 
 
@@ -118,41 +114,51 @@ def dpga_round(state: NetworkState, objectives, exchange):
     return _round(state, exchange, _prox_step(state, net, net.f_grad(state.x), state.c))
 
 
-def adaptive_backtrack(node, objective):
-    """Backtracking stepsize for one agent (a view ``state[i]``): smallest
-    l >= 0 with L = L_prev Upsilon^(l-1) passing the descent check
+def adaptive_backtrack(state: NetworkState, net):
+    """Backtracking stepsizes for every agent: row i takes the smallest
+    l >= 0 with L = L_i^prev Upsilon^(l-1) passing the descent check
 
-        f(x_trial) <= f(x) + <grad, dx> + L/2 ||dx||^2
+        f_i(x_trial) <= f_i(x_i) + <grad_i, dx> + L/2 ||dx||^2
 
-    where x_trial is the prox step with c = 1/(L + gamma_i d_i). Returns
-    (x_new, L_new, c_new). L_new stays at or below Upsilon * L_i.
+    where x_trial is the prox step with c = 1/(L + gamma_i d_i). Each trial
+    is one prox and one f evaluation over all rows; a row keeps the first
+    l it accepts. Returns (X_new, L_new, c_new); L_new stays at or below
+    Upsilon * L_i.
     """
-    x, L_prev = node.x, node.L_running
-    grad = objective.f_grad(x)
-    f0 = objective.f_value(x)
-    gd = node.gamma * node.degree
-    drive = grad + node.p + node.s
+    X = state.x
+    grad, f0 = net.f_grad(X), net.f_value(X)
+    gd = state.gamma * state.degree
+    drive = grad + state.p + state.s
+    X_new, L_new = np.empty_like(X), np.empty_like(gd)
+    searching = np.ones(len(X), dtype=bool)
     for l in range(MAX_DOUBLINGS + 1):
-        L_cand = L_prev * UPSILON ** (l - 1)
-        c_cand = 1.0 / (L_cand + gd)
-        x_trial = objective.prox(x - c_cand * drive, c_cand)
-        dx = x_trial - x
-        if objective.f_value(x_trial) <= f0 + grad @ dx + 0.5 * L_cand * (dx @ dx):
-            if L_cand > UPSILON * node.L_init * (1 + 1e-12):
-                raise RuntimeError(
-                    f"accepted L {L_cand} exceeds upsilon * L_i; "
-                    "gradient or Lipschitz constant is inconsistent"
-                )
-            return x_trial, L_cand, c_cand
+        L = state.L_running * UPSILON ** (l - 1)
+        c = 1.0 / (L + gd)
+        trial = net.prox(X - c[:, None] * drive, c)
+        dx = trial - X
+        bound = f0 + row_dot(grad, dx) + 0.5 * L * row_dot(dx, dx)
+        accept = searching & (net.f_value(trial) <= bound)
+        over = accept & (L > UPSILON * state.L_init * (1 + 1e-12))
+        if over.any():
+            i = int(np.argmax(over))
+            raise RuntimeError(
+                f"accepted L {L[i]} exceeds upsilon * L_i at node {i}; "
+                "gradient or Lipschitz constant is inconsistent"
+            )
+        X_new[accept], L_new[accept] = trial[accept], L[accept]
+        searching &= ~accept
+        if not searching.any():
+            return X_new, L_new, 1.0 / (L_new + gd)
     raise RuntimeError(
-        f"descent check failed after {MAX_DOUBLINGS} doublings at node {node.node_id}"
+        f"descent check failed after {MAX_DOUBLINGS} doublings "
+        f"at node {int(np.argmax(searching))}"
     )
 
 
 def dpga_round_adaptive(state: NetworkState, objectives, exchange):
     """DPGA round with the backtracking stepsize rule (AS mode)."""
-    xs, Ls, cs = zip(*(adaptive_backtrack(node, obj) for node, obj in zip(state, objectives)))
-    return _round(state, exchange, np.stack(xs), L_running=np.array(Ls), c=np.array(cs))
+    X, L, c = adaptive_backtrack(state, network(objectives))
+    return _round(state, exchange, X, L_running=L, c=c)
 
 
 def sdpga_round(

@@ -27,7 +27,7 @@ __all__ = [
     "group_norm",
     "network",
     "power_iteration_sq_norm",
-    "row_norms",
+    "row_dot",
     "objective_to_text",
     "objective_from_text",
 ]
@@ -66,10 +66,10 @@ class GroupPartition:
         return len(self.groups)
 
 
-def row_norms(E: np.ndarray) -> np.ndarray:
-    """Euclidean norms over the last axis, each as the dot product e @ e that
-    np.linalg.norm takes for one vector, so the bits match it."""
-    return np.sqrt((E[..., None, :] @ E[..., :, None])[..., 0, 0])
+def row_dot(A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """a @ b for each pair of rows (last axis), batched: the dot product a
+    per-row loop takes, not a pairwise sum, so the bits match it."""
+    return (A[..., None, :] @ B[..., :, None])[..., 0, 0]
 
 
 def _flat(X: np.ndarray) -> np.ndarray:
@@ -80,7 +80,8 @@ def _flat(X: np.ndarray) -> np.ndarray:
 
 def _group_norm_sums(X: np.ndarray, index: np.ndarray) -> np.ndarray:
     """||x_i||_{G_i} for every row, the group norms summed in group order."""
-    return sum(row_norms(_flat(X)[index]).T)
+    E = _flat(X)[index]
+    return sum(np.sqrt(row_dot(E, E)).T)
 
 
 def _sparse_group_prox(V, t, beta1, beta2, index) -> np.ndarray:
@@ -88,7 +89,7 @@ def _sparse_group_prox(V, t, beta1, beta2, index) -> np.ndarray:
     eta = np.sign(V) * np.maximum(np.abs(V) - t * beta1, 0.0)
     flat = _flat(eta)
     E = flat[index]
-    norms = row_norms(E)
+    norms = np.sqrt(row_dot(E, E))
     thresh = t * beta2
     keep = norms > thresh
     scale = np.where(keep, 1.0 - thresh / np.where(keep, norms, 1.0), 0.0)
@@ -263,11 +264,20 @@ class NetworkObjective(tuple):
             self.delta, self.beta1, self.beta2, self.K = np.array(columns).T[:, :, None]
         return self
 
+    def _huber(self, X: np.ndarray) -> tuple:
+        return huber_value_grad((self.A @ X[:, :, None])[:, :, 0] - self.b, self.delta)
+
+    def f_value(self, X: np.ndarray) -> np.ndarray:
+        """Row i is f_i(x_i)."""
+        if self.A is None:
+            return np.array([o.f_value(x) for o, x in zip(self, X)])
+        return self._huber(X)[0]
+
     def f_grad(self, X: np.ndarray) -> np.ndarray:
         """Row i is grad f_i(x_i)."""
         if self.A is None:
             return np.stack([o.f_grad(x) for o, x in zip(self, X)])
-        _, C = huber_value_grad((self.A @ X[:, :, None])[:, :, 0] - self.b, self.delta)
+        _, C = self._huber(X)
         # on the transposed view, as NodeObjective.f_grad multiplies by A.T
         return (self.A.transpose(0, 2, 1) @ C[:, :, None])[:, :, 0]
 
@@ -282,10 +292,9 @@ class NetworkObjective(tuple):
         node order, as the per-node values would be."""
         if self.A is None:
             return float(sum(o.phi(x) for o, x in zip(self, X)))
-        f, _ = huber_value_grad((self.A @ X[:, :, None])[:, :, 0] - self.b, self.delta)
         xi = self.beta1[:, 0] * np.sum(np.abs(X), axis=1)
         xi = xi + self.beta2[:, 0] * _group_norm_sums(X, self.index)
-        return float(sum((xi + f).tolist()))
+        return float(sum((xi + self.f_value(X)).tolist()))
 
 
 def network(objectives) -> NetworkObjective:

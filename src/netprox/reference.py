@@ -23,8 +23,8 @@ from .objective import (
     group_norm,
     network,
     power_iteration_sq_norm,
-    row_norms,
     prox_sparse_group,
+    row_dot,
 )
 
 __all__ = [
@@ -45,7 +45,9 @@ class ReferenceSolution:
 
     certificate is the fixed-point residual norm of the solve that produced
     x_star (prox-gradient mapping for the central path, splitting residual
-    for the product-space path). kappas bound subgradient norms at x_star.
+    for the product-space path). F_star is F at x_star on every node, and
+    kappas bound subgradient norms at x_star; both are computed from x_star,
+    never stored.
     """
 
     x_star: np.ndarray
@@ -227,10 +229,15 @@ def fista_solve(
         x_star, cert = _product_solve(net, tol, max_iter, x0)
     else:
         raise ValueError(f"unknown method {method!r}")
+    return _solution(net, x_star, cert)
+
+
+def _solution(net, x_star, certificate) -> ReferenceSolution:
+    """The solution at x_star, with F_star and the kappas computed from it."""
     return ReferenceSolution(
         x_star=x_star,
         F_star=net.phi(np.tile(x_star, (len(net), 1))),
-        certificate=cert,
+        certificate=certificate,
         kappas=compute_kappas(net, x_star),
     )
 
@@ -241,7 +248,7 @@ def compute_kappas(objectives, x_star) -> tuple[float, ...]:
     for the K disjoint group terms."""
     net = network(objectives)
     grads = net.f_grad(np.tile(x_star, (len(net), 1)))
-    kappas = row_norms(grads) + net.beta1[:, 0] * np.sqrt(grads.shape[1])
+    kappas = np.sqrt(row_dot(grads, grads)) + net.beta1[:, 0] * np.sqrt(grads.shape[1])
     return tuple((kappas + net.beta2[:, 0] * np.sqrt(net.K[:, 0])).tolist())
 
 
@@ -253,21 +260,15 @@ def cache_dir() -> Path:
 
 
 def save_reference(key: str, sol: ReferenceSolution) -> Path:
-    """Persist a solution under cache_dir()/<key>.npz. The file is written
-    next to its final name and then renamed into place, so a reader never
-    sees a partial file."""
+    """Persist x_star and its certificate under cache_dir()/<key>.npz. The
+    file is written next to its final name and then renamed into place, so
+    a reader never sees a partial file."""
     path = cache_dir() / f"{key}.npz"
     path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{key}.", suffix=".tmp")
     try:
         with os.fdopen(fd, "wb") as fh:
-            np.savez(
-                fh,
-                x_star=sol.x_star,
-                F_star=np.array(sol.F_star),
-                certificate=np.array(sol.certificate),
-                kappas=np.array(sol.kappas),
-            )
+            np.savez(fh, x_star=sol.x_star, certificate=np.array(sol.certificate))
         os.replace(tmp, path)
     except BaseException:
         os.unlink(tmp)
@@ -275,17 +276,18 @@ def save_reference(key: str, sol: ReferenceSolution) -> Path:
     return path
 
 
-def load_reference(key: str) -> ReferenceSolution | None:
-    """The cached solution under key, or None when there is none or the
-    file cannot be read back."""
+def load_reference(key: str, objectives) -> ReferenceSolution | None:
+    """The cached solution under key for these objectives, F_star and the
+    kappas recomputed from x_star as fista_solve computes them. None when
+    there is no entry, the file cannot be read back, or its x_star is not a
+    finite point of the objectives' space."""
     path = cache_dir() / f"{key}.npz"
+    net = network(objectives)
     try:
         with np.load(path, allow_pickle=False) as data:
-            return ReferenceSolution(
-                x_star=data["x_star"].copy(),
-                F_star=float(data["F_star"]),
-                certificate=float(data["certificate"]),
-                kappas=tuple(float(k) for k in data["kappas"]),
-            )
+            x_star, certificate = data["x_star"].copy(), float(data["certificate"])
     except (OSError, EOFError, KeyError, ValueError, TypeError, zipfile.BadZipFile):
         return None
+    if x_star.shape != (net[0].n,) or not np.isfinite(x_star).all():
+        return None
+    return _solution(net, x_star, certificate)

@@ -24,7 +24,7 @@ from . import dpga as _dpga
 from . import dpga_w as _dpga_w
 from .engine import step_rule
 from .errors import DivergenceError, ProtocolError
-from .objective import NoisyOracle, network
+from .objective import NoisyOracle, network, row_dot
 from .topology import Graph, NetworkState, mixing_pair
 
 __all__ = [
@@ -229,11 +229,10 @@ def network_objective(objectives, X) -> float:
 
 
 def _edge_sq(graph: Graph, X) -> np.ndarray:
-    """|x_i - x_j|^2 for every edge (i, j), as a batched d @ d: the dot
-    product a per-edge loop takes, not a pairwise sum."""
+    """|x_i - x_j|^2 for every edge (i, j), as a per-edge loop would take it."""
     i, j = graph.edge_ends
     D = X[i] - X[j]
-    return (D[:, None, :] @ D[:, :, None]).ravel()
+    return row_dot(D, D)
 
 
 def consensus_metrics(graph: Graph, X) -> tuple[float, float]:
@@ -427,7 +426,8 @@ def run_synchronous(
             )
         audit.rounds = k
         audit.record_storage(state)
-        erg_sum += X
+        if collect_ergodic:
+            erg_sum += X
         if not (k % schedule.check_every == 0 or k == schedule.max_rounds):
             continue
         F = network_objective(objectives, X)

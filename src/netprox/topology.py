@@ -10,6 +10,7 @@ one row per agent: n-vectors as (N, n) arrays, scalars as (N,) arrays.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -157,8 +158,9 @@ class NetworkState:
     Fields of shape (N, n) are the n-vectors an agent stores, fields of
     shape (N,) its scalars; ``state.x`` reads a field, and the arrays are
     made read-only. ``ops`` holds the graph operators whose rows the agents
-    know. Indexing and iteration yield agent i's view of its rows
-    (``state[i].x``); ``a + b`` lists the views of both states.
+    know. For callers outside the rounds, indexing and iteration yield a
+    snapshot of agent i's read-only rows (``state[i].x``, ``state[i].node_id``),
+    scalars as Python numbers; ``a + b`` lists the snapshots of both states.
     """
 
     fields: dict
@@ -186,30 +188,14 @@ class NetworkState:
     def __len__(self) -> int:
         return len(self.x)
 
-    def __getitem__(self, i: int) -> "_AgentView":
+    def __getitem__(self, i: int) -> SimpleNamespace:
         if not 0 <= i < len(self):
             raise IndexError(i)
-        return _AgentView(self, i)
+        rows = {k: a[i] if a.ndim > 1 else a[i].item() for k, a in self.fields.items()}
+        return SimpleNamespace(node_id=i, **rows)
 
     def __add__(self, other) -> list:
         return [*self, *other]
-
-
-class _AgentView:
-    """Agent i's local state: row i of every field, scalars as Python numbers."""
-
-    __slots__ = ("_state", "node_id")
-
-    def __init__(self, state: NetworkState, i: int):
-        self._state = state
-        self.node_id = i
-
-    def __getattr__(self, name: str):
-        try:
-            column = self._state.fields[name]
-        except KeyError:
-            raise AttributeError(name) from None
-        return column[self.node_id] if column.ndim > 1 else column[self.node_id].item()
 
 
 @dataclass(frozen=True)

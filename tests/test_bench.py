@@ -108,17 +108,33 @@ def test_reference_key_and_cache(tmp_path, monkeypatch):
     assert cached.exists()
     again = reference_for(prob)
     assert np.array_equal(again.x_star, sol.x_star)
-    # a poisoned cache entry is believed, proving the load path is used
-    from netprox.reference import ReferenceSolution, save_reference
+    # a cached certificate is believed, proving the load path is used
+    from dataclasses import replace
 
-    save_reference(
-        reference_key(spec),
-        ReferenceSolution(x_star=sol.x_star, F_star=-123.0, certificate=0.0, kappas=sol.kappas),
-    )
-    assert reference_for(prob).F_star == -123.0
+    from netprox.reference import save_reference
+
+    save_reference(reference_key(spec), replace(sol, certificate=0.0))
+    assert reference_for(prob).certificate == 0.0
     monkeypatch.setenv("NETPROX_CACHE", str(tmp_path / "empty"))
     fresh = reference_for(prob)
     assert fresh.F_star == pytest.approx(sol.F_star, rel=1e-10)
+
+
+def test_reference_cache_rebuilds_F_star_and_kappas_from_x_star(tmp_path, monkeypatch):
+    monkeypatch.setenv("NETPROX_CACHE", str(tmp_path))
+    prob = generate_problem(tiny_spec())
+    sol = reference_for(prob)
+    # an entry in the older layout: finite F_star and kappas that are not x_star's
+    path = tmp_path / f"{reference_key(prob.spec)}.npz"
+    np.savez(
+        path, x_star=sol.x_star, F_star=np.array(-123.0),
+        certificate=np.array(sol.certificate), kappas=np.array([1.0, 2.0]),
+    )
+    again = reference_for(prob)
+    assert np.array_equal(again.x_star, sol.x_star) and again.certificate == sol.certificate
+    assert again.F_star == sol.F_star and again.kappas == sol.kappas
+    with np.load(path) as data:  # the entry was a hit, so it is not rewritten
+        assert "F_star" in data.files
 
 
 def test_reference_cache_honours_the_requested_tolerance(tmp_path, monkeypatch):
@@ -132,7 +148,7 @@ def test_reference_cache_honours_the_requested_tolerance(tmp_path, monkeypatch):
     # a cached solution certified looser than asked for is solved again
     fine = reference_for(prob)
     assert fine.certificate <= 1e-12
-    assert load_reference(key).certificate == fine.certificate
+    assert load_reference(key, prob.objectives).certificate == fine.certificate
     # and one certified at least as tight is reused
     assert reference_for(prob, tol=1e-3).certificate == fine.certificate
 
@@ -145,20 +161,20 @@ def test_corrupt_reference_cache_is_a_miss(tmp_path, monkeypatch):
     key = reference_key(prob.spec)
     path = tmp_path / f"{key}.npz"
     path.write_bytes(b"garbage, not an archive" * 8)
-    assert load_reference(key) is None
+    assert load_reference(key, prob.objectives) is None
     sol = reference_for(prob)
     assert sol.certificate <= 1e-12
-    back = load_reference(key)
+    back = load_reference(key, prob.objectives)
     assert back is not None and np.array_equal(back.x_star, sol.x_star)
     # a truncated archive is a miss, and the rewrite leaves no temp file
     path.write_bytes(path.read_bytes()[:200])
-    assert load_reference(key) is None
+    assert load_reference(key, prob.objectives) is None
     assert reference_for(prob).certificate <= 1e-12
-    assert np.array_equal(load_reference(key).x_star, sol.x_star)
+    assert np.array_equal(load_reference(key, prob.objectives).x_star, sol.x_star)
     assert sorted(p.name for p in tmp_path.iterdir()) == [path.name]
     # an archive that lacks one of the arrays is a miss too
     np.savez(path, x_star=sol.x_star)
-    assert load_reference(key) is None
+    assert load_reference(key, prob.objectives) is None
 
 
 @pytest.mark.parametrize(
@@ -180,12 +196,13 @@ def test_reference_cache_entry_that_does_not_fit_is_a_miss(corrupt, tmp_path, mo
     prob = generate_problem(tiny_spec())
     key = reference_key(prob.spec)
     sol = reference_for(prob)
-    # certified, but not a solution of this instance: re-solved and overwritten
+    # certified, but not a solution of this instance: re-solved and overwritten,
+    # or, where only F_star or kappas were wrong, recomputed from x_star
     save_reference(key, replace(sol, certificate=0.0, **corrupt(sol)))
     again = reference_for(prob)
     assert again.certificate <= 1e-12 and np.array_equal(again.x_star, sol.x_star)
     assert again.F_star == sol.F_star and again.kappas == sol.kappas
-    back = load_reference(key)
+    back = load_reference(key, prob.objectives)
     assert np.array_equal(back.x_star, sol.x_star) and back.F_star == sol.F_star
 
 

@@ -25,7 +25,7 @@ from netprox.engine import (
     spgadmm_step,
 )
 from netprox.errors import ProtocolError
-from netprox.objective import NodeObjective, NoisyOracle
+from netprox.objective import NodeObjective, NoisyOracle, network
 from netprox.simnet import plain_exchange
 from netprox.topology import GraphOperator, NetworkState, build_topology
 
@@ -86,16 +86,31 @@ def test_init_states():
         assert nd.c == pytest.approx(1.0 / (objs[i].lipschitz + gammas[i] * 2 + 1.0))
 
 
-def agent(x, s, c, L_running, L_init, degree):
-    """One DPGA agent's view, from a one-row state with gamma_i = 1."""
-    state = NetworkState(
+def agents(x, s, c, L_running, L_init, degree):
+    """A DPGA state with gamma_i = 1 from the agents' rows x and s (one
+    agent's vectors for a one-row state) and their scalars."""
+    x, s = np.atleast_2d(x, s)
+    N = len(x)
+    return NetworkState(
         dict(
-            x=x[None], s=s[None], p=np.zeros((1, x.size)), c=np.array([c]),
-            gamma=np.array([1.0]), L_running=np.array([L_running]),
-            L_init=np.array([L_init]), degree=np.array([degree]),
+            x=x, s=s, p=np.zeros_like(x), c=np.full(N, c), gamma=np.ones(N),
+            L_running=np.full(N, L_running), L_init=np.full(N, L_init),
+            degree=np.full(N, degree),
         )
     )
-    return state[0]
+
+
+def backtrack_node(obj, node):
+    """The doubling search for one agent, written node by node: (x_new, L_new, c_new, l)."""
+    grad, f0 = obj.f_grad(node.x), obj.f_value(node.x)
+    gd = node.gamma * node.degree
+    for l in range(61):
+        L = node.L_running * 2.0 ** (l - 1)
+        c = 1.0 / (L + gd)
+        x_t = obj.prox(node.x - c * (grad + node.p + node.s), c)
+        dx = x_t - node.x
+        if obj.f_value(x_t) <= f0 + grad @ dx + 0.5 * L * (dx @ dx):
+            return x_t, L, c, l
 
 
 def test_protocol_error_on_wrong_inbox():
@@ -263,8 +278,9 @@ def test_adaptive_backtrack_properties():
     obj = random_objective(rng, n=6, m=4)
     L = obj.lipschitz
     x0 = rng.standard_normal(6)
-    node = agent(x0, rng.standard_normal(6) * 0.1, 1.0 / (L + 2.0), L / 16.0, L, degree=2)
-    x_new, L_new, c_new = adaptive_backtrack(node, obj)
+    state = agents(x0, rng.standard_normal(6) * 0.1, 1.0 / (L + 2.0), L / 16.0, L, degree=2)
+    node = state[0]
+    (x_new,), (L_new,), (c_new,) = adaptive_backtrack(state, network([obj]))
     assert L_new <= 2.0 * L * (1 + 1e-12)
     assert c_new == pytest.approx(1.0 / (L_new + node.gamma * node.degree))
     grad = obj.f_grad(x0)
@@ -290,9 +306,30 @@ def test_adaptive_backtrack_flags_understated_curvature():
         partition=random_partition(rng, 5, 2), lipschitz=true_L / 1000.0,
     )
     x0 = rng.standard_normal(5) * 10
-    node = agent(x0, np.zeros(5), 1.0, true_L / 1000.0, true_L / 1000.0, degree=1)
+    state = agents(x0, np.zeros(5), 1.0, true_L / 1000.0, true_L / 1000.0, degree=1)
     with pytest.raises(RuntimeError):
-        adaptive_backtrack(node, obj)
+        adaptive_backtrack(state, network([obj]))
+
+
+def test_rows_accept_at_their_own_doubling():
+    rng = np.random.default_rng(12)
+    objs = random_objectives(rng, 2, n=6, m=4)
+    L = np.array([o.lipschitz for o in objs])
+    X = rng.standard_normal((2, 6))
+    # row 1 starts from an understated L and needs more doublings than row 0
+    state = agents(X, rng.standard_normal((2, 6)) * 0.1, 1.0, L * [1.0, 1 / 64], L, degree=[2, 1])
+    net = network(objs)
+    assert net.A is not None
+    X_new, L_new, c_new = adaptive_backtrack(state, net)
+    per_node = [backtrack_node(o, nd) for o, nd in zip(objs, state)]
+    assert per_node[0][3] != per_node[1][3]
+    for i, (x, L_i, c_i, _) in enumerate(per_node):
+        assert np.array_equal(X_new[i], x)
+        assert L_new[i] == L_i and c_new[i] == c_i
+    # a row that never passes the descent check is named when the cap is hit
+    stuck = state.evolve(L_running=np.array([L[0], 1e-300]))
+    with pytest.raises(RuntimeError, match="60 doublings at node 1"):
+        adaptive_backtrack(stuck, net)
 
 
 def test_adaptive_round_tracks_accepted_steps():

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import random_objective, random_objectives, random_partition
-from netprox.objective import GroupPartition, NodeObjective, prox_sparse_group
+from netprox.objective import GroupPartition, NodeObjective, network, prox_sparse_group
 from netprox.reference import (
     ReferenceSolution,
     cache_dir,
@@ -159,7 +159,8 @@ def test_kappas_dominate_gradient_plus_penalty_subgradients():
 def test_cache_roundtrip(tmp_path, monkeypatch):
     monkeypatch.setenv("NETPROX_CACHE", str(tmp_path / "store"))
     assert cache_dir() == tmp_path / "store"
-    assert load_reference("missing") is None
+    objs = random_objectives(np.random.default_rng(0), 2, n=3, m=2, K=2)
+    assert load_reference("missing", objs) is None
     sol = ReferenceSolution(
         x_star=np.array([1.0, -2.5, 1 / 3]),
         F_star=4.125,
@@ -167,8 +168,11 @@ def test_cache_roundtrip(tmp_path, monkeypatch):
         kappas=(1.5, 2.25),
     )
     save_reference("toy_key", sol)
-    back = load_reference("toy_key")
+    back = load_reference("toy_key", objs)
     assert np.array_equal(back.x_star, sol.x_star)
-    assert back.F_star == sol.F_star
     assert back.certificate == sol.certificate
-    assert back.kappas == sol.kappas
+    # F_star and the kappas are not stored: they are x_star's, as fista_solve computes them
+    assert back.F_star == network(objs).phi(np.tile(sol.x_star, (2, 1)))
+    assert back.kappas == compute_kappas(objs, sol.x_star)
+    # an x_star that is not a point of the objectives' space is a miss
+    assert load_reference("toy_key", random_objectives(np.random.default_rng(0), 2, n=4)) is None
