@@ -264,20 +264,20 @@ class NetworkObjective(tuple):
             self.delta, self.beta1, self.beta2, self.K = np.array(columns).T[:, :, None]
         return self
 
-    def _huber(self, X: np.ndarray) -> tuple:
-        return huber_value_grad((self.A @ X[:, :, None])[:, :, 0] - self.b, self.delta)
-
     def f_value(self, X: np.ndarray) -> np.ndarray:
         """Row i is f_i(x_i)."""
         if self.A is None:
             return np.array([o.f_value(x) for o, x in zip(self, X)])
-        return self._huber(X)[0]
+        return huber_value_grad((self.A @ X[:, :, None])[:, :, 0] - self.b, self.delta)[0]
 
     def f_grad(self, X: np.ndarray) -> np.ndarray:
         """Row i is grad f_i(x_i)."""
         if self.A is None:
             return np.stack([o.f_grad(x) for o, x in zip(self, X)])
-        _, C = self._huber(X)
+        Y = (self.A @ X[:, :, None])[:, :, 0] - self.b
+        if not np.isfinite(Y).all():
+            raise ValueError("non-finite residual in f_grad")
+        C = np.clip(Y, -self.delta, self.delta)  # the Huber gradient, without its value
         # on the transposed view, as NodeObjective.f_grad multiplies by A.T
         return (self.A.transpose(0, 2, 1) @ C[:, :, None])[:, :, 0]
 

@@ -273,6 +273,22 @@ def test_network_objective_is_bit_identical_on_equal_groups(seed, case, N):
     assert net.phi(X) == Fs[0] == Fs[1]
 
 
+@pytest.mark.parametrize("case", [1, 2])
+def test_network_f_grad_is_the_node_gradient_and_rejects_non_finite_residuals(case):
+    objs = generate_problem(ProblemSpec(case=case, N=5, n_g=10, seed=4)).objectives
+    net = network(objs)
+    rng = np.random.default_rng(case)
+    # rows from well inside to far outside the Huber threshold
+    X = rng.standard_normal((5, objs[0].n)) * np.array([[1e-3], [0.1], [1.0], [10.0], [1e3]])
+    residuals = np.concatenate([o.A @ x - o.b for o, x in zip(objs, X)])
+    assert (np.abs(residuals) < objs[0].delta).any() and (np.abs(residuals) > objs[0].delta).any()
+    assert np.array_equal(net.f_grad(X), np.stack([o.f_grad(x) for o, x in zip(objs, X)]))
+    for bad in (np.nan, np.inf):
+        X[3, 0] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            net.f_grad(X)
+
+
 @given(st.integers(0, 2**32 - 1))
 @settings(max_examples=40, deadline=None)
 def test_network_objective_matches_nodes_on_ragged_groups(seed):

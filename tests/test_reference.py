@@ -133,6 +133,25 @@ def test_distinct_partitions_pick_the_product_path():
         assert F(sol.x_star + rng.standard_normal(8) * 1e-4) >= base - 1e-9
 
 
+@pytest.mark.parametrize("scale", [3.0, 0.0])
+def test_product_solve_weights_the_consensus_projection_by_L(scale):
+    # one node's A scaled by 3 makes its L_i about 9x the others', so the per-node
+    # steps PRODUCT_STEP/L_i differ and only the L-weighted mean is the metric
+    # projection; scale 0 gives a node with L_i = 0
+    rng = np.random.default_rng(9)
+    objs = random_objectives(rng, 4, n=8, m=5)
+    o = objs[0]
+    objs[0] = NodeObjective(
+        A=scale * o.A, b=scale * o.b, delta=o.delta, beta1=o.beta1, beta2=o.beta2,
+        partition=o.partition,
+    )
+    central = fista_solve(objs, tol=1e-12, method="central")
+    product = fista_solve(objs, tol=1e-12, method="product")
+    assert product.certificate <= 1e-12
+    assert np.linalg.norm(product.x_star - central.x_star) <= 1e-9
+    assert product.F_star == pytest.approx(central.F_star, rel=0, abs=1e-12)
+
+
 def test_objective_never_dips_below_reported_optimum():
     rng = np.random.default_rng(7)
     objs = random_objectives(rng, 4, n=7, m=4)
