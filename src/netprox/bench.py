@@ -117,8 +117,6 @@ def generate_problem(spec: ProblemSpec) -> GeneratedProblem:
     Draw order is fixed (partitions first, then pi_i and Abar_i per node) so
     seeds mean the same instance forever.
     """
-    if spec.n % spec.K != 0:
-        raise ValueError("K must divide n")
     rng = np.random.default_rng((spec.seed, spec.case, spec.N, spec.n_g, spec.K))
     n, m, N = spec.n, spec.m, spec.N
     if spec.case == 1:

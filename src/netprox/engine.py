@@ -258,8 +258,10 @@ def base_step(cap, safety: float = 0.999, step_mode: str = "constant"):
 
 def step_rule(rule: str | None, horizon: int | None, oracles=()) -> str:
     """Resolve a stepsize rule (None means horizon when a horizon is given,
-    else diminishing) and reject constant steps under gradient noise and a
-    horizon rule without a horizon."""
+    else diminishing) and reject a horizon below 1, constant steps under
+    gradient noise and a horizon rule without a horizon."""
+    if horizon is not None and horizon < 1:
+        raise ValueError(f"horizon must be at least 1, got {horizon}")
     if rule is None:
         rule = "horizon" if horizon is not None else "diminishing"
     if rule not in STEP_RULES:
@@ -321,8 +323,6 @@ def diminishing_plan(prob: BlockProblem) -> StepPlan:
 
 
 def horizon_plan(prob: BlockProblem, horizon: int) -> StepPlan:
-    if horizon < 1:
-        raise ValueError("horizon must be at least 1")
     return StepPlan(
         rule="horizon", base=base_step(_cap(prob), step_mode="horizon"), horizon=horizon
     )

@@ -21,7 +21,7 @@ __all__ = [
     "NetworkObjective",
     "NodeObjective",
     "NoisyOracle",
-    "huber_value_grad",
+    "huber",
     "prox_sparse_group",
     "oracle_grad",
     "group_norm",
@@ -31,6 +31,9 @@ __all__ = [
     "objective_to_text",
     "objective_from_text",
 ]
+
+POWER_TOL = 1e-10  # power iteration's relative tolerance on sigma_max(A)^2
+POWER_MAX_ITER = 50000  # power iteration's cap on steps
 
 
 @dataclass(frozen=True)
@@ -103,23 +106,20 @@ def group_norm(x: np.ndarray, partition: GroupPartition) -> float:
     return float(_group_norm_sums(np.asarray(x, dtype=float)[None], partition.index[None])[0])
 
 
-def huber_value_grad(y: np.ndarray, delta) -> tuple:
-    """Huber loss value and gradient.
+def huber(y: np.ndarray, delta):
+    """Huber loss h_delta(y) = sum_j 0.5 y_j^2 on |y_j| <= delta, else delta |y_j| - delta^2/2.
 
-    h_delta(y) = sum_j 0.5 y_j^2 on |y_j| <= delta, else delta |y_j| - delta^2/2.
-    The gradient clamps y to [-delta, delta] coordinatewise and is 1-Lipschitz.
+    Its gradient clamps y to [-delta, delta] coordinatewise and is 1-Lipschitz.
     Rows y (N, m) with a positive delta column (N, 1) give one value per row.
     """
     if np.isscalar(delta) and delta <= 0:
         raise ValueError(f"delta must be positive, got {delta}")
     y = np.asarray(y, dtype=float)
     if not np.all(np.isfinite(y)):
-        raise ValueError("non-finite input to huber_value_grad")
+        raise ValueError("non-finite input to huber")
     a = np.abs(y)
-    quad = a <= delta
-    value = np.sum(np.where(quad, 0.5 * y * y, delta * a - 0.5 * delta * delta), axis=-1)
-    grad = np.clip(y, -delta, delta)
-    return (float(value) if y.ndim == 1 else value), grad
+    value = np.sum(np.where(a <= delta, 0.5 * y * y, delta * a - 0.5 * delta * delta), axis=-1)
+    return float(value) if y.ndim == 1 else value
 
 
 def prox_sparse_group(
@@ -144,20 +144,20 @@ def prox_sparse_group(
     return _sparse_group_prox(xbar[None], t, beta1, beta2, partition.index[None])[0]
 
 
-def power_iteration_sq_norm(A: np.ndarray, tol: float = 1e-10, max_iter: int = 50000) -> float:
+def power_iteration_sq_norm(A: np.ndarray) -> float:
     """sigma_max(A)^2 by power iteration on A^T A with a deterministic start."""
     A = np.asarray(A, dtype=float)
     n = A.shape[1]
     v = np.ones(n) / np.sqrt(n)
     lam = 0.0
-    for _ in range(max_iter):
+    for _ in range(POWER_MAX_ITER):
         w = A.T @ (A @ v)
         norm = np.linalg.norm(w)
         if norm == 0.0:
             return 0.0
         v_new = w / norm
         lam_new = float(v_new @ (A.T @ (A @ v_new)))
-        if abs(lam_new - lam) <= tol * max(lam_new, 1.0):
+        if abs(lam_new - lam) <= POWER_TOL * max(lam_new, 1.0):
             return lam_new
         lam, v = lam_new, v_new
     return lam
@@ -207,12 +207,13 @@ class NodeObjective:
         )
 
     def f_value(self, x: np.ndarray) -> float:
-        value, _ = huber_value_grad(self.A @ x - self.b, self.delta)
-        return value
+        return huber(self.A @ x - self.b, self.delta)
 
     def f_grad(self, x: np.ndarray) -> np.ndarray:
-        _, g = huber_value_grad(self.A @ x - self.b, self.delta)
-        return self.A.T @ g
+        y = self.A @ x - self.b
+        if not np.isfinite(y).all():
+            raise ValueError("non-finite residual in f_grad")
+        return self.A.T @ np.clip(y, -self.delta, self.delta)  # the Huber gradient
 
     def phi(self, x: np.ndarray) -> float:
         return self.xi_value(x) + self.f_value(x)
@@ -268,7 +269,7 @@ class NetworkObjective(tuple):
         """Row i is f_i(x_i)."""
         if self.A is None:
             return np.array([o.f_value(x) for o, x in zip(self, X)])
-        return huber_value_grad((self.A @ X[:, :, None])[:, :, 0] - self.b, self.delta)[0]
+        return huber((self.A @ X[:, :, None])[:, :, 0] - self.b, self.delta)
 
     def f_grad(self, X: np.ndarray) -> np.ndarray:
         """Row i is grad f_i(x_i)."""
@@ -277,7 +278,7 @@ class NetworkObjective(tuple):
         Y = (self.A @ X[:, :, None])[:, :, 0] - self.b
         if not np.isfinite(Y).all():
             raise ValueError("non-finite residual in f_grad")
-        C = np.clip(Y, -self.delta, self.delta)  # the Huber gradient, without its value
+        C = np.clip(Y, -self.delta, self.delta)  # the Huber gradient
         # on the transposed view, as NodeObjective.f_grad multiplies by A.T
         return (self.A.transpose(0, 2, 1) @ C[:, :, None])[:, :, 0]
 

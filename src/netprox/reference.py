@@ -38,6 +38,9 @@ __all__ = [
     "save_reference",
 ]
 
+DUAL_PROX_MAX_ITER = 200000  # sweeps of the dual prox ascent before it gives up
+SOLVE_MAX_ITER = 400000  # steps of a reference solve before it gives up
+
 
 @dataclass(frozen=True)
 class ReferenceSolution:
@@ -71,7 +74,6 @@ def dual_group_prox(
     beta1: float,
     group_terms,
     tol: float = 1e-13,
-    max_iter: int = 200000,
 ):
     """Certified prox of beta1|y|_1 + sum_p beta2_p |y|_{G_p} at xbar.
 
@@ -103,7 +105,7 @@ def dual_group_prox(
         return val + float(xbar @ xbar) / (2 * t)
 
     gap = np.inf
-    for _ in range(max_iter):
+    for _ in range(DUAL_PROX_MAX_ITER):
         rest = sum(ws) if P else np.zeros_like(xbar)
         u = np.clip(target - rest, -beta1, beta1)
         for p, (b2, part) in enumerate(terms):
@@ -139,7 +141,7 @@ def _same_partition(p: GroupPartition, q: GroupPartition) -> bool:
     )
 
 
-def _central_solve(net, tol, max_iter, x0):
+def _central_solve(net, tol, x0):
     N, m, n = net.A.shape
     partition = net[0].partition
     beta1_tot = float(sum(o.beta1 for o in net))
@@ -160,7 +162,7 @@ def _central_solve(net, tol, max_iter, x0):
     x = np.zeros(n) if x0 is None else np.array(x0, dtype=float)
     y = x.copy()
     theta = 1.0
-    for it in range(max_iter):
+    for it in range(SOLVE_MAX_ITER):
         z = prox_sparse_group(y - step * grad_sum(y), step, beta1_tot, beta2_tot, partition)
         if float(np.vdot(y - z, z - x)) > 0:
             theta = 1.0
@@ -183,7 +185,7 @@ def _central_solve(net, tol, max_iter, x0):
 PRODUCT_STEP = 1.9  # the product-space splitting's per-node step, in units of 1/L_i
 
 
-def _product_solve(net, tol, max_iter, x0):
+def _product_solve(net, tol, x0):
     # Davis-Yin splitting on the product space in the metric diag(L_i), where grad F is
     # 1-cocoercive, so node steps PRODUCT_STEP/L_i < 2/L_i converge: per-node gradient and
     # prox steps, the L-weighted consensus projection, the residual scaled by max_i L_i.
@@ -193,7 +195,7 @@ def _product_solve(net, tol, max_iter, x0):
     steps, weights = PRODUCT_STEP / L, L / L.sum()
     Z = np.zeros((N, n)) if x0 is None else np.tile(np.array(x0, dtype=float), (N, 1))
     cert = np.inf
-    for _ in range(max_iter):
+    for _ in range(SOLVE_MAX_ITER):
         mu = weights @ Z
         X_A = net.prox(2.0 * mu - Z - steps[:, None] * net.f_grad(np.tile(mu, (N, 1))), steps)
         Z += X_A - mu
@@ -208,7 +210,6 @@ def _product_solve(net, tol, max_iter, x0):
 def fista_solve(
     objectives,
     tol: float = 1e-12,
-    max_iter: int = 400000,
     x0=None,
     method: str | None = None,
 ) -> ReferenceSolution:
@@ -222,16 +223,16 @@ def fista_solve(
     per-node penalties in the metric diag(L_i), node i stepping by PRODUCT_STEP/L_i.
     method forces "central" or "product"; the default picks by the partitions.
 
-    Raises RuntimeError with the achieved residual if max_iter is exhausted.
+    Raises RuntimeError with the achieved residual after SOLVE_MAX_ITER steps.
     """
     net = network(objectives)
     if method is None:
         shared = all(_same_partition(net[0].partition, o.partition) for o in net)
         method = "central" if shared else "product"
     if method == "central":
-        x_star, cert = _central_solve(net, tol, max_iter, x0)
+        x_star, cert = _central_solve(net, tol, x0)
     elif method == "product":
-        x_star, cert = _product_solve(net, tol, max_iter, x0)
+        x_star, cert = _product_solve(net, tol, x0)
     else:
         raise ValueError(f"unknown method {method!r}")
     return _solution(net, x_star, cert)

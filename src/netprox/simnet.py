@@ -220,7 +220,6 @@ class RunResult:
     rounds: int
     solved: bool
     ergodic: dict | None = None
-    inner_iterations: list | None = None
 
 
 def network_objective(objectives, X) -> float:
@@ -297,12 +296,6 @@ def _admm_init(run) -> NetworkState:
     return _baselines.admm_init(run.graph, W, run.objectives, float(gam.flat[0]), run.x0)
 
 
-def _admm_round(run, state: NetworkState, k: int) -> NetworkState:
-    state, _, iters = _baselines.admm_round(state, run.objectives, run.exchange)
-    run.inner_iterations.append(iters)
-    return state
-
-
 # algorithm -> (init(run), round(run, state, k) -> state). The round
 # functions are looked up on their modules at call time, so a wrapper put
 # there (as the benchmark's tracer does) sees every round.
@@ -335,7 +328,10 @@ _REGISTRY = {
         ),
         lambda run, st, k: _baselines.pg_extra_round(st, run.objectives, run.exchange)[0],
     ),
-    "admm": (_admm_init, _admm_round),
+    "admm": (
+        _admm_init,
+        lambda run, st, k: _baselines.admm_round(st, run.objectives, run.exchange)[0],
+    ),
 }
 
 
@@ -387,6 +383,10 @@ def run_synchronous(
 
     objectives = network(objectives)  # stacked once; every round reads it
     N, n = graph.node_count, objectives[0].n
+    if len(objectives) != N:
+        raise ValueError(f"{len(objectives)} objectives for a graph of {N} nodes")
+    if any(o.n != n for o in objectives):
+        raise ValueError(f"objective dimensions differ: {sorted({o.n for o in objectives})}")
     audit = AuditLog(node_count=N, n=n)
     run = SimpleNamespace(  # what the registry's init and round functions read
         graph=graph,
@@ -399,7 +399,6 @@ def run_synchronous(
         horizon=horizon,
         oracles=[NoisyOracle.for_node(sigma, seed, i) for i in range(N)] if noisy else None,
         exchange=Transport(graph, audit).exchange,
-        inner_iterations=[] if algorithm == "admm" else None,
     )
     init, advance = _REGISTRY[algorithm]
     state = init(run)
@@ -462,5 +461,4 @@ def run_synchronous(
         rounds=audit.rounds,
         solved=solved,
         ergodic=erg,
-        inner_iterations=run.inner_iterations,
     )

@@ -20,6 +20,7 @@ from netprox.engine import (
     pgadmm_step,
     primal_dual_step,
     spgadmm_step,
+    step_rule,
     stochastic_extra_term,
     theorem1_rhs,
     theorem2_constant,
@@ -153,6 +154,14 @@ def test_schedules():
     assert np.allclose(hor.step_sizes(0), hor.step_sizes(999))
     with pytest.raises(ValueError):
         horizon_plan(prob, 0)
+
+
+@pytest.mark.parametrize("rule", [None, "horizon", "diminishing"])
+def test_step_rule_rejects_a_horizon_below_one(rule):
+    assert step_rule(rule, 1) == (rule or "horizon")
+    for horizon in (0, -5):
+        with pytest.raises(ValueError, match=f"horizon must be at least 1, got {horizon}"):
+            step_rule(rule, horizon)
 
 
 def test_y_step_stays_exact_along_the_run():

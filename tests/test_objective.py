@@ -12,7 +12,7 @@ from netprox.objective import (
     NodeObjective,
     NoisyOracle,
     group_norm,
-    huber_value_grad,
+    huber,
     network,
     objective_from_text,
     objective_to_text,
@@ -23,28 +23,39 @@ from netprox.objective import (
 from netprox.reference import prox_bruteforce
 
 
+def huber_grad(y, delta):
+    """The Huber gradient at y: f_grad of the node objective with A = I, b = 0."""
+    n = y.size
+    identity = NodeObjective(
+        A=np.eye(n), b=np.zeros(n), delta=delta, beta1=0.0, beta2=0.0,
+        partition=GroupPartition(groups=(np.arange(n),)),
+    )
+    return identity.f_grad(y)
+
+
 def test_huber_frozen_values():
-    v, g = huber_value_grad(np.array([0.5, -2.0, 1.0]), 1.0)
-    assert v == pytest.approx(0.125 + 1.5 + 0.5)
-    assert np.allclose(g, [0.5, -1.0, 1.0])
-    v2, g2 = huber_value_grad(np.array([1.0, -3.0]), 2.0)
-    assert v2 == pytest.approx(0.5 + (2 * 3 - 2.0))
-    assert np.allclose(g2, [1.0, -2.0])
+    y = np.array([0.5, -2.0, 1.0])
+    assert huber(y, 1.0) == pytest.approx(0.125 + 1.5 + 0.5)
+    assert np.allclose(huber_grad(y, 1.0), [0.5, -1.0, 1.0])
+    y2 = np.array([1.0, -3.0])
+    assert huber(y2, 2.0) == pytest.approx(0.5 + (2 * 3 - 2.0))
+    assert np.allclose(huber_grad(y2, 2.0), [1.0, -2.0])
 
 
 def test_huber_rejects_bad_inputs():
     with pytest.raises(ValueError):
-        huber_value_grad(np.array([1.0]), 0.0)
+        huber(np.array([1.0]), 0.0)
     with pytest.raises(ValueError):
-        huber_value_grad(np.array([np.nan]), 1.0)
+        huber(np.array([np.nan]), 1.0)
+    with pytest.raises(ValueError, match="non-finite"):
+        huber_grad(np.array([np.nan]), 1.0)
 
 
 def test_huber_gradient_is_1_lipschitz():
     rng = np.random.default_rng(0)
     for _ in range(50):
         a, b = rng.standard_normal(6), rng.standard_normal(6)
-        _, ga = huber_value_grad(a, 0.7)
-        _, gb = huber_value_grad(b, 0.7)
+        ga, gb = huber_grad(a, 0.7), huber_grad(b, 0.7)
         assert np.linalg.norm(ga - gb) <= np.linalg.norm(a - b) + 1e-12
 
 

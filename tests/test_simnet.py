@@ -159,6 +159,33 @@ def test_run_validations():
         )
 
 
+@pytest.mark.parametrize("graph_nodes", [6, 4])
+def test_objective_count_must_match_the_graph(graph_nodes):
+    objs = random_objectives(np.random.default_rng(0), 5, n=6, m=4)
+    g = build_topology("star", graph_nodes)
+    with pytest.raises(ValueError, match=f"5 objectives for a graph of {graph_nodes} nodes"):
+        run_synchronous("dpga", g, objs, RoundSchedule(max_rounds=3), 0, gammas=np.ones(graph_nodes))
+
+
+def test_objective_dimensions_must_agree():
+    rng = np.random.default_rng(1)
+    objs = random_objectives(rng, 2, n=6, m=4) + random_objectives(rng, 1, n=7, m=4)
+    g = build_topology("clique", 3)
+    with pytest.raises(ValueError, match=r"objective dimensions differ: \[6, 7\]"):
+        run_synchronous("dpga", g, objs, RoundSchedule(max_rounds=3), 0, gammas=np.ones(3))
+
+
+@pytest.mark.parametrize("algorithm", ["sdpga", "sdpga_w"])
+@pytest.mark.parametrize("horizon", [0, -5])
+def test_noisy_runs_reject_a_horizon_below_one(algorithm, horizon):
+    g, objs = small_net(seed=2)
+    with pytest.raises(ValueError, match="horizon must be at least 1"):
+        run_synchronous(
+            algorithm, g, objs, RoundSchedule(max_rounds=3), 0,
+            gammas=np.ones(3), sigma=0.1, horizon=horizon,
+        )
+
+
 def test_audit_matches_declared_profiles():
     g, objs = small_net()
     n = objs[0].n
