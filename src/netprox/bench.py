@@ -22,8 +22,14 @@ import numpy as np
 from . import dpga as _dpga
 from . import dpga_w as _dpga_w
 from . import simnet as _simnet
-from .objective import GroupPartition, NodeObjective
-from .reference import ReferenceSolution, fista_solve, load_reference, save_reference
+from .objective import GroupPartition, NodeObjective, power_iteration_sq_norm
+from .reference import (
+    SOLVER_REVISION,
+    ReferenceSolution,
+    fista_solve,
+    load_reference,
+    save_reference,
+)
 from .simnet import RoundSchedule
 from .topology import Graph, TopologySpec, build_topology, spectral_summary
 
@@ -115,7 +121,8 @@ def generate_problem(spec: ProblemSpec) -> GeneratedProblem:
     """Deterministic instance for the given spec.
 
     Draw order is fixed (partitions first, then pi_i and Abar_i per node) so
-    seeds mean the same instance forever.
+    seeds mean the same instance forever. One power iteration over the stacked
+    A_i gives every node its L_i.
     """
     rng = np.random.default_rng((spec.seed, spec.case, spec.N, spec.n_g, spec.K))
     n, m, N = spec.n, spec.m, spec.N
@@ -126,25 +133,27 @@ def generate_problem(spec: ProblemSpec) -> GeneratedProblem:
         partitions = tuple(_draw_partition(rng, n, spec.K) for _ in range(N))
     j = np.arange(1, n + 1)
     x_planted = ((-1.0) ** j) * np.exp(-(j - 1) / spec.n_g)
-    objectives = []
-    for i in range(N):
-        pi = int(rng.integers(0, 2))
-        A = (0.5**pi) * rng.standard_normal((m, n))
-        objectives.append(
-            NodeObjective(
-                A=A,
-                b=A @ x_planted,
-                delta=spec.delta,
-                beta1=spec.beta1,
-                beta2=spec.beta2,
-                partition=partitions[i],
-            )
+    As = [(0.5 ** int(rng.integers(0, 2))) * rng.standard_normal((m, n)) for _ in range(N)]
+    lipschitz = power_iteration_sq_norm(np.stack(As)).tolist()
+    objectives = tuple(
+        NodeObjective(
+            A=A, b=A @ x_planted, delta=spec.delta, beta1=spec.beta1, beta2=spec.beta2,
+            partition=partition, lipschitz=L,
         )
-    return GeneratedProblem(spec=spec, objectives=tuple(objectives), x_planted=x_planted)
+        for A, partition, L in zip(As, partitions, lipschitz)
+    )
+    return GeneratedProblem(spec=spec, objectives=objectives, x_planted=x_planted)
+
+
+# case 1 shares one partition, so its reference solves centrally; case 2 on the product space
+_SOLVE_METHOD = {1: "central", 2: "product"}
 
 
 def reference_key(spec: ProblemSpec) -> str:
-    return f"case{spec.case}_N{spec.N}_ng{spec.n_g}_K{spec.K}_seed{spec.seed}"
+    """The instance, the method that solves it and the solver revision: an entry
+    another method or revision wrote is a miss."""
+    instance = f"case{spec.case}_N{spec.N}_ng{spec.n_g}_K{spec.K}_seed{spec.seed}"
+    return f"{instance}_{_SOLVE_METHOD[spec.case]}_rev{SOLVER_REVISION}"
 
 
 def reference_for(problem: GeneratedProblem, tol: float = 1e-12) -> ReferenceSolution:
@@ -156,7 +165,7 @@ def reference_for(problem: GeneratedProblem, tol: float = 1e-12) -> ReferenceSol
     hit = load_reference(key, problem.objectives)
     if hit is not None and hit.certificate <= tol:
         return hit
-    sol = fista_solve(problem.objectives, tol=tol)
+    sol = fista_solve(problem.objectives, tol=tol, method=_SOLVE_METHOD[problem.spec.case])
     save_reference(key, sol)
     return sol
 

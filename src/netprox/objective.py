@@ -144,23 +144,40 @@ def prox_sparse_group(
     return _sparse_group_prox(xbar[None], t, beta1, beta2, partition.index[None])[0]
 
 
-def power_iteration_sq_norm(A: np.ndarray) -> float:
-    """sigma_max(A)^2 by power iteration on A^T A with a deterministic start."""
+def power_iteration_sq_norm(A: np.ndarray):
+    """sigma_max(A_i)^2 of every slice of a stack A (N, m, n) by power iteration on
+    A_i^T A_i from ones(n)/sqrt(n); a 2-D A is the N = 1 case and gives a float.
+
+    The slices step together in batched matmuls and row_dot, the products a loop
+    over one matrix takes, so each value matches that loop bit for bit. A slice
+    leaves the batch once its estimate moves by at most POWER_TOL relative (or
+    A_i^T A_i v vanishes: 0), and only then are the live slices gathered again;
+    after POWER_MAX_ITER steps a live slice keeps its last estimate."""
     A = np.asarray(A, dtype=float)
-    n = A.shape[1]
-    v = np.ones(n) / np.sqrt(n)
-    lam = 0.0
+    S = A if A.ndim == 3 else A[None]
+    N, _, n = S.shape
+
+    def gram(V):  # A_i^T (A_i v_i), the transposed view as the 2-D A.T @ (A @ v)
+        return (S.transpose(0, 2, 1) @ (S @ V[:, :, None]))[:, :, 0]
+
+    out, live, lam = np.zeros(N), np.arange(N), np.zeros(N)
+    W = gram(np.ones((N, n)) / np.sqrt(n))
     for _ in range(POWER_MAX_ITER):
-        w = A.T @ (A @ v)
-        norm = np.linalg.norm(w)
-        if norm == 0.0:
-            return 0.0
-        v_new = w / norm
-        lam_new = float(v_new @ (A.T @ (A @ v_new)))
-        if abs(lam_new - lam) <= POWER_TOL * max(lam_new, 1.0):
-            return lam_new
-        lam, v = lam_new, v_new
-    return lam
+        if not live.size:
+            break
+        norm = np.sqrt(row_dot(W, W))
+        zero = norm == 0.0
+        V = W / np.where(zero, 1.0, norm)[:, None]
+        W = gram(V)  # the estimate's product, and the next step's
+        lam_new = row_dot(V, W)
+        done = zero | (np.abs(lam_new - lam) <= POWER_TOL * np.maximum(lam_new, 1.0))
+        lam = np.where(zero, 0.0, lam_new)
+        if done.any():
+            out[live[done]] = lam[done]
+            keep = ~done
+            S, live, W, lam = S[keep], live[keep], W[keep], lam[keep]
+    out[live] = lam
+    return out if A.ndim == 3 else float(out[0])
 
 
 @dataclass(frozen=True)

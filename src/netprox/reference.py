@@ -29,6 +29,7 @@ from .objective import (
 
 __all__ = [
     "ReferenceSolution",
+    "SOLVER_REVISION",
     "cache_dir",
     "compute_kappas",
     "dual_group_prox",
@@ -40,6 +41,10 @@ __all__ = [
 
 DUAL_PROX_MAX_ITER = 200000  # sweeps of the dual prox ascent before it gives up
 SOLVE_MAX_ITER = 400000  # steps of a reference solve before it gives up
+STALL_WINDOW = 5000  # steps a reference solve may go without beating its best residual
+# Bumped whenever a change moves the solves' iterates, even in the last bits: cache
+# keys carry it, so an entry an earlier solver wrote is a miss.
+SOLVER_REVISION = 2
 
 
 @dataclass(frozen=True)
@@ -151,17 +156,20 @@ def _central_solve(net, tol, x0):
     else:
         L = float(sum(o.lipschitz for o in net))
     step = 1.0 / L
+    # the summed gradient as one product over the N m stacked rows
+    Af, bf, d = net.A.reshape(N * m, n), net.b.ravel(), np.repeat(net.delta[:, 0], m)
 
     def grad_sum(x):
-        return net.f_grad(np.tile(x, (N, 1))).sum(axis=0)
+        return Af.T @ np.clip(Af @ x - bf, -d, d)
 
     def gm_at(x):
         z = prox_sparse_group(x - step * grad_sum(x), step, beta1_tot, beta2_tot, partition)
-        return float(np.linalg.norm(x - z)) / step, z
+        return float(np.linalg.norm(x - z)) / step
 
     x = np.zeros(n) if x0 is None else np.array(x0, dtype=float)
     y = x.copy()
     theta = 1.0
+    best, best_it = np.inf, 0
     for it in range(SOLVE_MAX_ITER):
         z = prox_sparse_group(y - step * grad_sum(y), step, beta1_tot, beta2_tot, partition)
         if float(np.vdot(y - z, z - x)) > 0:
@@ -171,14 +179,25 @@ def _central_solve(net, tol, x0):
         theta = theta_new
         x = z
         if it % 10 == 0:
-            cert, _ = gm_at(x)
+            cert = gm_at(x)
             if cert <= tol:
                 return x, cert
-    cert, _ = gm_at(x)
+            if cert < best:
+                best, best_it = cert, it
+            elif it - best_it >= STALL_WINDOW:
+                raise _stalled("central solve", "gradient mapping", best, tol)
+    cert = gm_at(x)
     if cert <= tol:
         return x, cert
     raise RuntimeError(
         f"central solve stopped at gradient mapping {cert:.3e} > tol {tol:.1e}"
+    )
+
+
+def _stalled(solve: str, residual: str, floor: float, tol: float) -> RuntimeError:
+    return RuntimeError(
+        f"{solve} stalled: its {residual} has stayed at or above its floor {floor:.3e}"
+        f" (> tol {tol:.1e}) for {STALL_WINDOW} steps"
     )
 
 
@@ -194,14 +213,18 @@ def _product_solve(net, tol, x0):
     L[L == 0] = L.max()  # a constant f_i (A_i = 0) is weighted and stepped as the stiffest
     steps, weights = PRODUCT_STEP / L, L / L.sum()
     Z = np.zeros((N, n)) if x0 is None else np.tile(np.array(x0, dtype=float), (N, 1))
-    cert = np.inf
-    for _ in range(SOLVE_MAX_ITER):
+    cert, best, best_it = np.inf, np.inf, 0
+    for it in range(SOLVE_MAX_ITER):
         mu = weights @ Z
         X_A = net.prox(2.0 * mu - Z - steps[:, None] * net.f_grad(np.tile(mu, (N, 1))), steps)
         Z += X_A - mu
         cert = float(np.linalg.norm(X_A - mu) * L.max())
         if cert <= tol:
             return mu, cert
+        if cert < best:
+            best, best_it = cert, it
+        elif it - best_it >= STALL_WINDOW:
+            raise _stalled("product-space solve", "splitting residual", best, tol)
     raise RuntimeError(
         f"product-space solve stopped at splitting residual {cert:.3e} > tol {tol:.1e}"
     )
@@ -223,7 +246,12 @@ def fista_solve(
     per-node penalties in the metric diag(L_i), node i stepping by PRODUCT_STEP/L_i.
     method forces "central" or "product"; the default picks by the partitions.
 
-    Raises RuntimeError with the achieved residual after SOLVE_MAX_ITER steps.
+    The central gradient is one BLAS product over the stacked rows A (N m, n),
+    sum_i A_i^T clip(A_i x - b_i), with no per-node copy of x.
+
+    Raises RuntimeError naming the residual's floor once the residual has gone
+    STALL_WINDOW steps without beating its best (a tol below the floor double
+    precision allows), and with the achieved residual after SOLVE_MAX_ITER steps.
     """
     net = network(objectives)
     if method is None:

@@ -101,10 +101,10 @@ def test_conditioning_spread_from_the_scaling_coin():
 def test_reference_key_and_cache(tmp_path, monkeypatch):
     monkeypatch.setenv("NETPROX_CACHE", str(tmp_path))
     spec = tiny_spec()
-    assert reference_key(spec) == "case1_N2_ng2_K10_seed0"
+    assert reference_key(spec) == "case1_N2_ng2_K10_seed0_central_rev2"
     prob = generate_problem(spec)
     sol = reference_for(prob)
-    cached = tmp_path / "case1_N2_ng2_K10_seed0.npz"
+    cached = tmp_path / "case1_N2_ng2_K10_seed0_central_rev2.npz"
     assert cached.exists()
     again = reference_for(prob)
     assert np.array_equal(again.x_star, sol.x_star)

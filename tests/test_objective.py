@@ -11,6 +11,8 @@ from netprox.objective import (
     GroupPartition,
     NodeObjective,
     NoisyOracle,
+    POWER_MAX_ITER,
+    POWER_TOL,
     group_norm,
     huber,
     network,
@@ -145,6 +147,50 @@ def test_power_iteration_matches_svd():
             np.linalg.norm(A, 2) ** 2, rel=1e-8
         )
     assert power_iteration_sq_norm(np.zeros((3, 4))) == 0.0
+
+
+def _one_matrix_power_iteration(A):
+    """sigma_max(A)^2 by the loop over one matrix that the stacked iteration
+    replaced, and the step that loop stopped on."""
+    n = A.shape[1]
+    v = np.ones(n) / np.sqrt(n)
+    lam = 0.0
+    for step in range(POWER_MAX_ITER):
+        w = A.T @ (A @ v)
+        norm = np.linalg.norm(w)
+        if norm == 0.0:
+            return 0.0, step
+        v_new = w / norm
+        lam_new = float(v_new @ (A.T @ (A @ v_new)))
+        if abs(lam_new - lam) <= POWER_TOL * max(lam_new, 1.0):
+            return lam_new, step
+        lam, v = lam_new, v_new
+    return lam, POWER_MAX_ITER
+
+
+@pytest.mark.parametrize("case", [1, 2])
+@pytest.mark.parametrize("N", [5, 50])
+def test_power_iteration_on_a_stack_matches_the_one_matrix_loop(case, N):
+    # step sizes and iterates depend on every L_i, so the stack must give the
+    # one-matrix loop's value bit for bit
+    problem = generate_problem(ProblemSpec(case=case, N=N, n_g=20, seed=N))
+    S = np.stack([o.A for o in problem.objectives])
+    S[1] = 0.0
+    loop = [_one_matrix_power_iteration(A) for A in S]
+    assert loop[1] == (0.0, 0)
+    assert len({step for _, step in loop}) > 2  # the slices leave the batch on different steps
+    expected = np.array([value for value, _ in loop])
+    assert power_iteration_sq_norm(S).tobytes() == expected.tobytes()
+    assert [power_iteration_sq_norm(A) for A in S[:4]] == expected[:4].tolist()
+
+
+@pytest.mark.parametrize("case", [1, 2])
+def test_generated_lipschitz_constants_are_the_node_objectives_own(case):
+    for o in generate_problem(ProblemSpec(case=case, N=10, n_g=20, seed=1)).objectives:
+        own = NodeObjective(
+            A=o.A, b=o.b, delta=o.delta, beta1=o.beta1, beta2=o.beta2, partition=o.partition
+        )
+        assert own.lipschitz == o.lipschitz
 
 
 def test_objective_lipschitz_autofill():

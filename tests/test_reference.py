@@ -4,8 +4,17 @@ import numpy as np
 import pytest
 
 from conftest import random_objective, random_objectives, random_partition
-from netprox.objective import GroupPartition, NodeObjective, network, prox_sparse_group
+from netprox import reference
+from netprox.bench import ProblemSpec, generate_problem
+from netprox.objective import (
+    GroupPartition,
+    NetworkObjective,
+    NodeObjective,
+    network,
+    prox_sparse_group,
+)
 from netprox.reference import (
+    STALL_WINDOW,
     ReferenceSolution,
     cache_dir,
     compute_kappas,
@@ -118,6 +127,30 @@ def test_solves_agree_across_starts_and_methods():
     assert np.linalg.norm(a.x_star - c.x_star) < 1e-5
     with pytest.raises(ValueError):
         fista_solve(objs, method="magic")
+
+
+@pytest.mark.parametrize(
+    "method, owner, name",
+    [("central", reference, "prox_sparse_group"), ("product", NetworkObjective, "prox")],
+)
+def test_a_stalled_solve_raises_within_the_window(method, owner, name, monkeypatch):
+    # tol 1e-20 lies below the floor double precision allows, so the residual stops
+    # improving; the solve must give up STALL_WINDOW steps after its best residual,
+    # not after SOLVE_MAX_ITER steps, and name the floor it reached
+    objs = generate_problem(ProblemSpec(case=1, N=5, n_g=4, seed=0)).objectives
+    calls = []
+    prox = owner.__dict__[name]
+
+    def counted(*args, **kwargs):
+        calls.append(None)
+        return prox(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counted)  # one prox per step (central: plus one per check)
+    with pytest.raises(RuntimeError, match=f"stalled.*floor.*for {STALL_WINDOW} steps") as err:
+        fista_solve(objs, tol=1e-20, method=method)
+    floor = float(str(err.value).split("floor ")[1].split()[0])
+    assert 1e-20 < floor <= 1e-12
+    assert STALL_WINDOW < len(calls) < 3 * STALL_WINDOW
 
 
 def test_distinct_partitions_pick_the_product_path():
