@@ -603,15 +603,16 @@ def run_experiment(config: dict, out_dir=None, check: bool = False) -> Experimen
         problem, reference, gammas, curves = seed_setup(exp, seed, exp.bounds)
         for algorithm, bound in zip(exp.algorithms, curves):
             mode_tag = f"_{exp.step_mode.lower()}" if algorithm == "dpga" else ""
+            noisy = algorithm in ("sdpga", "sdpga_w")
             result = _simnet.run_synchronous(
                 algorithm,
                 exp.graph,
                 problem.objectives,
                 exp.schedule,
                 seed,
-                gammas=gammas,
-                sigma=exp.sigma if algorithm in ("sdpga", "sdpga_w") else 0.0,
-                horizon=exp.horizon,
+                gammas=None if algorithm == "pg_extra" else gammas,
+                sigma=exp.sigma if noisy else 0.0,
+                horizon=exp.horizon if noisy else None,
                 step_mode=exp.step_mode if algorithm == "dpga" else "CS",
                 reference=reference,
                 bound=bound,

@@ -76,15 +76,17 @@ def row_dot(A: np.ndarray, B: np.ndarray) -> np.ndarray:
 
 
 def _flat(X: np.ndarray) -> np.ndarray:
-    """The rows of X (N, n), each followed by a zero sentinel entry, as one flat
-    array of N (n + 1) entries: the array the group indices point into."""
-    return np.concatenate((X, np.zeros((len(X), 1))), axis=1).ravel()
+    """The rows of X (..., n), each followed by a zero sentinel entry, as one
+    flat array of n + 1 entries per row: the array the group indices point into."""
+    return np.concatenate((X, np.zeros((*X.shape[:-1], 1))), axis=-1).ravel()
 
 
 def _group_norm_sums(X: np.ndarray, index: np.ndarray) -> np.ndarray:
-    """||x_i||_{G_i} for every row, the group norms summed in group order."""
+    """||x_i||_{G_i} for every row of X (..., n), the group norms summed in
+    group order (an accumulate, so sequential whatever the shape); index
+    points into _flat(X), and its shape is that of the result plus (K, g)."""
     E = _flat(X)[index]
-    return sum(np.sqrt(row_dot(E, E)).T)
+    return np.add.accumulate(np.sqrt(row_dot(E, E)), axis=-1)[..., -1]
 
 
 def _sparse_group_prox(V, t, beta1, beta2, index) -> np.ndarray:
@@ -115,10 +117,10 @@ def huber(y: np.ndarray, delta):
     if np.isscalar(delta) and delta <= 0:
         raise ValueError(f"delta must be positive, got {delta}")
     y = np.asarray(y, dtype=float)
-    if not np.all(np.isfinite(y)):
+    if not np.isfinite(y).all():
         raise ValueError("non-finite input to huber")
     a = np.abs(y)
-    value = np.sum(np.where(a <= delta, 0.5 * y * y, delta * a - 0.5 * delta * delta), axis=-1)
+    value = np.add.reduce(np.where(a <= delta, 0.5 * y * y, delta * a - 0.5 * delta * delta), axis=-1)
     return float(value) if y.ndim == 1 else value
 
 
@@ -152,16 +154,32 @@ def power_iteration_sq_norm(A: np.ndarray):
     over one matrix takes, so each value matches that loop bit for bit. A slice
     leaves the batch once its estimate moves by at most POWER_TOL relative (or
     A_i^T A_i v vanishes: 0), and only then are the live slices gathered again;
-    after POWER_MAX_ITER steps a live slice keeps its last estimate."""
+    after POWER_MAX_ITER steps a live slice keeps its last estimate.
+
+    A nonzero A_i whose A_i^T A_i maps the start to 0 (ones(n) when every row
+    of A_i sums to zero) would read 0: such a slice starts again from the
+    unit vector of A_i's largest column, whose image is not 0."""
     A = np.asarray(A, dtype=float)
     S = A if A.ndim == 3 else A[None]
     N, _, n = S.shape
+    out = _power_iteration(S, np.ones((N, n)) / np.sqrt(n))
+    redo = np.flatnonzero((out == 0.0) & S.any(axis=(1, 2)))
+    if redo.size:
+        start = np.zeros((redo.size, n))
+        start[np.arange(redo.size), np.argmax(np.sum(S[redo] ** 2, axis=1), axis=1)] = 1.0
+        out[redo] = _power_iteration(S[redo], start)
+    return out if A.ndim == 3 else float(out[0])
+
+
+def _power_iteration(S: np.ndarray, V: np.ndarray) -> np.ndarray:
+    """power_iteration_sq_norm's batched loop over the stack S from the start rows V."""
 
     def gram(V):  # A_i^T (A_i v_i), the transposed view as the 2-D A.T @ (A @ v)
         return (S.transpose(0, 2, 1) @ (S @ V[:, :, None]))[:, :, 0]
 
+    N = len(S)
     out, live, lam = np.zeros(N), np.arange(N), np.zeros(N)
-    W = gram(np.ones((N, n)) / np.sqrt(n))
+    W = gram(V)
     for _ in range(POWER_MAX_ITER):
         if not live.size:
             break
@@ -177,7 +195,7 @@ def power_iteration_sq_norm(A: np.ndarray):
             keep = ~done
             S, live, W, lam = S[keep], live[keep], W[keep], lam[keep]
     out[live] = lam
-    return out if A.ndim == 3 else float(out[0])
+    return out
 
 
 @dataclass(frozen=True)
@@ -280,13 +298,22 @@ class NetworkObjective(tuple):
             self.A, self.b = np.stack([o.A for o in self]), np.stack([o.b for o in self])
             columns = [[o.delta, o.beta1, o.beta2, o.partition.K] for o in self]
             self.delta, self.beta1, self.beta2, self.K = np.array(columns).T[:, :, None]
+            self._stack_indices = {}
         return self
+
+    def _stack_index(self, S: int) -> np.ndarray:
+        """The group index of a stack (S, N, n), whose slices lie one after
+        another in its flat rows; built once per S."""
+        if S not in self._stack_indices:
+            step = len(self) * (self[0].n + 1)
+            self._stack_indices[S] = self.index + step * np.arange(S)[:, None, None, None]
+        return self._stack_indices[S]
 
     def f_value(self, X: np.ndarray) -> np.ndarray:
         """Row i is f_i(x_i)."""
         if self.A is None:
             return np.array([o.f_value(x) for o, x in zip(self, X)])
-        return huber((self.A @ X[:, :, None])[:, :, 0] - self.b, self.delta)
+        return huber((self.A @ X[..., None])[..., 0] - self.b, self.delta)
 
     def f_grad(self, X: np.ndarray) -> np.ndarray:
         """Row i is grad f_i(x_i)."""
@@ -305,14 +332,18 @@ class NetworkObjective(tuple):
             return np.stack([o.prox(v, c) for o, v, c in zip(self, V, steps.tolist())])
         return _sparse_group_prox(V, steps[:, None], self.beta1, self.beta2, self.index)
 
-    def phi(self, X: np.ndarray) -> float:
+    def phi(self, X: np.ndarray):
         """F = sum_i Phi_i(x_i), summed over groups and then over nodes in
-        node order, as the per-node values would be."""
+        node order, as the per-node values would be. A stack X (S, N, n)
+        gives its S values in one pass, as a list, each the value of its slice."""
+        S = X if X.ndim == 3 else X[None]
         if self.A is None:
-            return float(sum(o.phi(x) for o, x in zip(self, X)))
-        xi = self.beta1[:, 0] * np.sum(np.abs(X), axis=1)
-        xi = xi + self.beta2[:, 0] * _group_norm_sums(X, self.index)
-        return float(sum((xi + self.f_value(X)).tolist()))
+            Fs = [float(sum(o.phi(x) for o, x in zip(self, Xs))) for Xs in S]
+        else:
+            xi = self.beta1[:, 0] * np.add.reduce(np.abs(S), axis=-1)
+            xi = xi + self.beta2[:, 0] * _group_norm_sums(S, self._stack_index(len(S)))
+            Fs = [float(sum(row)) for row in (xi + self.f_value(S)).tolist()]
+        return Fs if X.ndim == 3 else Fs[0]
 
 
 def network(objectives) -> NetworkObjective:

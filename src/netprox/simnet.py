@@ -222,29 +222,43 @@ class RunResult:
     ergodic: dict | None = None
 
 
-def network_objective(objectives, X) -> float:
-    """F evaluated node-wise: sum_i Phi_i(x_i)."""
+def network_objective(objectives, X):
+    """F evaluated node-wise: sum_i Phi_i(x_i); a stack (S, N, n) gives the
+    list of its slices' values from one pass."""
     return network(objectives).phi(X)
 
 
 def _edge_sq(graph: Graph, X) -> np.ndarray:
-    """|x_i - x_j|^2 for every edge (i, j), as a per-edge loop would take it."""
+    """|x_i - x_j|^2 for every edge (i, j), as a per-edge loop would take it;
+    a stack (S, N, n) gives (S, E) from one pass."""
     i, j = graph.edge_ends
-    D = X[i] - X[j]
+    D = X[..., i, :] - X[..., j, :]
     return row_dot(D, D)
+
+
+def _max_edge(sq: np.ndarray, n: int) -> tuple[float, float]:
+    max_edge = float(np.sqrt(sq.max()))
+    return max_edge, max_edge / np.sqrt(n)
 
 
 def consensus_metrics(graph: Graph, X) -> tuple[float, float]:
     """Largest edge disagreement and its sqrt(n)-normalized version V."""
-    max_edge = float(np.sqrt(_edge_sq(graph, X).max()))
-    return max_edge, max_edge / np.sqrt(X.shape[1])
+    return _max_edge(_edge_sq(graph, X), X.shape[1])
 
 
-def ergodic_aggregates(graph: Graph, Xbar) -> tuple[float, float]:
+def ergodic_aggregates(graph: Graph, Xbar) -> tuple[float, ...]:
     """Consensus aggregates of an averaged iterate: the edge-sum norm
-    (sum over edges of |xbar_i - xbar_j|^2)^(1/2) and |Omega Xbar|_F."""
-    edge_agg = float(np.sqrt(_edge_sq(graph, Xbar).sum()))
-    return edge_agg, float(np.linalg.norm(graph.laplacian() @ Xbar))
+    (sum over edges of |xbar_i - xbar_j|^2)^(1/2) and |Omega Xbar|_F.
+
+    A stack (X, Xbar) of shape (2, N, n) takes the edges of both from one
+    pass and puts consensus_metrics(graph, X) first:
+    (max_edge, V, edge_agg, omega_norm)."""
+    sq = _edge_sq(graph, Xbar)
+    lead = ()
+    if Xbar.ndim == 3:
+        lead, sq, Xbar = _max_edge(sq[0], Xbar.shape[2]), sq[1], Xbar[1]
+    edge_agg = float(np.sqrt(sq.sum()))
+    return *lead, edge_agg, float(np.linalg.norm(graph.laplacian() @ Xbar))
 
 
 def audit_check(log: AuditLog, algorithm: str) -> AuditReport:
@@ -361,6 +375,9 @@ def run_synchronous(
     Every node starts at x = 0. The seed feeds the per-node gradient oracles
     of the stochastic variants; everything else is deterministic, so a
     fixed (configuration, seed) pair reproduces the record bit for bit.
+    Every algorithm but pg_extra needs gammas, and pg_extra takes none;
+    sigma and horizon belong to sdpga and sdpga_w. Anything else raises
+    ValueError.
 
     Parameters beyond the spec of the run (bound, collect_ergodic) only add
     observer output and never change iterates. The ergodic curves hold t,
@@ -378,6 +395,10 @@ def run_synchronous(
     noisy = algorithm in ("sdpga", "sdpga_w")
     if sigma > 0 and not noisy:
         raise ValueError(f"{algorithm} has no gradient-noise mode")
+    if horizon is not None and not noisy:
+        raise ValueError(f"{algorithm} takes no horizon")
+    if algorithm == "pg_extra" and gammas is not None:
+        raise ValueError("pg_extra takes no gammas")
     if algorithm != "pg_extra" and gammas is None:
         raise ValueError(f"{algorithm} needs gammas")
 
@@ -412,6 +433,7 @@ def run_synchronous(
         bound_col = CSV_COLUMNS.index(bound.column)
 
     erg_sum = np.zeros((N, n))
+    XX = np.empty((2, N, n)) if collect_ergodic else None  # a checked round's (X, Xbar)
     rows, erg_rows = [], []
     solved = False
     for k in range(1, schedule.max_rounds + 1):
@@ -429,18 +451,21 @@ def run_synchronous(
             erg_sum += X
         if not (k % schedule.check_every == 0 or k == schedule.max_rounds):
             continue
-        F = network_objective(objectives, X)
-        max_edge, V = consensus_metrics(graph, X)
+        if collect_ergodic:
+            XX[0] = X
+            np.divide(erg_sum, k, out=XX[1])
+            F, F_erg = network_objective(objectives, XX)
+            max_edge, V, *aggregates = ergodic_aggregates(graph, XX)
+            gap = None if F_star is None else F_erg - F_star
+            erg_rows.append((k, F_erg, gap, *aggregates))
+        else:
+            F = network_objective(objectives, X)
+            max_edge, V = consensus_metrics(graph, X)
         rel = None if F_star is None else abs(F - F_star) / (abs(F_star) or 1.0)
         row = [k, F, rel, V, max_edge, audit.scalars_sent[0], None, None, None]
         if bound_col is not None:
             row[bound_col] = float(bound.subopt_bound(k))
         rows.append(tuple(row))
-        if collect_ergodic:
-            Xbar = erg_sum / k
-            F_erg = network_objective(objectives, Xbar)
-            gap = None if F_star is None else F_erg - F_star
-            erg_rows.append((k, F_erg, gap, *ergodic_aggregates(graph, Xbar)))
         if (
             F_star is not None
             and rel <= schedule.stop_rel_subopt

@@ -466,7 +466,7 @@ def test_criterion_6_communication_storage_audit():
             objs,
             sched,
             0,
-            gammas=np.full(4, 1.2),
+            gammas=None if algorithm == "pg_extra" else np.full(4, 1.2),
             sigma=0.05 if algorithm in ("sdpga", "sdpga_w") else 0.0,
         )
         report = audit_check(res.audit, algorithm)

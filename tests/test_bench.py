@@ -546,6 +546,16 @@ def test_run_experiment_csv_reads_back_as_the_record(tmp_path, monkeypatch):
     }
 
 
+def test_run_experiment_passes_horizon_and_gammas_only_where_taken(tmp_path, monkeypatch):
+    # run_synchronous rejects a horizon on a noiseless run and gammas on pg_extra
+    monkeypatch.setenv("NETPROX_CACHE", str(tmp_path / "cache"))
+    cfg = base_config(
+        max_rounds=20, algorithms=["sdpga", "dpga", "pg_extra"], sigma=0.05, horizon=20
+    )
+    summary = run_experiment(cfg, out_dir=tmp_path / "runs")
+    assert [r["algorithm"] for r in summary.rows] == ["sdpga", "dpga_cs", "pg_extra"]
+
+
 def test_run_experiment_rejects_admm_with_unequal_gammas(tmp_path, monkeypatch):
     monkeypatch.setenv("NETPROX_CACHE", str(tmp_path / "cache"))
     cfg = base_config(

@@ -184,6 +184,28 @@ def test_power_iteration_on_a_stack_matches_the_one_matrix_loop(case, N):
     assert [power_iteration_sq_norm(A) for A in S[:4]] == expected[:4].tolist()
 
 
+def test_power_iteration_restarts_a_nonzero_matrix_whose_start_it_annihilates():
+    # ones(n) is in the null space of A^T A when every row of A sums to zero
+    diff = np.array([[1.0, -1.0]])
+    assert _one_matrix_power_iteration(diff) == (0.0, 0)
+    assert power_iteration_sq_norm(diff) == pytest.approx(2.0, rel=1e-12)
+    rng = np.random.default_rng(8)
+    centred = rng.standard_normal((4, 6))
+    centred -= centred.mean(axis=1, keepdims=True)
+    assert power_iteration_sq_norm(centred) == pytest.approx(
+        np.linalg.norm(centred, 2) ** 2, rel=1e-8
+    )
+
+
+def test_power_iteration_restart_leaves_the_other_slices_alone():
+    generic = np.array([[0.3, 2.0]])
+    S = np.stack([np.array([[1.0, -1.0]]), generic, np.zeros((1, 2))])
+    values = power_iteration_sq_norm(S)
+    assert values[0] == pytest.approx(2.0, rel=1e-12)
+    assert values[1] == power_iteration_sq_norm(generic) == _one_matrix_power_iteration(generic)[0]
+    assert values[2] == 0.0
+
+
 @pytest.mark.parametrize("case", [1, 2])
 def test_generated_lipschitz_constants_are_the_node_objectives_own(case):
     for o in generate_problem(ProblemSpec(case=case, N=10, n_g=20, seed=1)).objectives:

@@ -5,12 +5,12 @@ import dataclasses
 import numpy as np
 import pytest
 
-from conftest import random_objectives
-from netprox import dpga, dpga_w
+from conftest import random_objective, random_objectives
+from netprox import dpga, dpga_w, simnet
 from netprox.bench import ProblemSpec, generate_problem
 from netprox.dpga import GammaMatrix, dpga_init, dpga_round
 from netprox.errors import DivergenceError, ProtocolError
-from netprox.objective import network
+from netprox.objective import NetworkObjective, NoisyOracle, network
 from netprox.reference import fista_solve
 from netprox.simnet import (
     ALGORITHMS,
@@ -159,6 +159,20 @@ def test_run_validations():
         )
 
 
+@pytest.mark.parametrize("algorithm", ["dpga", "dpga_w", "pg_extra", "admm"])
+def test_noiseless_runs_reject_a_horizon(algorithm):
+    g, objs = small_net()
+    gammas = None if algorithm == "pg_extra" else np.ones(3)
+    with pytest.raises(ValueError, match=f"{algorithm} takes no horizon"):
+        run_synchronous(algorithm, g, objs, RoundSchedule(max_rounds=3), 0, gammas=gammas, horizon=5)
+
+
+def test_pg_extra_rejects_gammas():
+    g, objs = small_net()
+    with pytest.raises(ValueError, match="pg_extra takes no gammas"):
+        run_synchronous("pg_extra", g, objs, RoundSchedule(max_rounds=3), 0, gammas="junk")
+
+
 @pytest.mark.parametrize("graph_nodes", [6, 4])
 def test_objective_count_must_match_the_graph(graph_nodes):
     objs = random_objectives(np.random.default_rng(0), 5, n=6, m=4)
@@ -193,7 +207,8 @@ def test_audit_matches_declared_profiles():
     gam = np.full(3, 1.2)
     for algorithm, (comm, stored) in TABLE_PROFILES.items():
         res = run_synchronous(
-            algorithm, g, objs, sched, 7, gammas=gam, sigma=0.05 if algorithm.startswith("s") else 0.0
+            algorithm, g, objs, sched, 7, gammas=None if algorithm == "pg_extra" else gam,
+            sigma=0.05 if algorithm.startswith("s") else 0.0,
         )
         report = audit_check(res.audit, algorithm)
         assert report.ok, report.details
@@ -399,13 +414,13 @@ def test_stacked_and_per_node_runs_are_bit_identical(case):
         ("sdpga", {"sigma": 0.1, "horizon": 60}),
         ("dpga_w", {}),
         ("sdpga_w", {"sigma": 0.1, "horizon": 60}),
-        ("pg_extra", {}),
+        ("pg_extra", {"gammas": None}),
     ]
     for algorithm, kw in runs:
         stacked, nodes = (
             run_synchronous(
                 algorithm, g, nets, RoundSchedule(max_rounds=60), 4,
-                gammas=np.full(5, 0.8), collect_ergodic=True, **kw,
+                **{"gammas": np.full(5, 0.8), **kw}, collect_ergodic=True,
             )
             for nets in (objs, [Delegate(o) for o in objs])
         )
@@ -413,3 +428,134 @@ def test_stacked_and_per_node_runs_are_bit_identical(case):
         assert np.array_equal(stacked.final_x, nodes.final_x), algorithm
         for key, col in stacked.ergodic.items():
             assert np.array_equal(col, nodes.ergodic[key]), (algorithm, key)
+
+
+def stepped_iterates(algorithm, g, objs, gammas, rounds, seed=0):
+    """X^1, ..., X^rounds of dpga, dpga_w or sdpga (sigma 0.1, horizon =
+    rounds) stepped directly with plain_exchange, as the simulator steps them."""
+    x0, exchange = np.zeros((g.node_count, objs[0].n)), plain_exchange(g)
+    if algorithm == "dpga_w":
+        W = dpga_w.CommunicationMatrix.from_laplacian(g)
+        state = dpga_w.dpgaw_init(g, W, objs, gammas, x0)
+        step = lambda st, k: dpga_w.dpgaw_round(st, objs, exchange)[0]
+    elif algorithm == "sdpga":
+        oracles = [NoisyOracle.for_node(0.1, seed, i) for i in range(g.node_count)]
+        state = dpga_init(g, objs, gammas, x0, step_mode="horizon")
+        step = lambda st, k: dpga.sdpga_round(st, objs, oracles, k, exchange, horizon=rounds)[0]
+    else:
+        state = dpga_init(g, objs, gammas, x0)
+        step = lambda st, k: dpga_round(st, objs, exchange)[0]
+    trace = []
+    for k in range(rounds):
+        state = step(state, k)
+        trace.append(state.x)
+    return trace
+
+
+def observed_separately(algorithm, g, objs, trace, check_every, F_star):
+    """The record rows and ergodic curves of a run with ergodic collection,
+    from one network_objective, consensus_metrics or ergodic_aggregates call
+    per (N, n) array: the observer before it stacked X and Xbar."""
+    rows, erg_rows, erg_sum = [], [], np.zeros_like(trace[0])
+    comm = TABLE_PROFILES[algorithm][0] * objs[0].n
+    for k, X in enumerate(trace, start=1):
+        erg_sum += X
+        if k % check_every and k != len(trace):
+            continue
+        F = network_objective(objs, X)
+        max_edge, V = consensus_metrics(g, X)
+        rows.append((k, F, abs(F - F_star) / abs(F_star), V, max_edge, comm * k, None, None, None))
+        Xbar = erg_sum / k
+        F_erg = network_objective(objs, Xbar)
+        erg_rows.append((k, F_erg, F_erg - F_star, *ergodic_aggregates(g, Xbar)))
+    return tuple(rows), [np.array(col) for col in zip(*erg_rows)]
+
+
+def assert_observer_matches(algorithm, g, objs, gammas, check_every, rounds=7, seed=0):
+    reference = dataclasses.make_dataclass("Reference", ["F_star"])(1.25)
+    sched = RoundSchedule(
+        max_rounds=rounds, check_every=check_every, stop_rel_subopt=1e-30, stop_consensus=1e-30
+    )
+    noisy = {"sigma": 0.1, "horizon": rounds} if algorithm == "sdpga" else {}
+    res = run_synchronous(
+        algorithm, g, objs, sched, seed, gammas=gammas, reference=reference,
+        collect_ergodic=True, **noisy,
+    )
+    trace = stepped_iterates(algorithm, g, objs, gammas, rounds, seed)
+    assert np.array_equal(res.final_x, trace[-1])
+    rows, curves = observed_separately(algorithm, g, objs, trace, check_every, 1.25)
+    assert res.record.rows == rows
+    assert list(res.ergodic) == ["t", "ergodic_F", "subopt_gap", "edge_aggregate", "omega_norm"]
+    for key, expected in zip(res.ergodic, curves):
+        assert res.ergodic[key].dtype == expected.dtype, key
+        assert np.array_equal(res.ergodic[key], expected), key
+
+
+@pytest.mark.parametrize("check_every", [1, 3])
+@pytest.mark.parametrize("kind, N", [("star", 5), ("circle", 50)])
+@pytest.mark.parametrize("case", [1, 2])
+@pytest.mark.parametrize("algorithm", ["dpga", "dpga_w", "sdpga"])
+def test_stacked_observer_is_bit_identical_to_separate_calls(algorithm, case, kind, N, check_every):
+    # one pass over the stacked (X, Xbar) must give what two phi calls and
+    # two edge passes gave, bit for bit
+    objs = network(generate_problem(ProblemSpec(case=case, N=N, n_g=10, seed=2)).objectives)
+    g = build_topology(kind, N)
+    assert_observer_matches(algorithm, g, objs, np.full(N, 0.8), check_every)
+
+
+@pytest.mark.parametrize("algorithm", ["dpga", "dpga_w", "sdpga"])
+def test_stacked_observer_on_ragged_nodes_calls_them_one_by_one(algorithm):
+    rng = np.random.default_rng(21)
+    # ragged groups and a row count of its own per node, so A is not stacked
+    objs = [random_objective(rng, n=12, m=3 + i, K=5) for i in range(4)]
+    assert network(objs).A is None
+    g = build_topology("star", 4)
+    assert_observer_matches(algorithm, g, objs, np.full(4, 0.8), check_every=3)
+
+
+def test_every_observed_value_comes_through_the_traced_observer(monkeypatch):
+    # the benchmark's tracer times the observer by wrapping these three
+    # names, so each checked round must call them and nothing may compute F
+    # or an edge metric outside them
+    g, objs = small_net(seed=14)
+    log, depth = [], [0]
+
+    def observer(name, fn):
+        def wrapped(*args):
+            log.append(name)
+            depth[0] += 1
+            try:
+                return fn(*args)
+            finally:
+                depth[0] -= 1
+        return wrapped
+
+    def inside_only(name, fn):
+        def wrapped(*args, **kwargs):
+            if depth[0] == 0:
+                log.append(f"{name}-outside")
+            return fn(*args, **kwargs)
+        return wrapped
+
+    def new_round(fn):
+        def wrapped(*args, **kwargs):
+            log.append("|")
+            return fn(*args, **kwargs)
+        return wrapped
+
+    for name in ("network_objective", "consensus_metrics", "ergodic_aggregates"):
+        monkeypatch.setattr(simnet, name, observer(name, getattr(simnet, name)))
+    monkeypatch.setattr(simnet, "_edge_sq", inside_only("_edge_sq", simnet._edge_sq))
+    monkeypatch.setattr(NetworkObjective, "phi", inside_only("phi", NetworkObjective.phi))
+    monkeypatch.setattr(dpga, "sdpga_round", new_round(dpga.sdpga_round))
+    sched = RoundSchedule(max_rounds=8, check_every=3)
+    for ergodic in (True, False):
+        log.clear()
+        res = run_synchronous(
+            "sdpga", g, objs, sched, 0, gammas=np.ones(3), sigma=0.1, collect_ergodic=ergodic
+        )
+        assert not [entry for entry in log if entry.endswith("-outside")]
+        rounds = " ".join(log).split("|")[1:]
+        assert len(rounds) == res.rounds == 8
+        checked = [k for k, calls in enumerate(rounds, start=1) if calls.split()]
+        assert checked == [row[0] for row in res.record.rows] == [3, 6, 8]
