@@ -1,15 +1,17 @@
 """Reference first-order methods run against the same transports.
 
-PG-EXTRA stores four n-vectors per agent and broadcasts the (current,
-previous) iterate pair once per round; stacked over the network it is
+PG-EXTRA stores four n-vectors per agent (x, W~ x, x^{k-1/2} and the last
+gradient) and broadcasts its iterate, one n-vector, once per round; stacked
+over the network it is
 
     X^{k+1/2} = W X^k - W~ X^{k-1} + X^{k-1/2} - c (grad f(X^k) - grad f(X^{k-1}))
     X^{k+1}   = prox_{c xi}(X^{k+1/2})   row by row
 
-with the first round X^{1/2} = W X^0 - c grad f(X^0), and W, W~ the
-GraphOperator pair from ``mixing_pair``. Consensus ADMM is the DPGA-W round
-run on prox-only objectives, whose prox is the composite x-update solved to
-high accuracy with an inner accelerated solver.
+with W, W~ the GraphOperator pair from ``mixing_pair``. W~ X^{k-1} is mixed
+in round k-1 from the iterates received then and kept; starting it, X^{-1/2}
+and grad f(X^{-1}) at zero gives the first round X^{1/2} = W X^0 - c grad f(X^0).
+Consensus ADMM is the DPGA-W round run on prox-only objectives, whose prox is
+the composite x-update solved to high accuracy with an inner accelerated solver.
 """
 
 from __future__ import annotations
@@ -48,34 +50,25 @@ def pg_extra_init(g: Graph, mixing: MixingPair, objectives, x0):
     X0 = np.array(x0, dtype=float)
     fields = dict(
         x=X0,
-        x_prev=X0.copy(),
+        mix_prev=np.zeros_like(X0),
         x_half=np.zeros_like(X0),
         grad_prev=np.zeros_like(X0),
         c=np.full(g.node_count, float(c)),
-        stage=np.zeros(g.node_count, dtype=int),
     )
     return NetworkState(fields, {"W": mixing.W, "W_tilde": mixing.W_tilde})
 
 
 def pg_extra_round(state: NetworkState, objectives, exchange):
-    """One PG-EXTRA round.
-
-    Every node broadcasts the stacked pair (x, x_prev); round zero sends
-    the starting point twice so the message size never varies.
-    """
-    payload = np.stack([state.x, state.x_prev], axis=1)
-    received = exchange(payload)
-    mix_curr = state.ops["W"] @ received[:, 0]
+    """One PG-EXTRA round: every node broadcasts x once, mixes the received
+    iterates by W for this round and keeps their W~ mix for the next."""
+    received = exchange(state.x)
     net = network(objectives)
     grads = net.f_grad(state.x)
-    c = state.c[:, None]
-    first = mix_curr - c * grads
-    mix_prev = state.ops["W_tilde"] @ received[:, 1]
-    later = mix_curr - mix_prev + state.x_half - c * (grads - state.grad_prev)
-    half = np.where((state.stage == 0)[:, None], first, later)
+    mix = state.ops["W"] @ received - state.mix_prev
+    half = mix + state.x_half - state.c[:, None] * (grads - state.grad_prev)
     X = net.prox(half, state.c)
-    new = state.evolve(x=X, x_prev=state.x, x_half=half, grad_prev=grads, stage=state.stage + 1)
-    return new, payload
+    new = state.evolve(x=X, mix_prev=state.ops["W_tilde"] @ received, x_half=half, grad_prev=grads)
+    return new, state.x
 
 
 def pg_extra_kkt_residuals(x_trace, half_trace, mixing: MixingPair, objectives, c):

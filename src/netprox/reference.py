@@ -147,17 +147,14 @@ def _same_partition(p: GroupPartition, q: GroupPartition) -> bool:
 
 
 def _central_solve(net, tol, x0):
-    N, m, n = net.A.shape
-    partition = net[0].partition
+    n, partition = net[0].n, net[0].partition
     beta1_tot = float(sum(o.beta1 for o in net))
     beta2_tot = float(sum(o.beta2 for o in net))
-    if np.ptp(net.delta) == 0:
-        L = power_iteration_sq_norm(net.A.reshape(N * m, n))
-    else:
-        L = float(sum(o.lipschitz for o in net))
-    step = 1.0 / L
-    # the summed gradient as one product over the N m stacked rows
-    Af, bf, d = net.A.reshape(N * m, n), net.b.ravel(), np.repeat(net.delta[:, 0], m)
+    # the summed gradient as one product over every node's rows, stacked; the Huber
+    # curvature is at most 1, so |Af|^2 bounds its Hessian whatever each delta is
+    Af, bf = np.vstack([o.A for o in net]), np.concatenate([o.b for o in net])
+    d = np.concatenate([np.full(len(o.b), o.delta) for o in net])
+    step = 1.0 / power_iteration_sq_norm(Af)
 
     def grad_sum(x):
         return Af.T @ np.clip(Af @ x - bf, -d, d)
@@ -208,7 +205,7 @@ def _product_solve(net, tol, x0):
     # Davis-Yin splitting on the product space in the metric diag(L_i), where grad F is
     # 1-cocoercive, so node steps PRODUCT_STEP/L_i < 2/L_i converge: per-node gradient and
     # prox steps, the L-weighted consensus projection, the residual scaled by max_i L_i.
-    N, _, n = net.A.shape
+    N, n = len(net), net[0].n
     L = np.array([o.lipschitz for o in net])
     L[L == 0] = L.max()  # a constant f_i (A_i = 0) is weighted and stepped as the stiffest
     steps, weights = PRODUCT_STEP / L, L / L.sum()
@@ -246,7 +243,7 @@ def fista_solve(
     per-node penalties in the metric diag(L_i), node i stepping by PRODUCT_STEP/L_i.
     method forces "central" or "product"; the default picks by the partitions.
 
-    The central gradient is one BLAS product over the stacked rows A (N m, n),
+    The central gradient is one BLAS product over all nodes' rows stacked,
     sum_i A_i^T clip(A_i x - b_i), with no per-node copy of x.
 
     Raises RuntimeError naming the residual's floor once the residual has gone
@@ -282,8 +279,9 @@ def compute_kappas(objectives, x_star) -> tuple[float, ...]:
     for the K disjoint group terms."""
     net = network(objectives)
     grads = net.f_grad(np.tile(x_star, (len(net), 1)))
-    kappas = np.sqrt(row_dot(grads, grads)) + net.beta1[:, 0] * np.sqrt(grads.shape[1])
-    return tuple((kappas + net.beta2[:, 0] * np.sqrt(net.K[:, 0])).tolist())
+    beta1, beta2, K = np.array([(o.beta1, o.beta2, o.partition.K) for o in net]).T
+    kappas = np.sqrt(row_dot(grads, grads)) + beta1 * np.sqrt(grads.shape[1])
+    return tuple((kappas + beta2 * np.sqrt(K)).tolist())
 
 
 def cache_dir() -> Path:

@@ -53,7 +53,7 @@ TABLE_PROFILES = {
     "sdpga": (1, 3),
     "dpga_w": (2, 3),
     "sdpga_w": (2, 3),
-    "pg_extra": (2, 4),
+    "pg_extra": (1, 4),
     "admm": (2, 3),
 }
 
@@ -86,12 +86,14 @@ class RoundSchedule:
     check_every: int = 1
 
     def __post_init__(self) -> None:
-        if self.max_rounds < 1:
-            raise ValueError("max_rounds must be at least 1")
+        for name in ("max_rounds", "check_every"):
+            val = getattr(self, name)
+            if not isinstance(val, (int, np.integer)) or isinstance(val, bool):
+                raise ValueError(f"{name} must be an integer, got {val!r}")
+            if val < 1:
+                raise ValueError(f"{name} must be at least 1")
         if self.stop_rel_subopt <= 0 or self.stop_consensus <= 0:
             raise ValueError("stopping thresholds must be positive")
-        if self.check_every < 1:
-            raise ValueError("check_every must be at least 1")
 
 
 @dataclass

@@ -146,8 +146,8 @@ class GraphOperator:
 
     def __matmul__(self, X: np.ndarray) -> np.ndarray:
         N = self.graph.node_count
-        if len(X) != N:
-            raise ProtocolError(f"mixing needs one row per node, got {len(X)} for {N}")
+        if np.ndim(X) != 2 or len(X) != N:
+            raise ProtocolError(f"mixing needs an (N, n) payload with N = {N}, got {np.shape(X)}")
         return sum(weights * X[ids] for ids, weights in self._slots)
 
 

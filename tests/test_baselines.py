@@ -15,7 +15,7 @@ from netprox.baselines import (
 )
 from netprox.dpga_w import CommunicationMatrix, dpgaw_init, dpgaw_round
 from netprox.errors import InnerSolveError, ProtocolError
-from netprox.simnet import plain_exchange
+from netprox.simnet import RoundSchedule, audit_check, plain_exchange, run_synchronous
 from netprox.topology import build_topology, mixing_pair
 
 
@@ -64,6 +64,28 @@ def test_pg_extra_matches_matrix_recursion():
         for i, nd in enumerate(nodes):
             assert np.linalg.norm(nd.x - X[i]) < 1e-12
             assert np.linalg.norm(nd.x_half - half[i]) < 1e-12
+
+
+def test_pg_extra_sends_its_iterate_once_per_round():
+    # W~ X^{k-1} is mixed from last round's messages, so a round hands over
+    # only the (N, n) iterate it starts from, and a metered run reads n per round
+    g, objs, x0 = network(seed=4)
+    nodes = pg_extra_init(g, mixing_pair(g), objs, x0)
+    sent = []
+
+    def recording(payload):
+        sent.append(np.array(payload))
+        return plain_exchange(g)(payload)
+
+    for _ in range(6):
+        start = nodes.x
+        nodes, _ = pg_extra_round(nodes, objs, recording)
+        (payload,) = sent
+        assert payload.shape == (4, 6) and payload.tobytes() == start.tobytes()
+        sent.clear()
+    res = run_synchronous("pg_extra", g, objs, RoundSchedule(max_rounds=9), 0)
+    assert res.record.column("cum_scalars_per_node") == [6 * k for k in range(1, 10)]
+    assert audit_check(res.audit, "pg_extra").ok
 
 
 def test_pg_extra_kkt_residuals_identity_and_decay():

@@ -153,6 +153,31 @@ def test_a_stalled_solve_raises_within_the_window(method, owner, name, monkeypat
     assert STALL_WINDOW < len(calls) < 3 * STALL_WINDOW
 
 
+@pytest.mark.parametrize("method", ["central", "product"])
+def test_nodes_with_different_row_counts_certify(method):
+    # A_i of 3, 4 and 5 rows (and unequal deltas) do not stack, so both solves
+    # and the kappas read the nodes themselves
+    rng = np.random.default_rng(9)
+    part, x_true = random_partition(rng, 8, 3), rng.standard_normal(8)
+    objs = []
+    for m, delta in ((3, 0.5), (4, 1.0), (5, 2.0)):
+        A = rng.standard_normal((m, 8))
+        objs.append(
+            NodeObjective(A=A, b=A @ x_true, delta=delta, beta1=0.1, beta2=0.2, partition=part)
+        )
+    assert network(objs).A is None
+    sol = fista_solve(objs, tol=1e-10, method=method)
+    assert sol.certificate <= 1e-10
+    assert sol.F_star == pytest.approx(sum(o.phi(sol.x_star) for o in objs), rel=1e-14)
+    expected = [
+        np.linalg.norm(o.f_grad(sol.x_star)) + 0.1 * np.sqrt(8) + 0.2 * np.sqrt(3) for o in objs
+    ]
+    assert sol.kappas == pytest.approx(expected, rel=1e-14)
+    for _ in range(20):
+        probe = sol.x_star + 1e-3 * rng.standard_normal(8)
+        assert sum(o.phi(probe) for o in objs) >= sol.F_star - 1e-12
+
+
 def test_distinct_partitions_pick_the_product_path():
     rng = np.random.default_rng(6)
     objs = random_objectives(rng, 3, n=8, m=5, shared=False)

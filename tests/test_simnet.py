@@ -82,6 +82,16 @@ def test_round_schedule_validation():
         RoundSchedule(max_rounds=5, check_every=0)
 
 
+@pytest.mark.parametrize(
+    "field, value",
+    [("check_every", 2.5), ("check_every", True), ("max_rounds", True), ("max_rounds", 10.0)],
+)
+def test_round_schedule_takes_integers_only(field, value):
+    with pytest.raises(ValueError, match=f"{field} must be an integer"):
+        RoundSchedule(**{"max_rounds": 10, field: value})
+    RoundSchedule(max_rounds=np.int64(10), check_every=np.int32(2))
+
+
 def test_run_record_roundtrip(tmp_path):
     rows = (
         (1, 1 / 3, None, 0.1 + 0.2, 5e-324, 12, None, None, None),

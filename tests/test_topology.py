@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from netprox.errors import ProtocolError
 from netprox.topology import (
     Graph,
     TopologySpec,
@@ -138,6 +139,14 @@ def test_mixing_pair_star5():
     assert np.allclose(W_tilde, 0.5 * (np.eye(5) + W))
     assert np.allclose(W.sum(axis=1), 1.0)
     assert np.allclose(W, W.T)
+
+
+@pytest.mark.parametrize("shape", [(5,), (5, 2, 3), (4, 3)])
+def test_mixing_takes_one_row_per_node_only(shape):
+    # a length-N vector would broadcast against the (N, 1) weights into (N, N)
+    W = mixing_pair(build_topology("star", 5)).W
+    with pytest.raises(ProtocolError, match="an \\(N, n\\) payload"):
+        W @ np.ones(shape)
 
 
 def test_mixing_matrices_strictly_positive_definite():
