@@ -10,8 +10,10 @@ over the network it is
 with W, W~ the GraphOperator pair from ``mixing_pair``. W~ X^{k-1} is mixed
 in round k-1 from the iterates received then and kept; starting it, X^{-1/2}
 and grad f(X^{-1}) at zero gives the first round X^{1/2} = W X^0 - c grad f(X^0).
-Consensus ADMM is the DPGA-W round run on prox-only objectives, whose prox is
-the composite x-update solved to high accuracy with an inner accelerated solver.
+Consensus ADMM is the DPGA-W round with a zero gradient, whose prox is every
+node's composite x-update solved to high accuracy by one accelerated
+prox-gradient loop over the stacked rows (prox_composite_rows; prox_composite
+is its one-row call).
 """
 
 from __future__ import annotations
@@ -20,9 +22,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dpga_w import CommunicationMatrix, dpgaw_init, dpgaw_round
+from .dpga_w import CommunicationMatrix, _round, dpgaw_init
 from .errors import InnerSolveError
-from .objective import NodeObjective, network
+from .objective import NodeObjective, network, row_dot
 from .topology import Graph, MixingPair, NetworkState
 
 __all__ = [
@@ -32,6 +34,7 @@ __all__ = [
     "admm_init",
     "admm_round",
     "prox_composite",
+    "prox_composite_rows",
     "ProxOnlyObjective",
 ]
 
@@ -106,51 +109,54 @@ def pg_extra_kkt_residuals(x_trace, half_trace, mixing: MixingPair, objectives, 
     return kkt_sq, cons_sq
 
 
-def prox_composite(
-    objective: NodeObjective,
-    v: np.ndarray,
-    c: float,
-    tol: float = 1e-10,
-    max_iter: int = 200000,
-    z0: np.ndarray | None = None,
-) -> np.ndarray:
-    """argmin_z xi(z) + f(z) + |z - v|^2 / (2c) by accelerated proximal
-    gradient with the strong-convexity momentum for mu = 1/c.
+def prox_composite_rows(objectives, V, steps, Z0, tol: float = 1e-10, max_iter: int = 200000):
+    """Row i is argmin_z xi_i(z) + f_i(z) + |z - v_i|^2 / (2 c_i), c_i = steps[i],
+    by accelerated proximal gradient from row i of Z0 with the strong-convexity
+    momentum for mu_i = 1/c_i: all rows in one loop, each with its own step and
+    momentum. Row i keeps the first iterate whose gradient mapping norm is at or
+    below tol, bit for bit where a loop over that row alone would stop.
 
-    Stops when the gradient mapping norm falls below tol; raises
-    InnerSolveError (carrying the achieved residual) when max_iter is hit.
+    Returns the rows and each row's gradient evaluations. After max_iter steps
+    raises InnerSolveError naming the first node still searching, with its residual.
     """
-    mu = 1.0 / c
-    L_s = objective.lipschitz + mu
-    t = 1.0 / L_s
-    kappa = L_s / mu
-    beta = (np.sqrt(kappa) - 1.0) / (np.sqrt(kappa) + 1.0)
-    z = np.array(v if z0 is None else z0, dtype=float)
-    w = z.copy()
-    for _ in range(max_iter):
-        grad = objective.f_grad(w) + (w - v) * mu
-        z_new = objective.prox(w - t * grad, t)
-        gap = float(np.linalg.norm(w - z_new)) / t
-        if gap <= tol:
-            return z_new
-        w = z_new + beta * (z_new - z)
-        z = z_new
-    raise InnerSolveError(
-        f"inner solve stalled at gradient mapping {gap:.3e} (tol {tol:.1e})",
-        residual=gap,
-    )
+    if max_iter < 1:
+        raise ValueError(f"max_iter must be at least 1, got {max_iter}")
+    net, mu = network(objectives), 1.0 / steps
+    L_s = np.array([o.lipschitz for o in net]) + mu
+    t, root = 1.0 / L_s, np.sqrt(L_s / mu)
+    beta = ((root - 1.0) / (root + 1.0))[:, None]
+    Z = W = np.array(Z0, dtype=float)
+    out, calls = np.empty_like(Z), np.zeros(len(Z), dtype=int)
+    searching = np.ones(len(Z), dtype=bool)
+    for k in range(1, max_iter + 1):
+        grad = net.f_grad(W) + (W - V) * mu[:, None]
+        Z_new = net.prox(W - t[:, None] * grad, t)
+        gap = np.sqrt(row_dot(W - Z_new, W - Z_new)) / t
+        done = searching & (gap <= tol)
+        out[done], calls[done] = Z_new[done], k
+        searching &= ~done
+        if not searching.any():
+            return out, calls
+        W, Z = Z_new + beta * (Z_new - Z), Z_new
+    i = int(np.argmax(searching))
+    msg = f"inner solve stalled at node {i}: gradient mapping {gap[i]:.3e} (tol {tol:.1e})"
+    raise InnerSolveError(msg, residual=float(gap[i]))
+
+
+def prox_composite(objective: NodeObjective, v, c: float, tol=1e-10, max_iter=200000):
+    """argmin_z xi(z) + f(z) + |z - v|^2 / (2c) from z = v: the one-row prox_composite_rows."""
+    V = np.asarray(v, dtype=float)[None]
+    return prox_composite_rows([objective], V, np.array([c], float), V, tol, max_iter)[0][0]
 
 
 @dataclass(frozen=True)
 class ProxOnlyObjective:
     """Presents Phi_i = xi_i + f_i as a pure prox term with a zero smooth
     part, so composite-prox methods can be driven through the same round
-    functions. The prox itself is an inner solve, started at start or, when
-    start is None, at the prox point."""
+    functions. The prox itself is an inner solve started at the prox point."""
 
     inner: NodeObjective
     inner_tol: float = 1e-10
-    start: np.ndarray | None = None
 
     @property
     def lipschitz(self) -> float:
@@ -160,7 +166,7 @@ class ProxOnlyObjective:
         return np.zeros_like(np.asarray(x, dtype=float))
 
     def prox(self, vbar: np.ndarray, t: float) -> np.ndarray:
-        return prox_composite(self.inner, vbar, t, tol=self.inner_tol, z0=self.start)
+        return prox_composite(self.inner, vbar, t, tol=self.inner_tol)
 
 
 def admm_init(g: Graph, W: CommunicationMatrix, objectives, gamma: float, x0) -> NetworkState:
@@ -174,31 +180,17 @@ def admm_init(g: Graph, W: CommunicationMatrix, objectives, gamma: float, x0) ->
 
 
 def admm_round(state: NetworkState, objectives, exchange, inner_tol: float = 1e-10):
-    """One ADMM round: the DPGA-W round on prox-only views of the objectives
-    (exchange p + s, solve the composite x-update to inner_tol, exchange x,
-    update s and p). Each inner solve starts at the node's current x_i, which
-    the x-update moves little once the run settles. Returns the inner
-    gradient calls per node as well."""
-    counters = [_InnerCounter(obj) for obj in objectives]
-    shadows = [ProxOnlyObjective(cnt, inner_tol, start=x) for cnt, x in zip(counters, state.x)]
-    new_state, X = dpgaw_round(state, shadows, exchange)
-    return new_state, X, [counter.calls for counter in counters]
+    """One ADMM round: the DPGA-W round with a zero gradient, whose prox is
+    every node's composite x-update solved to inner_tol in one
+    prox_composite_rows call started at the current iterate, which the
+    x-update moves little once the run settles. Returns the inner gradient
+    calls per node as well."""
+    net, calls = network(objectives), []
 
+    def x_update(V, steps):
+        X, counts = prox_composite_rows(net, V, steps, state.x, inner_tol)
+        calls.extend(counts.tolist())
+        return X
 
-class _InnerCounter:
-    """Counts gradient calls while delegating to a NodeObjective."""
-
-    def __init__(self, obj: NodeObjective):
-        self._obj = obj
-        self.calls = 0
-
-    @property
-    def lipschitz(self) -> float:
-        return self._obj.lipschitz
-
-    def f_grad(self, x):
-        self.calls += 1
-        return self._obj.f_grad(x)
-
-    def prox(self, v, t):
-        return self._obj.prox(v, t)
+    new_state, X = _round(state, x_update, exchange, np.zeros_like(state.x), state.c)
+    return new_state, X, calls

@@ -108,11 +108,11 @@ def dpgaw_init(
     return NetworkState(fields, {"W": W})
 
 
-def _round(state: NetworkState, net, exchange, grads, steps):
+def _round(state: NetworkState, prox, exchange, grads, steps):
     W = state.ops["W"]
     # phase A: exchange p + s, then the local prox-gradient steps
     drive = W @ exchange(state.p + state.s)
-    X = net.prox(state.x - steps[:, None] * (grads + drive), steps)
+    X = prox(state.x - steps[:, None] * (grads + drive), steps)
     # phase B: exchange the fresh x, then the s and p recursions
     S = state.tau_inv[:, None] * (W @ exchange(X))
     return state.evolve(x=X, s=S, p=state.p + S), X
@@ -121,7 +121,7 @@ def _round(state: NetworkState, net, exchange, grads, steps):
 def dpgaw_round(state: NetworkState, objectives, exchange):
     """One synchronous DPGA-W round: two neighbor exchanges (2n scalars)."""
     net = network(objectives)
-    return _round(state, net, exchange, net.f_grad(state.x), state.c)
+    return _round(state, net.prox, exchange, net.f_grad(state.x), state.c)
 
 
 def sdpgaw_round(
@@ -137,7 +137,7 @@ def sdpgaw_round(
     rule = step_rule(rule, horizon, oracles)
     net = network(objectives)
     grads = oracle_grad(net, oracles, state.x)
-    return _round(state, net, exchange, grads, scheduled_step(state.c, rule, k, horizon))
+    return _round(state, net.prox, exchange, grads, scheduled_step(state.c, rule, k, horizon))
 
 
 def tau_values(g: Graph, gammas) -> tuple[float, float]:

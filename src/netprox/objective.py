@@ -381,7 +381,15 @@ def objective_to_text(obj: NodeObjective) -> str:
 
 
 def objective_from_text(text: str) -> NodeObjective:
-    lines = [ln for ln in text.splitlines() if ln.strip()]
+    numbered = [(no, ln) for no, ln in enumerate(text.splitlines(), start=1) if ln.strip()]
+    lines = [ln for _, ln in numbered]
+
+    def floats(k: int, count: int, name: str) -> list[float]:
+        vals = [float(v) for v in lines[k].split()]
+        if len(vals) != count:
+            raise ValueError(f"line {numbered[k][0]}: {len(vals)} values, expected {name}={count}")
+        return vals
+
     try:
         dims = dict(part.split("=") for part in lines[0].split())
         m, n = int(dims["m"]), int(dims["n"])
@@ -393,11 +401,12 @@ def objective_from_text(text: str) -> NodeObjective:
         for k in range(K):
             toks = lines[5 + k].split()
             if toks[0] != "group":
-                raise ValueError(f"expected 'group' on line {6 + k}")
+                raise ValueError(f"line {numbered[5 + k][0]}: expected 'group'")
             groups.append(np.array([int(t) - 1 for t in toks[1:]], dtype=np.intp))
-        rows = lines[5 + K : 5 + K + m]
-        A = np.array([[float(v) for v in r.split()] for r in rows])
-        b = np.array([float(v) for v in lines[5 + K + m].split()])
+        A = np.array([floats(5 + K + r, n, "n") for r in range(m)])
+        b = np.array(floats(5 + K + m, m, "m"))
+        if len(lines) > 6 + K + m:
+            raise ValueError(f"line {numbered[6 + K + m][0]}: text after b")
     except (KeyError, IndexError, ValueError) as exc:
         raise ValueError(f"malformed objective text: {exc}") from exc
     return NodeObjective(

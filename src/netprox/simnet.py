@@ -199,6 +199,10 @@ class RunRecord:
                 raise ValueError(f"unexpected CSV header {header}")
             rows = []
             for raw in reader:
+                if len(raw) != len(CSV_COLUMNS):
+                    raise ValueError(
+                        f"line {reader.line_num}: {len(raw)} cells, expected {len(CSV_COLUMNS)}"
+                    )
                 cells = []
                 for name, text in zip(CSV_COLUMNS, raw):
                     if text == "":

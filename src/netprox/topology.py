@@ -325,7 +325,7 @@ class TopologySpec:
 
     @classmethod
     def from_text(cls, text: str) -> "TopologySpec":
-        fields: dict[str, str] = {}
+        keys, fields = ("kind", "N", "extra_edges", "seed"), {}
         for ln, raw in enumerate(text.splitlines(), start=1):
             line = raw.strip()
             if not line or line.startswith("#"):
@@ -333,8 +333,12 @@ class TopologySpec:
             if "=" not in line:
                 raise ValueError(f"line {ln}: expected key=value, got {raw!r}")
             key, _, val = line.partition("=")
-            fields[key.strip()] = val.strip()
-        missing = {"kind", "N", "extra_edges", "seed"} - fields.keys()
+            key = key.strip()
+            if key not in keys or key in fields:
+                why = "repeated" if key in fields else "unknown"
+                raise ValueError(f"line {ln}: {why} key {key!r}")
+            fields[key] = val.strip()
+        missing = set(keys) - fields.keys()
         if missing:
             raise ValueError(f"missing keys: {sorted(missing)}")
         seed = None if fields["seed"] == "none" else int(fields["seed"])

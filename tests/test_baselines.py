@@ -1,5 +1,7 @@
 """PG-EXTRA and consensus ADMM against hand recursions and the W variant."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -12,7 +14,9 @@ from netprox.baselines import (
     pg_extra_kkt_residuals,
     pg_extra_round,
     prox_composite,
+    prox_composite_rows,
 )
+from netprox.bench import ProblemSpec, generate_problem
 from netprox.dpga_w import CommunicationMatrix, dpgaw_init, dpgaw_round
 from netprox.errors import InnerSolveError, ProtocolError
 from netprox.simnet import RoundSchedule, audit_check, plain_exchange, run_synchronous
@@ -143,6 +147,44 @@ def test_prox_composite_stall_reports_residual():
     with pytest.raises(InnerSolveError) as err:
         prox_composite(obj, rng.standard_normal(7), 1.0, tol=1e-12, max_iter=3)
     assert err.value.residual > 0
+    with pytest.raises(ValueError, match="max_iter must be at least 1"):
+        prox_composite(obj, rng.standard_normal(7), 1.0, max_iter=0)
+    # node 0 starts at its solution (b = 0, v = 0, z = 0) and stops at once;
+    # node 1 is the first still searching when the cap is hit
+    objs = random_objectives(rng, 3, n=7, m=9)
+    objs[0] = replace(objs[0], b=np.zeros(9))
+    V = rng.standard_normal((3, 7))
+    V[0] = 0.0
+    with pytest.raises(InnerSolveError, match="at node 1: gradient mapping") as err:
+        prox_composite_rows(objs, V, np.ones(3), V, tol=1e-12, max_iter=3)
+    assert err.value.residual > 0
+    assert f"{err.value.residual:.3e}" in str(err.value)
+
+
+@pytest.mark.parametrize("case", [1, 2])
+@pytest.mark.parametrize("kind, N", [("star", 5), ("circle", 50)])
+def test_batched_inner_solve_rows_do_not_depend_on_each_other(case, kind, N):
+    # each row of one stacked solve, with its own step and start, is bit for
+    # bit the point and the gradient count of a solve over that node alone
+    prob = generate_problem(ProblemSpec(case=case, N=N, n_g=20, seed=3))
+    g = build_topology(kind, N)
+    n = prob.objectives[0].n
+    c = admm_init(g, CommunicationMatrix.from_laplacian(g), prob.objectives, 1.3, np.zeros((N, n))).c
+    rng = np.random.default_rng(case * N)
+    steps = c * rng.uniform(0.5, 2.0, N)
+    V = rng.standard_normal((N, n))
+    for Z0 in (V, V + 0.1 * rng.standard_normal((N, n))):
+        Z, calls = prox_composite_rows(prob.objectives, V, steps, Z0)
+        assert len(set(calls.tolist())) > 1
+        for i, obj in enumerate(prob.objectives):
+            counted = CountingObjective(obj)
+            if Z0 is V:
+                alone = prox_composite(counted, V[i], steps[i])
+            else:
+                one = slice(i, i + 1)
+                (alone,), _ = prox_composite_rows([counted], V[one], steps[one], Z0[one])
+            assert alone.tobytes() == Z[i].tobytes()
+            assert counted.calls == calls[i]
 
 
 def test_prox_composite_first_order_optimality():
@@ -165,7 +207,6 @@ def test_prox_only_objective_surface():
     x = rng.standard_normal(6)
     assert po.lipschitz == 0.0
     assert np.all(po.f_grad(x) == 0)
-    assert po.start is None
     quad = random_objective(rng, n=5, m=6, beta1=0.0, beta2=0.0, delta=1e9)
     z = ProxOnlyObjective(quad, inner_tol=1e-12).prox(np.ones(5), 0.4)
     assert np.linalg.norm(z - quadratic_prox_reference(quad, np.ones(5), 0.4)) < 1e-8

@@ -303,6 +303,18 @@ def test_objective_text_roundtrip():
 def test_objective_text_rejects_garbage():
     with pytest.raises(ValueError):
         objective_from_text("m=2 n=2\nnot-a-number\n")
+    head = "delta=1.0\nbeta1=0.1\nbeta2=0.2\nK=1\ngroup 1 2 3\n"
+    good = "m=2 n=3\n" + head + "1 2 3\n4 5 6\n7 8\n"
+    assert objective_from_text(good).A.shape == (2, 3)
+    for text, line in (
+        ("m=2 n=4\n" + head + "1 2 3\n4 5 6\n7 8\n", "line 7: 3 values, expected n=4"),
+        (good.replace("4 5 6", "4 5 6 9"), "line 8: 4 values, expected n=3"),
+        (good.replace("7 8", "7 8 9"), "line 9: 3 values, expected m=2"),
+        (good + "\n10 11\n", "line 11: text after b"),
+        (good + "junk\n", "line 10: text after b"),
+    ):
+        with pytest.raises(ValueError, match=line):
+            objective_from_text(text)
 
 
 def loop_prox(o, v, t):

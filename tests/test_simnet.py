@@ -105,6 +105,12 @@ def test_run_record_roundtrip(tmp_path):
     assert again.column("F") == [1 / 3, -2.5e17]
     with pytest.raises(ValueError):
         RunRecord(rows=((1, 2.0),))
+    header = path.read_text().splitlines()[0]
+    for row, cells in (("1,2.0,0.1,0.2,0.3,4,,,,EXTRA,9", 11), ("1,2.0,0.1", 3)):
+        path.write_text(f"{header}\n1,2.0,0.1,0.2,0.3,4,,,\n{row}\n")
+        with pytest.raises(ValueError, match=f"line 3: {cells} cells, expected 9"):
+            RunRecord.read_csv(path)
+    rec.write_csv(path)
     bad = path.read_text().replace("round", "iteration")
     path.write_text(bad)
     with pytest.raises(ValueError):

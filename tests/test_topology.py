@@ -174,6 +174,11 @@ def test_topology_spec_rejects_malformed_text():
         TopologySpec.from_text("kind=star\nN")
     with pytest.raises(ValueError):
         TopologySpec.from_text("kind=star\nN=4\n")  # missing keys
+    text = TopologySpec(kind="circle", N=4).to_text()
+    with pytest.raises(ValueError, match="line 5: unknown key 'bogus'"):
+        TopologySpec.from_text(text + "bogus=1\n")
+    with pytest.raises(ValueError, match="line 5: repeated key 'N'"):
+        TopologySpec.from_text(text + "N=5\n")
 
 
 def test_edge_list_text_is_one_based():
