@@ -39,10 +39,12 @@ POWER_MAX_ITER = 50000  # power iteration's cap on steps
 @dataclass(frozen=True)
 class GroupPartition:
     """Disjoint index groups covering {0, ..., n-1}. index holds them as the
-    rows of a (K, g) array, short groups padded with the sentinel entry n."""
+    rows of a (K, g) array, short groups padded with the sentinel entry n;
+    owners (n,) holds each coordinate's group number."""
 
     groups: tuple[np.ndarray, ...]
     index: np.ndarray = field(init=False, repr=False, compare=False)
+    owners: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not self.groups:
@@ -56,9 +58,11 @@ class GroupPartition:
         if np.unique(total).size != n or total.min() != 0 or total.max() != n - 1:
             raise ValueError("groups must disjointly cover 0..n-1")
         index = np.full((len(cleaned), max(g.size for g in cleaned)), n, dtype=np.intp)
-        for row, g in zip(index, cleaned):
-            row[: g.size] = g
+        owners = np.empty(n, dtype=np.intp)
+        for k, (row, g) in enumerate(zip(index, cleaned)):
+            row[: g.size], owners[g] = g, k
         object.__setattr__(self, "index", index)
+        object.__setattr__(self, "owners", owners)
 
     @property
     def n(self) -> int:
@@ -69,38 +73,35 @@ class GroupPartition:
         return len(self.groups)
 
 
-def row_dot(A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """a @ b for each pair of rows (last axis), batched: the dot product a
-    per-row loop takes, not a pairwise sum, so the bits match it."""
-    return (A[..., None, :] @ B[..., :, None])[..., 0, 0]
-
-
-def _flat(X: np.ndarray) -> np.ndarray:
-    """The rows of X (..., n), each followed by a zero sentinel entry, as one
-    flat array of n + 1 entries per row: the array the group indices point into."""
-    return np.concatenate((X, np.zeros((*X.shape[:-1], 1))), axis=-1).ravel()
+# a @ b for each pair of rows (last axis), batched: the dot product a per-row
+# loop takes (one BLAS dot per row), not a pairwise sum, so the bits match it
+row_dot = np.vecdot
 
 
 def _group_norm_sums(X: np.ndarray, index: np.ndarray) -> np.ndarray:
     """||x_i||_{G_i} for every row of X (..., n), the group norms summed in
-    group order (an accumulate, so sequential whatever the shape); index
-    points into _flat(X), and its shape is that of the result plus (K, g)."""
-    E = _flat(X)[index]
+    group order (an accumulate, so sequential whatever the shape); index points
+    into the rows of X, each followed by a zero sentinel entry, as one flat
+    array of n + 1 entries per row, and its shape is that of the result plus (K, g)."""
+    E = np.concatenate((X, np.zeros((*X.shape[:-1], 1))), axis=-1).ravel()[index]
     return np.add.accumulate(np.sqrt(row_dot(E, E)), axis=-1)[..., -1]
 
 
-def _sparse_group_prox(V, t, beta1, beta2, index) -> np.ndarray:
-    """prox_sparse_group on each row of V; t and the weights are scalars or columns."""
-    eta = np.sign(V) * np.maximum(np.abs(V) - t * beta1, 0.0)
-    flat = _flat(eta)
-    E = flat[index]
+def _sparse_group_prox(V, t, beta1, beta2, index, owners) -> np.ndarray:
+    """prox_sparse_group on each row of V (or on V, one row); t and the weights are
+    scalars or columns. The soft threshold is written into the rows of P, each with
+    a zero sentinel entry after it for index's padding; owners sends each
+    coordinate to its group's entry in the flattened group scales."""
+    P = np.zeros((*V.shape[:-1], V.shape[-1] + 1))
+    eta = np.subtract(np.abs(V), t * beta1, out=P[..., :-1])
+    np.maximum(eta, 0.0, out=eta)
+    eta *= np.sign(V)  # the sign product, not copysign: sign(-0.0) * 0.0 is +0.0
+    E = P.ravel()[index]
     norms = np.sqrt(row_dot(E, E))
     thresh = t * beta2
     keep = norms > thresh
     scale = np.where(keep, 1.0 - thresh / np.where(keep, norms, 1.0), 0.0)
-    out = np.zeros_like(flat)
-    out[index] = E * scale[..., None]
-    return out.reshape(len(eta), -1)[:, :-1].copy()
+    return eta * scale.ravel()[owners]
 
 
 def group_norm(x: np.ndarray, partition: GroupPartition) -> float:
@@ -143,7 +144,7 @@ def prox_sparse_group(
     if beta1 < 0 or beta2 < 0:
         raise ValueError("negative regularization weight")
     xbar = np.asarray(xbar, dtype=float)
-    return _sparse_group_prox(xbar[None], t, beta1, beta2, partition.index[None])[0]
+    return _sparse_group_prox(xbar, t, beta1, beta2, partition.index, partition.owners)
 
 
 def power_iteration_sq_norm(A: np.ndarray):
@@ -175,9 +176,9 @@ def _power_iteration(S: np.ndarray, V: np.ndarray) -> np.ndarray:
     """power_iteration_sq_norm's batched loop over the stack S from the start rows V."""
 
     def gram(V):  # A_i^T (A_i v_i), the transposed view as the 2-D A.T @ (A @ v)
-        return (S.transpose(0, 2, 1) @ (S @ V[:, :, None]))[:, :, 0]
+        return (ST @ (S @ V[:, :, None]))[:, :, 0]
 
-    N = len(S)
+    N, ST = len(S), S.transpose(0, 2, 1)
     out, live, lam = np.zeros(N), np.arange(N), np.zeros(N)
     W = gram(V)
     for _ in range(POWER_MAX_ITER):
@@ -194,6 +195,7 @@ def _power_iteration(S: np.ndarray, V: np.ndarray) -> np.ndarray:
             out[live[done]] = lam[done]
             keep = ~done
             S, live, W, lam = S[keep], live[keep], W[keep], lam[keep]
+            ST = S.transpose(0, 2, 1)
     out[live] = lam
     return out
 
@@ -281,11 +283,12 @@ class NetworkObjective(tuple):
 
     NodeObjectives with A of one shape are stacked once: A as (N, m, n), b
     as (N, m), delta, beta1, beta2 and the group counts K as (N, 1) columns,
-    and one (N, K, g) group index into the flat rows with their sentinels. On
+    one (N, K, g) group index into the flat rows with their sentinels, and the
+    (N, n) owners of the coordinates among the N * K group slots. On
     equal-size groups the kernels match the per-node methods bit for bit.
     Anything else leaves A None, and each method calls the nodes one by one."""
 
-    A = b = delta = beta1 = beta2 = K = index = None
+    A = b = delta = beta1 = beta2 = K = index = owners = None
 
     def __new__(cls, objectives):
         self = super().__new__(cls, objectives)
@@ -295,6 +298,8 @@ class NetworkObjective(tuple):
             for rows, o, (K, g) in zip(index, self, shapes):
                 rows[:K, :g] = o.partition.index
             self.index = index + (n + 1) * np.arange(len(self))[:, None, None]
+            owners = np.stack([o.partition.owners for o in self])
+            self.owners = owners + index.shape[1] * np.arange(len(self))[:, None]
             self.A, self.b = np.stack([o.A for o in self]), np.stack([o.b for o in self])
             columns = [[o.delta, o.beta1, o.beta2, o.partition.K] for o in self]
             self.delta, self.beta1, self.beta2, self.K = np.array(columns).T[:, :, None]
@@ -330,7 +335,7 @@ class NetworkObjective(tuple):
         """Row i is prox_{c_i xi_i}(v_i) with c_i = steps[i]."""
         if self.A is None:
             return np.stack([o.prox(v, c) for o, v, c in zip(self, V, steps.tolist())])
-        return _sparse_group_prox(V, steps[:, None], self.beta1, self.beta2, self.index)
+        return _sparse_group_prox(V, steps[:, None], self.beta1, self.beta2, self.index, self.owners)
 
     def phi(self, X: np.ndarray):
         """F = sum_i Phi_i(x_i), summed over groups and then over nodes in

@@ -10,6 +10,7 @@ sqrt(2 t g) of the true prox.
 
 from __future__ import annotations
 
+import math
 import os
 import tempfile
 import zipfile
@@ -154,10 +155,10 @@ def _central_solve(net, tol, x0):
     # curvature is at most 1, so |Af|^2 bounds its Hessian whatever each delta is
     Af, bf = np.vstack([o.A for o in net]), np.concatenate([o.b for o in net])
     d = np.concatenate([np.full(len(o.b), o.delta) for o in net])
-    step = 1.0 / power_iteration_sq_norm(Af)
+    step, lo, AfT = 1.0 / power_iteration_sq_norm(Af), -d, Af.T
 
-    def grad_sum(x):
-        return Af.T @ np.clip(Af @ x - bf, -d, d)
+    def grad_sum(x):  # the clip as its two ufuncs, without np.clip's wrapper
+        return AfT @ np.minimum(np.maximum(Af @ x - bf, lo), d)
 
     def gm_at(x):
         z = prox_sparse_group(x - step * grad_sum(x), step, beta1_tot, beta2_tot, partition)
@@ -169,10 +170,11 @@ def _central_solve(net, tol, x0):
     best, best_it = np.inf, 0
     for it in range(SOLVE_MAX_ITER):
         z = prox_sparse_group(y - step * grad_sum(y), step, beta1_tot, beta2_tot, partition)
-        if float(np.vdot(y - z, z - x)) > 0:
+        dz = z - x
+        if float(np.vdot(y - z, dz)) > 0:
             theta = 1.0
-        theta_new = (1.0 + np.sqrt(1.0 + 4.0 * theta**2)) / 2.0
-        y = z + ((theta - 1.0) / theta_new) * (z - x)
+        theta_new = (1.0 + math.sqrt(1.0 + 4.0 * theta**2)) / 2.0
+        y = z + ((theta - 1.0) / theta_new) * dz
         theta = theta_new
         x = z
         if it % 10 == 0:

@@ -409,6 +409,95 @@ def test_network_objective_matches_nodes_on_ragged_groups(seed):
         assert net.phi(X) == pytest.approx(F, rel=1e-12, abs=1e-12)
 
 
+def uneven_partition(rng, n, K):
+    """K groups of random, mostly unequal sizes over a shuffled 0..n-1."""
+    cuts = np.sort(rng.choice(np.arange(1, n), size=K - 1, replace=False))
+    return GroupPartition(groups=tuple(np.split(rng.permutation(n), cuts)))
+
+
+def ragged_network(rng, N, n):
+    """N nodes on n coordinates, each with its own K and uneven groups."""
+    objs = []
+    for _ in range(N):
+        A = rng.standard_normal((2, n))
+        objs.append(
+            NodeObjective(
+                A=A, b=A @ rng.standard_normal(n), delta=1.0,
+                beta1=float(rng.uniform(0.0, 0.5)),
+                beta2=float(rng.choice([0.0, rng.uniform(0.0, 1.5)])),
+                partition=uneven_partition(rng, n, int(rng.integers(1, n + 1))),
+            )
+        )
+    return network(objs)
+
+
+def padded_scatter_prox(V, t, beta1, beta2, index):
+    """The sparse-group prox through a zero array: soft threshold, gather the
+    groups out of the sentinel-padded flat rows, scale them, and scatter them
+    back. The owner-map kernel must reproduce it byte for byte."""
+    eta = np.sign(V) * np.maximum(np.abs(V) - t * beta1, 0.0)
+    flat = np.concatenate((eta, np.zeros((len(eta), 1))), axis=-1).ravel()
+    E = flat[index]
+    norms = np.sqrt((E[..., None, :] @ E[..., :, None])[..., 0, 0])
+    thresh = t * beta2
+    keep = norms > thresh
+    scale = np.where(keep, 1.0 - thresh / np.where(keep, norms, 1.0), 0.0)
+    out = np.zeros_like(flat)
+    out[index] = E * scale[..., None]
+    return out.reshape(len(eta), -1)[:, :-1].copy()
+
+
+def test_prox_keeps_the_sign_product_on_signed_zeros():
+    # sign(-0.0) is +0.0, so -0.0 maps to +0.0; a thresholded -0.1 to -0.0
+    # (copysign would return -0.0 for the first entry too)
+    part = GroupPartition(groups=(np.array([0, 1, 2, 3]),))
+    out = prox_sparse_group(np.array([-0.0, 0.0, -0.1, 0.1]), 1.0, 0.5, 0.0, part)
+    assert np.signbit(out).tolist() == [False, False, True, False]
+    assert out.tobytes() == padded_scatter_prox(
+        np.array([[-0.0, 0.0, -0.1, 0.1]]), 1.0, 0.5, 0.0, part.index[None]
+    )[0].tobytes()
+
+
+@given(st.integers(0, 2**32 - 1))
+@settings(max_examples=60, deadline=None)
+def test_owner_map_prox_is_byte_identical_to_the_padded_scatter(seed):
+    rng = np.random.default_rng(seed)
+    N, n = int(rng.integers(1, 7)), int(rng.integers(2, 24))
+    net = ragged_network(rng, N, n)
+    V = rng.standard_normal((N, n)) * rng.choice([0.1, 1.0, 5.0], size=(N, 1))
+    V[rng.random((N, n)) < 0.2] = 0.0
+    V[rng.random((N, n)) < 0.2] = -0.0
+    steps = rng.uniform(0.1, 3.0, N)
+    steps[0] = 1e3  # zeroes node 0's groups (unless both weights are 0)
+    expect = padded_scatter_prox(V, steps[:, None], net.beta1, net.beta2, net.index)
+    assert net.prox(V, steps).tobytes() == expect.tobytes()
+    for o, v, c in zip(net, V, steps.tolist()):
+        one = padded_scatter_prox(v[None], c, o.beta1, o.beta2, o.partition.index[None])[0]
+        assert prox_sparse_group(v, c, o.beta1, o.beta2, o.partition).tobytes() == one.tobytes()
+
+
+@given(st.integers(0, 2**32 - 1))
+@settings(max_examples=60, deadline=None)
+def test_owners_send_every_coordinate_to_the_group_that_holds_it(seed):
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(1, 30))
+    part = uneven_partition(rng, n, int(rng.integers(1, n + 1)))
+    assert part.owners.shape == (n,)
+    for k, g in enumerate(part.groups):
+        assert (part.owners[g] == k).all()
+    # stacked: owners[i, j] is the slot of index (N * K, g) whose row holds
+    # node i's coordinate j, at its offset (n + 1) * i in the flat rows
+    N, n = int(rng.integers(1, 7)), int(rng.integers(1, 24))
+    net = ragged_network(rng, N, n)
+    slots = net.index.reshape(N * net.index.shape[1], -1)
+    assert net.owners.shape == (N, n)
+    for i, o in enumerate(net):
+        for j in range(n):
+            slot = net.owners[i, j]
+            assert slot // net.index.shape[1] == i and (n + 1) * i + j in slots[slot]
+            assert j in o.partition.groups[slot % net.index.shape[1]]
+
+
 def test_stacked_oracle_draws_the_per_node_streams():
     rng = np.random.default_rng(17)
     objs = generate_problem(ProblemSpec(case=2, N=4, n_g=8, seed=3, K=4)).objectives
