@@ -100,7 +100,10 @@ def _round(state: NetworkState, exchange, X: np.ndarray, **scalars):
 
 
 def _prox_step(state: NetworkState, net, grads, steps) -> np.ndarray:
-    return net.prox(state.x - steps[:, None] * (grads + state.p + state.s), steps)
+    step = grads + state.p  # the drive, then the step in place
+    step += state.s
+    step *= steps[:, None]
+    return net.prox(np.subtract(state.x, step, out=step), steps)
 
 
 def dpga_round(state: NetworkState, objectives, exchange):

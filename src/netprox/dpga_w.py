@@ -111,10 +111,13 @@ def dpgaw_init(
 def _round(state: NetworkState, prox, exchange, grads, steps):
     W = state.ops["W"]
     # phase A: exchange p + s, then the local prox-gradient steps
-    drive = W @ exchange(state.p + state.s)
-    X = prox(state.x - steps[:, None] * (grads + drive), steps)
+    step = W @ exchange(state.p + state.s)  # the drive, then the step in place
+    step += grads
+    step *= steps[:, None]
+    X = prox(np.subtract(state.x, step, out=step), steps)
     # phase B: exchange the fresh x, then the s and p recursions
-    S = state.tau_inv[:, None] * (W @ exchange(X))
+    S = W @ exchange(X)
+    S *= state.tau_inv[:, None]
     return state.evolve(x=X, s=S, p=state.p + S), X
 
 

@@ -39,8 +39,9 @@ POWER_MAX_ITER = 50000  # power iteration's cap on steps
 @dataclass(frozen=True)
 class GroupPartition:
     """Disjoint index groups covering {0, ..., n-1}. index holds them as the
-    rows of a (K, g) array, short groups padded with the sentinel entry n;
-    owners (n,) holds each coordinate's group number."""
+    rows of a (K, g) array, short groups padded with n, the entry of the one
+    zero sentinel after a row's n flat entries; owners (n,) holds each
+    coordinate's group number."""
 
     groups: tuple[np.ndarray, ...]
     index: np.ndarray = field(init=False, repr=False, compare=False)
@@ -81,27 +82,31 @@ row_dot = np.vecdot
 def _group_norm_sums(X: np.ndarray, index: np.ndarray) -> np.ndarray:
     """||x_i||_{G_i} for every row of X (..., n), the group norms summed in
     group order (an accumulate, so sequential whatever the shape); index points
-    into the rows of X, each followed by a zero sentinel entry, as one flat
-    array of n + 1 entries per row, and its shape is that of the result plus (K, g)."""
-    E = np.concatenate((X, np.zeros((*X.shape[:-1], 1))), axis=-1).ravel()[index]
+    into X's flat entries followed by one zero sentinel entry, which every short
+    group's padding points at, and its shape is that of the result plus (K, g)."""
+    E = np.concatenate((X.ravel(), [0.0]))[index]
     return np.add.accumulate(np.sqrt(row_dot(E, E)), axis=-1)[..., -1]
 
 
 def _sparse_group_prox(V, t, beta1, beta2, index, owners) -> np.ndarray:
     """prox_sparse_group on each row of V (or on V, one row); t and the weights are
-    scalars or columns. The soft threshold is written into the rows of P, each with
-    a zero sentinel entry after it for index's padding; owners sends each
-    coordinate to its group's entry in the flattened group scales."""
-    P = np.zeros((*V.shape[:-1], V.shape[-1] + 1))
-    eta = np.subtract(np.abs(V), t * beta1, out=P[..., :-1])
+    scalars or columns. The soft threshold is written into one contiguous flat
+    buffer whose last entry is the zero sentinel of index's padding; owners sends
+    each coordinate to its group's entry in the flattened group scales."""
+    flat = np.empty(V.size + 1)
+    flat[-1] = 0.0
+    eta = flat[:-1].reshape(V.shape)
+    np.abs(V, out=eta)
+    eta -= t * beta1
     np.maximum(eta, 0.0, out=eta)
     eta *= np.sign(V)  # the sign product, not copysign: sign(-0.0) * 0.0 is +0.0
-    E = P.ravel()[index]
+    E = flat[index]
     norms = np.sqrt(row_dot(E, E))
     thresh = t * beta2
     keep = norms > thresh
     scale = np.where(keep, 1.0 - thresh / np.where(keep, norms, 1.0), 0.0)
-    return eta * scale.ravel()[owners]
+    eta *= scale.ravel()[owners]
+    return eta
 
 
 def group_norm(x: np.ndarray, partition: GroupPartition) -> float:
@@ -121,7 +126,11 @@ def huber(y: np.ndarray, delta):
     if not np.isfinite(y).all():
         raise ValueError("non-finite input to huber")
     a = np.abs(y)
-    value = np.add.reduce(np.where(a <= delta, 0.5 * y * y, delta * a - 0.5 * delta * delta), axis=-1)
+    q = 0.5 * y
+    q *= y
+    l = delta * a
+    l -= 0.5 * delta * delta
+    value = np.add.reduce(np.where(a <= delta, q, l), axis=-1)
     return float(value) if y.ndim == 1 else value
 
 
@@ -273,8 +282,8 @@ class NoisyOracle:
 
     @classmethod
     def for_node(cls, sigma: float, seed: int, node: int) -> "NoisyOracle":
-        if sigma < 0:
-            raise ValueError("sigma must be nonnegative")
+        if not sigma >= 0:  # NaN too
+            raise ValueError(f"sigma must be nonnegative, got {sigma!r}")
         return cls(sigma=sigma, rng=np.random.default_rng((seed, node)))
 
 
@@ -283,10 +292,11 @@ class NetworkObjective(tuple):
 
     NodeObjectives with A of one shape are stacked once: A as (N, m, n), b
     as (N, m), delta, beta1, beta2 and the group counts K as (N, 1) columns,
-    one (N, K, g) group index into the flat rows with their sentinels, and the
-    (N, n) owners of the coordinates among the N * K group slots. On
-    equal-size groups the kernels match the per-node methods bit for bit.
-    Anything else leaves A None, and each method calls the nodes one by one."""
+    one (N, K, g) group index into the N * n flat entries of the rows, whose
+    short and missing groups point at the one zero sentinel after them (entry
+    N * n), and the (N, n) owners of the coordinates among the N * K group
+    slots. On equal-size groups the kernels match the per-node methods bit for
+    bit. Anything else leaves A None, and each method calls the nodes one by one."""
 
     A = b = delta = beta1 = beta2 = K = index = owners = None
 
@@ -297,7 +307,8 @@ class NetworkObjective(tuple):
             index = np.full((len(self), *shapes.max(axis=0)), n)
             for rows, o, (K, g) in zip(index, self, shapes):
                 rows[:K, :g] = o.partition.index
-            self.index = index + (n + 1) * np.arange(len(self))[:, None, None]
+            flat = index + n * np.arange(len(self))[:, None, None]  # row i starts at n * i
+            self.index = np.where(index == n, n * len(self), flat)
             owners = np.stack([o.partition.owners for o in self])
             self.owners = owners + index.shape[1] * np.arange(len(self))[:, None]
             self.A, self.b = np.stack([o.A for o in self]), np.stack([o.b for o in self])
@@ -308,10 +319,12 @@ class NetworkObjective(tuple):
 
     def _stack_index(self, S: int) -> np.ndarray:
         """The group index of a stack (S, N, n), whose slices lie one after
-        another in its flat rows; built once per S."""
+        another in its flat entries, the padding at the sentinel after them;
+        built once per S."""
         if S not in self._stack_indices:
-            step = len(self) * (self[0].n + 1)
-            self._stack_indices[S] = self.index + step * np.arange(S)[:, None, None, None]
+            step = len(self) * self[0].n  # also the sentinel of one slice
+            offsets = self.index + step * np.arange(S)[:, None, None, None]
+            self._stack_indices[S] = np.where(self.index == step, S * step, offsets)
         return self._stack_indices[S]
 
     def f_value(self, X: np.ndarray) -> np.ndarray:
@@ -324,10 +337,12 @@ class NetworkObjective(tuple):
         """Row i is grad f_i(x_i)."""
         if self.A is None:
             return np.stack([o.f_grad(x) for o, x in zip(self, X)])
-        Y = (self.A @ X[:, :, None])[:, :, 0] - self.b
+        Y = (self.A @ X[:, :, None])[:, :, 0]
+        Y -= self.b
         if not np.isfinite(Y).all():
             raise ValueError("non-finite residual in f_grad")
-        C = np.clip(Y, -self.delta, self.delta)  # the Huber gradient
+        # the Huber gradient: the clip as its two ufuncs, without np.clip's wrapper
+        C = np.minimum(np.maximum(Y, -self.delta, out=Y), self.delta, out=Y)
         # on the transposed view, as NodeObjective.f_grad multiplies by A.T
         return (self.A.transpose(0, 2, 1) @ C[:, :, None])[:, :, 0]
 

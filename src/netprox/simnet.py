@@ -92,35 +92,48 @@ class RoundSchedule:
                 raise ValueError(f"{name} must be an integer, got {val!r}")
             if val < 1:
                 raise ValueError(f"{name} must be at least 1")
-        if self.stop_rel_subopt <= 0 or self.stop_consensus <= 0:
+        if not (self.stop_rel_subopt > 0 and self.stop_consensus > 0):  # NaN too
             raise ValueError("stopping thresholds must be positive")
 
 
 @dataclass
 class AuditLog:
-    """Traffic and storage meter, filled in while a run executes."""
+    """Traffic and storage meter, filled in while a run executes.
+
+    Under local broadcast every node sends and stores the same amount, so a
+    record updates one count: sent, the scalars each node has sent, and stored,
+    the most n-vectors each node has held. scalars_sent and peak_vectors read
+    them per node, as a dict that stays the same (edits included) until its
+    count moves."""
 
     node_count: int
     n: int
-    scalars_sent: dict[int, int] = field(default_factory=dict)
-    peak_vectors: dict[int, int] = field(default_factory=dict)
+    sent: int = 0
+    stored: int = 0
     rounds: int = 0
-
-    def __post_init__(self) -> None:
-        for i in range(self.node_count):
-            self.scalars_sent.setdefault(i, 0)
-            self.peak_vectors.setdefault(i, 0)
+    _views: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def record_exchange(self, payload: np.ndarray) -> None:
-        per_node = payload.size // self.node_count
-        for i in self.scalars_sent:
-            self.scalars_sent[i] += per_node
+        self.sent += payload.size // self.node_count
 
     def record_storage(self, state: NetworkState) -> None:
-        count = state.vector_count()
-        for i, peak in self.peak_vectors.items():
-            if count > peak:
-                self.peak_vectors[i] = count
+        self.stored = max(self.stored, state.vector_count())
+
+    @property
+    def scalars_sent(self) -> dict[int, int]:
+        return self._per_node("sent")
+
+    @property
+    def peak_vectors(self) -> dict[int, int]:
+        return self._per_node("stored")
+
+    def _per_node(self, count_name: str) -> dict[int, int]:
+        count = getattr(self, count_name)
+        seen, view = self._views.get(count_name, (None, None))
+        if seen != count:
+            view = dict.fromkeys(range(self.node_count), count)
+            self._views[count_name] = (count, view)
+        return view
 
 
 @dataclass(frozen=True)
@@ -236,9 +249,11 @@ def network_objective(objectives, X):
 
 def _edge_sq(graph: Graph, X) -> np.ndarray:
     """|x_i - x_j|^2 for every edge (i, j), as a per-edge loop would take it;
-    a stack (S, N, n) gives (S, E) from one pass."""
+    a stack (S, N, n) gives (S, E) from one pass. np.take keeps the edge rows
+    contiguous, where X[..., i, :] on a stack would give transposed strides."""
     i, j = graph.edge_ends
-    D = X[..., i, :] - X[..., j, :]
+    D = np.take(X, i, axis=-2)
+    D -= np.take(X, j, axis=-2)
     return row_dot(D, D)
 
 
@@ -396,8 +411,8 @@ def run_synchronous(
         raise ValueError("step_mode must be 'CS' or 'AS'")
     if step_mode == "AS" and algorithm != "dpga":
         raise ValueError("adaptive steps are only wired up for dpga")
-    if sigma < 0:
-        raise ValueError("sigma must be nonnegative")
+    if not sigma >= 0:  # NaN too
+        raise ValueError(f"sigma must be nonnegative, got {sigma!r}")
     noisy = algorithm in ("sdpga", "sdpga_w")
     if sigma > 0 and not noisy:
         raise ValueError(f"{algorithm} has no gradient-noise mode")
@@ -445,8 +460,8 @@ def run_synchronous(
     for k in range(1, schedule.max_rounds + 1):
         state = advance(run, state, k - 1)
         X = state.x
-        finite = np.isfinite(X).all(axis=1)
-        if not finite.all():
+        if not np.isfinite(X).all():  # the per-row pass only names the node
+            finite = np.isfinite(X).all(axis=1)
             raise DivergenceError(
                 f"{algorithm} diverged in round {k}: node {int(np.argmin(finite))} "
                 "holds a non-finite iterate"
@@ -468,7 +483,7 @@ def run_synchronous(
             F = network_objective(objectives, X)
             max_edge, V = consensus_metrics(graph, X)
         rel = None if F_star is None else abs(F - F_star) / (abs(F_star) or 1.0)
-        row = [k, F, rel, V, max_edge, audit.scalars_sent[0], None, None, None]
+        row = [k, F, rel, V, max_edge, audit.sent, None, None, None]
         if bound_col is not None:
             row[bound_col] = float(bound.subopt_bound(k))
         rows.append(tuple(row))

@@ -117,14 +117,18 @@ class GraphOperator:
     itself and its neighbours and is zero elsewhere.
 
     ``op @ X`` mixes a stacked (N, n) payload as every agent would from the
-    messages it receives: its own term first, then its neighbours' in index
-    order, gathered slot by slot (short rows are padded with a zero weight
-    on the agent itself).
+    messages it receives: a sum from 0 of its own term, then its neighbours'
+    in index order. The neighbour terms go slot by slot over degree buckets:
+    slot k adds the k-th neighbour's term to the rows that have one (every
+    row: a plain in-place add), so no row adds a padded zero term.
     """
 
     matrix: np.ndarray
     graph: Graph
-    _slots: tuple = field(init=False, repr=False)  # (row ids, weights) per term
+    # the diagonal column, then per slot k (rows with a k-th neighbour, or None
+    # for every row; their k-th neighbours; the weights as a column)
+    _diag: np.ndarray = field(init=False, repr=False)
+    _slots: tuple = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         m = np.asarray(self.matrix, dtype=float)
@@ -136,19 +140,29 @@ class GraphOperator:
         if off.size:
             i, j = off[0]
             raise ValueError(f"entry [{i},{j}] = {m[i, j]!r} must be zero off the graph")
-        rows = np.arange(N)
-        slots = [(slice(None), np.diag(m)[:, None])]
+        slots = []
         for k in range(g.max_degree):
-            ids = np.array([nb[k] if k < len(nb) else i for i, nb in enumerate(g.neighbor_lists)])
-            slots.append((ids, np.where(ids != rows, m[rows, ids], 0.0)[:, None]))
+            rows = np.array([i for i, nb in enumerate(g.neighbor_lists) if len(nb) > k])
+            ids = np.array([g.neighbor_lists[i][k] for i in rows])
+            slots.append((None if rows.size == N else rows, ids, m[rows, ids][:, None]))
         object.__setattr__(self, "matrix", m)
+        object.__setattr__(self, "_diag", np.diag(m)[:, None])
         object.__setattr__(self, "_slots", tuple(slots))
 
     def __matmul__(self, X: np.ndarray) -> np.ndarray:
         N = self.graph.node_count
         if np.ndim(X) != 2 or len(X) != N:
             raise ProtocolError(f"mixing needs an (N, n) payload with N = {N}, got {np.shape(X)}")
-        return sum(weights * X[ids] for ids, weights in self._slots)
+        out = self._diag * X
+        out += 0.0  # the sum's start at 0, which turns a -0.0 into +0.0
+        for rows, ids, weights in self._slots:
+            term = X[ids]
+            term *= weights
+            if rows is None:
+                out += term
+            else:
+                out[rows] += term
+        return out
 
 
 @dataclass(frozen=True, eq=False)

@@ -13,6 +13,7 @@ from netprox.objective import (
     NoisyOracle,
     POWER_MAX_ITER,
     POWER_TOL,
+    _group_norm_sums,
     group_norm,
     huber,
     network,
@@ -447,6 +448,19 @@ def padded_scatter_prox(V, t, beta1, beta2, index):
     return out.reshape(len(eta), -1)[:, :-1].copy()
 
 
+def padded_rows_index(net):
+    """The stacked group index in padded_scatter_prox's layout, built from each
+    node's own partition index: node i's row starts at (n + 1) i and ends in
+    its own zero sentinel, which its short and missing groups point at."""
+    n = net[0].n
+    K = max(o.partition.K for o in net)
+    g = max(o.partition.index.shape[1] for o in net)
+    index = np.full((len(net), K, g), n)
+    for rows, o in zip(index, net):
+        rows[: o.partition.K, : o.partition.index.shape[1]] = o.partition.index
+    return index + (n + 1) * np.arange(len(net))[:, None, None]
+
+
 def test_prox_keeps_the_sign_product_on_signed_zeros():
     # sign(-0.0) is +0.0, so -0.0 maps to +0.0; a thresholded -0.1 to -0.0
     # (copysign would return -0.0 for the first entry too)
@@ -469,7 +483,7 @@ def test_owner_map_prox_is_byte_identical_to_the_padded_scatter(seed):
     V[rng.random((N, n)) < 0.2] = -0.0
     steps = rng.uniform(0.1, 3.0, N)
     steps[0] = 1e3  # zeroes node 0's groups (unless both weights are 0)
-    expect = padded_scatter_prox(V, steps[:, None], net.beta1, net.beta2, net.index)
+    expect = padded_scatter_prox(V, steps[:, None], net.beta1, net.beta2, padded_rows_index(net))
     assert net.prox(V, steps).tobytes() == expect.tobytes()
     for o, v, c in zip(net, V, steps.tolist()):
         one = padded_scatter_prox(v[None], c, o.beta1, o.beta2, o.partition.index[None])[0]
@@ -485,17 +499,17 @@ def test_owners_send_every_coordinate_to_the_group_that_holds_it(seed):
     assert part.owners.shape == (n,)
     for k, g in enumerate(part.groups):
         assert (part.owners[g] == k).all()
-    # stacked: owners[i, j] is the slot of index (N * K, g) whose row holds
-    # node i's coordinate j, at its offset (n + 1) * i in the flat rows
+    # stacked: owners[i, j] is the slot k + K i of node i's group k that holds
+    # coordinate j, read from node i's own partition index
     N, n = int(rng.integers(1, 7)), int(rng.integers(1, 24))
     net = ragged_network(rng, N, n)
-    slots = net.index.reshape(N * net.index.shape[1], -1)
+    K = net.index.shape[1]
     assert net.owners.shape == (N, n)
     for i, o in enumerate(net):
         for j in range(n):
             slot = net.owners[i, j]
-            assert slot // net.index.shape[1] == i and (n + 1) * i + j in slots[slot]
-            assert j in o.partition.groups[slot % net.index.shape[1]]
+            assert slot // K == i and j in o.partition.index[slot % K]
+            assert j in o.partition.groups[slot % K]
 
 
 def test_stacked_oracle_draws_the_per_node_streams():
@@ -515,3 +529,26 @@ def test_stacked_oracle_draws_the_per_node_streams():
         assert np.array_equal(stacked, np.stack(rows))
     for orc, before, s in zip(stacked_orcs, silent, sigmas):
         assert (orc.rng.bit_generator.state == before) == (s == 0.0)
+
+
+@pytest.mark.parametrize("S", [1, 2, 3])
+@pytest.mark.parametrize("seed", range(8))
+def test_stacked_phi_and_group_norms_are_byte_identical_slice_by_slice(S, seed):
+    # a stack (S, N, n) must give what each slice gives alone, and each node's
+    # group norms what its own partition gives on its row alone
+    rng = np.random.default_rng(seed)
+    N, n = int(rng.integers(1, 7)), int(rng.integers(2, 24))
+    net = ragged_network(rng, N, n)
+    X = rng.standard_normal((S, N, n)) * rng.choice([0.1, 1.0, 5.0], size=(S, N, 1))
+    X[rng.random((S, N, n)) < 0.2] = -0.0
+    sums = _group_norm_sums(X, net._stack_index(S))
+    assert sums.shape == (S, N)
+    for s in range(S):
+        alone = _group_norm_sums(X[s].copy(), net.index)
+        assert sums[s].tobytes() == alone.tobytes()
+        rows = [_group_norm_sums(x[None], o.partition.index[None]) for o, x in zip(net, X[s])]
+        assert alone.tobytes() == np.concatenate(rows).tobytes()
+    Fs = net.phi(X)
+    assert len(Fs) == S
+    for s in range(S):
+        assert np.float64(Fs[s]).tobytes() == np.float64(net.phi(X[s].copy())).tobytes()

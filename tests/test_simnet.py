@@ -80,6 +80,10 @@ def test_round_schedule_validation():
         RoundSchedule(max_rounds=5, stop_consensus=-1.0)
     with pytest.raises(ValueError):
         RoundSchedule(max_rounds=5, check_every=0)
+    # NaN compares False with everything, so a run with it could never stop
+    for key in ("stop_rel_subopt", "stop_consensus"):
+        with pytest.raises(ValueError, match="thresholds must be positive"):
+            RoundSchedule(max_rounds=10, **{key: float("nan")})
 
 
 @pytest.mark.parametrize(
@@ -115,6 +119,20 @@ def test_run_record_roundtrip(tmp_path):
     path.write_text(bad)
     with pytest.raises(ValueError):
         RunRecord.read_csv(path)
+
+
+@pytest.mark.parametrize("kind, N", [("star", 5), ("circle", 50), ("small_world", 40)])
+def test_edge_squares_are_byte_identical_to_a_per_edge_loop(kind, N):
+    g = build_topology(kind, N, **({"extra_edges": N, "seed": 1} if kind == "small_world" else {}))
+    rng = np.random.default_rng(N)
+    X = rng.standard_normal((2, N, 30)) * 10.0 ** rng.integers(-3, 4, size=(2, N, 1))
+
+    def loop(Y):
+        return np.array([(Y[i] - Y[j]) @ (Y[i] - Y[j]) for i, j in g.edges])
+
+    for s in range(2):
+        assert simnet._edge_sq(g, X[s]).tobytes() == loop(X[s]).tobytes()
+    assert simnet._edge_sq(g, X).tobytes() == np.stack([loop(X[0]), loop(X[1])]).tobytes()
 
 
 def test_metric_helpers():
@@ -165,6 +183,10 @@ def test_run_validations():
         run_synchronous("dpga", g, objs, sched, 0, gammas=gam, sigma=0.1)
     with pytest.raises(ValueError, match="nonnegative"):
         run_synchronous("sdpga", g, objs, sched, 0, gammas=gam, sigma=-0.1)
+    # a NaN sigma is refused by name, not met as a divergence in round 1
+    for algorithm in ("sdpga", "sdpga_w"):
+        with pytest.raises(ValueError, match="sigma must be nonnegative, got nan"):
+            run_synchronous(algorithm, g, objs, sched, 0, gammas=gam, sigma=float("nan"))
     with pytest.raises(ValueError, match="needs gammas"):
         run_synchronous("dpga", g, objs, sched, 0)
     with pytest.raises(ValueError, match="one shared gamma"):
@@ -234,6 +256,20 @@ def test_audit_matches_declared_profiles():
             assert res.audit.peak_vectors[i] == stored
     with pytest.raises(ValueError):
         audit_check(AuditLog(node_count=1, n=1), "sgd")
+
+
+@pytest.mark.parametrize("reading", ["scalars_sent", "peak_vectors"])
+def test_an_edited_per_node_reading_fails_the_audit(reading):
+    # the meter counts one integer for all nodes; an edit to one node's
+    # reading after the run stays put and fails the check, as the
+    # benchmark's self-test expects
+    g, objs = small_net()
+    res = run_synchronous("dpga", g, objs, RoundSchedule(max_rounds=4), 0, gammas=np.ones(3))
+    assert audit_check(res.audit, "dpga").ok
+    getattr(res.audit, reading)[0] += 1
+    report = audit_check(res.audit, "dpga")
+    assert not report.ok and report.details.startswith("node 0 ")
+    assert getattr(res.audit, reading)[1] == getattr(res.audit, reading)[0] - 1
 
 
 def test_stochastic_runs_reproduce_bit_for_bit():

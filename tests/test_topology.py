@@ -5,6 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from netprox.dpga import GammaMatrix
+from netprox.dpga_w import CommunicationMatrix
 from netprox.errors import ProtocolError
 from netprox.topology import (
     Graph,
@@ -147,6 +149,48 @@ def test_mixing_takes_one_row_per_node_only(shape):
     W = mixing_pair(build_topology("star", 5)).W
     with pytest.raises(ProtocolError, match="an \\(N, n\\) payload"):
         W @ np.ones(shape)
+
+
+def slot_sum(op, X, start=0):
+    """Each agent's mix written out: a sum from start (0, as sum() takes it)
+    of its own term, then its neighbours' in index order."""
+    return np.array([
+        sum((op.matrix[i, j] * X[j] for j in (i, *nbrs)), start)
+        for i, nbrs in enumerate(op.graph.neighbor_lists)
+    ])
+
+
+def signed_zero_rows(rng, N, n):
+    """Random rows with whole columns of +0.0 and -0.0, so some agent's own
+    term and every neighbour term are -0.0 at once."""
+    X = rng.standard_normal((N, n)) * 10.0 ** rng.integers(-3, 4, size=(N, 1))
+    zeros = rng.random(n) < 0.5
+    X[:, zeros] = np.where(rng.random((N, int(zeros.sum()))) < 0.5, -0.0, 0.0)
+    return X
+
+
+@pytest.mark.parametrize("kind, N", [("star", 5), ("circle", 50), ("small_world", 200)])
+def test_mixing_is_byte_identical_to_the_slot_sum(kind, N):
+    rng = np.random.default_rng(N)
+    g = build_topology(kind, N, **({"extra_edges": N, "seed": 1} if kind == "small_world" else {}))
+    pair = mixing_pair(g)
+    ops = {
+        "Gamma": GammaMatrix.build(g, rng.uniform(0.1, 3.0, N)),
+        "W": CommunicationMatrix.from_laplacian(g),
+        "pg_extra W": pair.W,
+        "pg_extra W~": pair.W_tilde,
+    }
+    X = signed_zero_rows(rng, N, 40)
+    for name, op in ops.items():
+        expect = slot_sum(op, X)
+        # the rows hold an agent whose terms are all -0.0: a sum from -0.0 keeps it
+        assert slot_sum(op, X, start=-0.0).tobytes() != expect.tobytes(), name
+        assert (op @ X).tobytes() == expect.tobytes(), name
+    # no slot holds a padded (zero-weight) term
+    for op in ops.values():
+        for rows, ids, weights in op._slots:
+            assert (weights != 0.0).all()
+            assert rows is None or len(rows) < N
 
 
 def test_mixing_matrices_strictly_positive_definite():
