@@ -45,8 +45,8 @@ class GammaMatrix(GraphOperator):
     @classmethod
     def build(cls, g: Graph, gammas: np.ndarray) -> "GammaMatrix":
         gammas = np.asarray(gammas, dtype=float)
-        if np.any(gammas <= 0):
-            raise ValueError("penalties must be positive")
+        if not (gammas > 0).all():  # NaN too
+            raise ValueError(f"penalties must be positive, got {gammas.tolist()!r}")
         i, j = g.edge_ends
         m = np.zeros((g.node_count, g.node_count))
         m[i, j] = m[j, i] = -gammas[i] * gammas[j] / (gammas[i] + gammas[j])
@@ -72,8 +72,8 @@ def dpga_init(
     """
     gammas = np.array(gammas, dtype=float)
     N = g.node_count
-    if gammas.size != N or np.any(gammas <= 0):
-        raise ValueError("need one positive gamma per node")
+    if gammas.size != N or not (gammas > 0).all():  # NaN too
+        raise ValueError(f"need one positive gamma per node, got {gammas.tolist()!r}")
     L = np.array([objectives[i].lipschitz for i in range(N)])
     degree = np.array(g.degrees)
     Gamma = GammaMatrix.build(g, gammas)
@@ -189,8 +189,8 @@ def sdpga_round(
 
 def gamma_heuristic(g: Graph, c_factor: float = 2.6) -> float:
     """Penalty heuristic sqrt(c |N| / (|E| min_i d_i))."""
-    if c_factor <= 0:
-        raise ValueError("c_factor must be positive; gamma = 0 is not a penalty")
+    if not c_factor > 0:  # NaN too
+        raise ValueError(f"c_factor must be positive (gamma = 0 is no penalty), got {c_factor!r}")
     return float(np.sqrt(c_factor * g.node_count / (g.edge_count * g.min_degree)))
 
 

@@ -93,8 +93,8 @@ def dpgaw_init(
     """
     gammas = np.array(gammas, dtype=float)
     N = g.node_count
-    if gammas.size != N or np.any(gammas <= 0):
-        raise ValueError("need one positive gamma per node")
+    if gammas.size != N or not (gammas > 0).all():  # NaN too
+        raise ValueError(f"need one positive gamma per node, got {gammas.tolist()!r}")
     L = np.array([objectives[i].lipschitz for i in range(N)])
     X0 = np.array(x0, dtype=float)
     closed = [sorted((*nbrs, i)) for i, nbrs in enumerate(g.neighbor_lists)]

@@ -12,6 +12,7 @@ f_i has an L_i-Lipschitz gradient with L_i = sigma_max(A_i)^2.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -34,6 +35,7 @@ __all__ = [
 
 POWER_TOL = 1e-10  # power iteration's relative tolerance on sigma_max(A)^2
 POWER_MAX_ITER = 50000  # power iteration's cap on steps
+NOISE_BLOCK = 2048  # noise values a NoisyOracle draws per generator call, in whole draws of n
 
 
 @dataclass(frozen=True)
@@ -120,8 +122,8 @@ def huber(y: np.ndarray, delta):
     Its gradient clamps y to [-delta, delta] coordinatewise and is 1-Lipschitz.
     Rows y (N, m) with a positive delta column (N, 1) give one value per row.
     """
-    if np.isscalar(delta) and delta <= 0:
-        raise ValueError(f"delta must be positive, got {delta}")
+    if np.isscalar(delta) and not delta > 0:  # NaN too
+        raise ValueError(f"delta must be positive, got {delta!r}")
     y = np.asarray(y, dtype=float)
     if not np.isfinite(y).all():
         raise ValueError("non-finite input to huber")
@@ -148,10 +150,10 @@ def prox_sparse_group(
     soft-thresholded norm does not exceed t*beta2 map to zero exactly, so no
     division by zero can occur.
     """
-    if t <= 0:
-        raise ValueError(f"prox step t must be positive, got {t}")
-    if beta1 < 0 or beta2 < 0:
-        raise ValueError("negative regularization weight")
+    if not t > 0:  # NaN too
+        raise ValueError(f"prox step t must be positive, got {t!r}")
+    if not (beta1 >= 0 and beta2 >= 0):
+        raise ValueError(f"regularization weights must be nonnegative, got {beta1!r}, {beta2!r}")
     xbar = np.asarray(xbar, dtype=float)
     return _sparse_group_prox(xbar, t, beta1, beta2, partition.index, partition.owners)
 
@@ -234,10 +236,12 @@ class NodeObjective:
             raise ValueError(
                 f"A has {A.shape[1]} columns but the partition covers {self.partition.n}"
             )
-        if self.delta <= 0:
-            raise ValueError("delta must be positive")
-        if self.beta1 < 0 or self.beta2 < 0:
-            raise ValueError("negative regularization weight")
+        if not self.delta > 0:  # NaN too
+            raise ValueError(f"delta must be positive, got {self.delta!r}")
+        if not (self.beta1 >= 0 and self.beta2 >= 0):
+            raise ValueError(
+                f"regularization weights must be nonnegative, got {self.beta1!r}, {self.beta2!r}"
+            )
         object.__setattr__(self, "A", A)
         object.__setattr__(self, "b", b)
         if self.lipschitz < 0:
@@ -275,10 +279,19 @@ class NoisyOracle:
     Noise is isotropic Gaussian with per-coordinate variance sigma^2/n so the
     squared-norm second moment equals sigma^2. sigma = 0 returns the exact
     gradient without touching the stream.
+
+    The draws come a block at a time: one standard_normal((B, n)) call,
+    B = max(1, NOISE_BLOCK // n), scaled in place by sigma/sqrt(n), gives the
+    next B draws of n, each the bits that standard_normal(n) times that scalar
+    would give, in the same order. noise holds the rows not yet used, so the
+    generator runs less than one block ahead of the draws used.
     """
 
     sigma: float
     rng: np.random.Generator
+    noise: Iterator[np.ndarray] = field(
+        init=False, default_factory=lambda: iter(()), repr=False, compare=False
+    )
 
     @classmethod
     def for_node(cls, sigma: float, seed: int, node: int) -> "NoisyOracle":
@@ -373,12 +386,18 @@ def network(objectives) -> NetworkObjective:
 
 def oracle_grad(obj, noisy, x: np.ndarray) -> np.ndarray:
     """Gradient plus noise for one node and its NoisyOracle, or for a NetworkObjective's
-    rows and the per-node oracles, drawing one standard_normal(n) per noisy node."""
+    rows and the per-node oracles: each noisy node adds its next draw of n."""
     grad = obj.f_grad(x)
     n = grad.shape[-1]
     for row, orc in zip(grad.reshape(-1, n), [noisy] if isinstance(noisy, NoisyOracle) else noisy):
         if orc.sigma != 0.0:
-            row += orc.rng.standard_normal(n) * (orc.sigma / np.sqrt(n))
+            draw = next(orc.noise, None)
+            if draw is None:  # the block is used up: draw the next one
+                block = orc.rng.standard_normal((max(1, NOISE_BLOCK // n), n))
+                block *= orc.sigma / np.sqrt(n)
+                orc.noise = iter(block)
+                draw = next(orc.noise)
+            row += draw
     return grad
 
 

@@ -111,6 +111,13 @@ class Graph:
         return m
 
 
+def _as_slice(idx: np.ndarray):
+    """Consecutive indices as the basic slice over them; any others as they are."""
+    if (np.diff(idx) == 1).all():
+        return slice(int(idx[0]), int(idx[-1]) + 1)
+    return idx
+
+
 @dataclass(frozen=True)
 class GraphOperator:
     """A matrix supported on the graph: row i holds agent i's weights for
@@ -120,7 +127,9 @@ class GraphOperator:
     messages it receives: a sum from 0 of its own term, then its neighbours'
     in index order. The neighbour terms go slot by slot over degree buckets:
     slot k adds the k-th neighbour's term to the rows that have one (every
-    row: a plain in-place add), so no row adds a padded zero term.
+    row: a plain in-place add), so no row adds a padded zero term. Rows and
+    neighbours that are consecutive indices are kept as basic slices (the
+    star's hub slots: ``out[0:1] += X[k:k+1] * w``), which index as views.
     """
 
     matrix: np.ndarray
@@ -144,7 +153,8 @@ class GraphOperator:
         for k in range(g.max_degree):
             rows = np.array([i for i, nb in enumerate(g.neighbor_lists) if len(nb) > k])
             ids = np.array([g.neighbor_lists[i][k] for i in rows])
-            slots.append((None if rows.size == N else rows, ids, m[rows, ids][:, None]))
+            weights = m[rows, ids][:, None]
+            slots.append((None if rows.size == N else _as_slice(rows), _as_slice(ids), weights))
         object.__setattr__(self, "matrix", m)
         object.__setattr__(self, "_diag", np.diag(m)[:, None])
         object.__setattr__(self, "_slots", tuple(slots))
@@ -157,7 +167,10 @@ class GraphOperator:
         out += 0.0  # the sum's start at 0, which turns a -0.0 into +0.0
         for rows, ids, weights in self._slots:
             term = X[ids]
-            term *= weights
+            if isinstance(ids, slice):
+                term = term * weights  # a view of X: scaling it in place would write into X
+            else:
+                term *= weights  # a gathered copy
             if rows is None:
                 out += term
             else:
@@ -193,7 +206,18 @@ class NetworkState:
             raise AttributeError(name) from None
 
     def evolve(self, **changes) -> "NetworkState":
-        return NetworkState({**self.fields, **changes}, self.ops)
+        """This state with the given fields replaced. Only the changed fields
+        are checked for one row per node and made read-only: the others were
+        when this state was built."""
+        N = len(next(iter(self.fields.values())))  # not len(self): self.x goes through __getattr__
+        for name, a in changes.items():
+            if len(a) != N:
+                raise ValueError(f"field {name!r} has {len(a)} rows, expected one per node ({N})")
+            a.flags.writeable = False
+        new = object.__new__(NetworkState)
+        object.__setattr__(new, "fields", {**self.fields, **changes})
+        object.__setattr__(new, "ops", self.ops)
+        return new
 
     def vector_count(self) -> int:
         """n-vectors each agent stores: the number of (N, n) fields."""

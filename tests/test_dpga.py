@@ -55,6 +55,8 @@ def test_gamma_matrix_properties():
     assert np.allclose(eq, 0.9 * g.laplacian())
     with pytest.raises(ValueError):
         GammaMatrix.build(g, np.zeros(7))
+    with pytest.raises(ValueError, match="nan"):
+        GammaMatrix.build(g, np.full(7, np.nan))
 
 
 def test_init_validations():
@@ -63,6 +65,8 @@ def test_init_validations():
         dpga_init(g, objs, gammas[:2], x0)
     with pytest.raises(ValueError):
         dpga_init(g, objs, -gammas, x0)
+    with pytest.raises(ValueError, match="nan"):
+        dpga_init(g, objs, np.full(3, np.nan), x0)
     with pytest.raises(ValueError):
         dpga_init(g, objs, gammas, x0, step_mode="adaptive")
     with pytest.raises(ValueError):
@@ -356,6 +360,8 @@ def test_gamma_heuristic_values():
     )
     with pytest.raises(ValueError):
         gamma_heuristic(build_topology("star", 5), c_factor=0.0)
+    with pytest.raises(ValueError, match="c_factor must be positive.*got nan"):
+        gamma_heuristic(build_topology("star", 5), c_factor=float("nan"))
 
 
 def test_gamma_star_values():

@@ -93,6 +93,8 @@ def test_init_states_and_validations():
         assert nd.tau_inv == pytest.approx(2.0 / (g.degrees[i] + 1))
     with pytest.raises(ValueError):
         dpgaw_init(g, W, objs, gammas[:2], x0)
+    with pytest.raises(ValueError, match="nan"):
+        dpgaw_init(g, W, objs, np.full(4, np.nan), x0)
     with pytest.raises(ValueError):
         dpgaw_init(g, W, objs, gammas, x0, step_mode="warmup")
     with pytest.raises(ValueError):

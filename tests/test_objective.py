@@ -6,10 +6,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_objective, random_partition
+from netprox import dpga, dpga_w
 from netprox.bench import ProblemSpec, generate_problem
 from netprox.objective import (
     GroupPartition,
     NodeObjective,
+    NOISE_BLOCK,
     NoisyOracle,
     POWER_MAX_ITER,
     POWER_TOL,
@@ -24,6 +26,8 @@ from netprox.objective import (
     prox_sparse_group,
 )
 from netprox.reference import prox_bruteforce
+from netprox.simnet import RoundSchedule, run_synchronous
+from netprox.topology import build_topology
 
 
 def huber_grad(y, delta):
@@ -48,6 +52,8 @@ def test_huber_frozen_values():
 def test_huber_rejects_bad_inputs():
     with pytest.raises(ValueError):
         huber(np.array([1.0]), 0.0)
+    with pytest.raises(ValueError, match="delta must be positive, got nan"):
+        huber(np.array([1.0]), float("nan"))
     with pytest.raises(ValueError):
         huber(np.array([np.nan]), 1.0)
     with pytest.raises(ValueError, match="non-finite"):
@@ -93,6 +99,10 @@ def test_prox_rejects_bad_step():
         prox_sparse_group(np.array([1.0]), 0.0, 0.1, 0.1, part)
     with pytest.raises(ValueError):
         prox_sparse_group(np.array([1.0]), 1.0, -0.1, 0.1, part)
+    nan = float("nan")
+    for t, beta1, beta2 in ((nan, 0.1, 0.1), (1.0, nan, 0.1), (1.0, 0.1, nan)):
+        with pytest.raises(ValueError, match="nan"):
+            prox_sparse_group(np.array([1.0]), t, beta1, beta2, part)
 
 
 def test_prox_agrees_with_dual_oracle():
@@ -234,6 +244,13 @@ def test_objective_shape_validation():
             A=np.ones((2, 2)), b=np.zeros(3), delta=1.0, beta1=0.1, beta2=0.1,
             partition=part,
         )
+    nan = float("nan")
+    for weights in (dict(delta=nan), dict(beta1=nan), dict(beta2=nan)):
+        with pytest.raises(ValueError, match="nan"):
+            NodeObjective(
+                A=np.ones((2, 2)), b=np.zeros(2), partition=part,
+                **{"delta": 1.0, "beta1": 0.1, "beta2": 0.1, **weights},
+            )
 
 
 def test_gradient_matches_finite_differences():
@@ -313,6 +330,7 @@ def test_objective_text_rejects_garbage():
         (good.replace("7 8", "7 8 9"), "line 9: 3 values, expected m=2"),
         (good + "\n10 11\n", "line 11: text after b"),
         (good + "junk\n", "line 10: text after b"),
+        (good.replace("delta=1.0", "delta=nan"), "delta must be positive, got nan"),
     ):
         with pytest.raises(ValueError, match=line):
             objective_from_text(text)
@@ -529,6 +547,68 @@ def test_stacked_oracle_draws_the_per_node_streams():
         assert np.array_equal(stacked, np.stack(rows))
     for orc, before, s in zip(stacked_orcs, silent, sigmas):
         assert (orc.rng.bit_generator.state == before) == (s == 0.0)
+
+
+def per_call_oracle_grad(obj, noisy, x):
+    """oracle_grad with one standard_normal(n) call per noisy node and call:
+    the reference the block draws must match bit for bit."""
+    grad = obj.f_grad(x)
+    n = grad.shape[-1]
+    for row, orc in zip(grad.reshape(-1, n), [noisy] if isinstance(noisy, NoisyOracle) else noisy):
+        if orc.sigma != 0.0:
+            row += orc.rng.standard_normal(n) * (orc.sigma / np.sqrt(n))
+    return grad
+
+
+@pytest.mark.parametrize("n_g", [8, 208])  # n = 40 and 1040: B = 51 and B = 1 draws per block
+def test_block_draws_are_the_per_call_draws(n_g):
+    rng = np.random.default_rng(n_g)
+    objs = generate_problem(ProblemSpec(case=1, N=4, n_g=n_g, seed=2, K=5)).objectives
+    net, n = network(objs), objs[0].n
+    B = max(1, NOISE_BLOCK // n)
+    sigmas, seed = (0.2, 0.0, 0.05, 1.0), 13
+    stacked = [NoisyOracle.for_node(s, seed, i) for i, s in enumerate(sigmas)]
+    alone = [NoisyOracle.for_node(s, seed, i) for i, s in enumerate(sigmas)]
+    refs = [np.random.default_rng((seed, i)) for i in range(len(sigmas))]
+    silent = [o.rng.bit_generator.state for o in stacked]
+    calls = 2 * B + 3  # over two refills, and into a third block
+    for k in range(1, calls + 1):
+        X = rng.standard_normal((len(sigmas), n))
+        expect = net.f_grad(X)
+        for row, s, ref in zip(expect, sigmas, refs):
+            if s != 0.0:
+                row += ref.standard_normal(n) * (s / np.sqrt(n))
+        assert oracle_grad(net, stacked, X).tobytes() == expect.tobytes(), k
+        rows = [oracle_grad(o, orc, x) for o, orc, x in zip(objs, alone, X)]
+        assert np.stack(rows).tobytes() == expect.tobytes(), k
+    blocks = -(-calls // B)  # the generator runs less than one block ahead
+    for i, (orc, s, before) in enumerate(zip(stacked, sigmas, silent)):
+        if s == 0.0:
+            assert orc.rng.bit_generator.state == before
+        else:
+            ahead = np.random.default_rng((seed, i))
+            ahead.standard_normal((blocks * B, n))
+            assert orc.rng.bit_generator.state == ahead.bit_generator.state
+
+
+@pytest.mark.parametrize("algorithm", ["sdpga", "sdpga_w"])
+def test_noisy_runs_match_the_per_call_draws(algorithm, monkeypatch):
+    prob = generate_problem(ProblemSpec(case=1, N=5, n_g=20, seed=4))
+    g = build_topology("star", 5)
+
+    def run():
+        return run_synchronous(
+            algorithm, g, prob.objectives, RoundSchedule(max_rounds=40), seed=9,
+            gammas=np.full(5, 1.5), sigma=0.1, horizon=40, collect_ergodic=True,
+        )
+
+    blocks = run()
+    for module in (dpga, dpga_w):
+        monkeypatch.setattr(module, "oracle_grad", per_call_oracle_grad)
+    calls = run()
+    assert blocks.final_x.tobytes() == calls.final_x.tobytes()
+    assert repr(blocks.record.rows) == repr(calls.record.rows)
+    assert repr(blocks.ergodic) == repr(calls.ergodic)
 
 
 @pytest.mark.parametrize("S", [1, 2, 3])

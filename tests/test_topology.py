@@ -10,6 +10,7 @@ from netprox.dpga_w import CommunicationMatrix
 from netprox.errors import ProtocolError
 from netprox.topology import (
     Graph,
+    NetworkState,
     TopologySpec,
     build_topology,
     edge_list_text,
@@ -181,16 +182,36 @@ def test_mixing_is_byte_identical_to_the_slot_sum(kind, N):
         "pg_extra W~": pair.W_tilde,
     }
     X = signed_zero_rows(rng, N, 40)
+    payload = X.copy()
     for name, op in ops.items():
         expect = slot_sum(op, X)
         # the rows hold an agent whose terms are all -0.0: a sum from -0.0 keeps it
         assert slot_sum(op, X, start=-0.0).tobytes() != expect.tobytes(), name
         assert (op @ X).tobytes() == expect.tobytes(), name
-    # no slot holds a padded (zero-weight) term
+        assert X.tobytes() == payload.tobytes(), name  # a slice slot reads X as a view
+    # no slot holds a padded (zero-weight) term; rows and ids may be slices
     for op in ops.values():
         for rows, ids, weights in op._slots:
             assert (weights != 0.0).all()
-            assert rows is None or len(rows) < N
+            assert rows is None or np.arange(N)[rows].size < N
+        if kind == "star":  # the hub's slots: one row, one neighbour each
+            for rows, ids, _ in op._slots[1:]:
+                assert isinstance(rows, slice) and isinstance(ids, slice)
+
+
+def test_evolve_checks_and_freezes_the_changed_fields():
+    x, c = np.zeros((3, 4)), np.ones(3)
+    state = NetworkState({"x": x, "c": c})
+    assert not (x.flags.writeable or c.flags.writeable)
+    with pytest.raises(ValueError, match="field 'c' has 2 rows, expected one per node \\(3\\)"):
+        state.evolve(c=np.ones(2))
+    x_new, s_new = np.ones((3, 4)), np.full(3, 2.0)
+    new = state.evolve(x=x_new, s=s_new)
+    assert new.x is x_new and new.s is s_new and new.c is c
+    assert not (x_new.flags.writeable or s_new.flags.writeable)
+    assert new.ops is state.ops and len(new) == 3
+    # the parent keeps its own fields, unchanged
+    assert state.fields == {"x": x, "c": c} and state.x is x and not x.any()
 
 
 def test_mixing_matrices_strictly_positive_definite():
