@@ -172,8 +172,8 @@ class ProxOnlyObjective:
 def admm_init(g: Graph, W: CommunicationMatrix, objectives, gamma: float, x0) -> NetworkState:
     """The DPGA-W state for prox-only objectives with one shared gamma: the
     exact stepsizes c_i = 1 / (gamma |omega_i|^2) and tau_i^-1 = gamma / (d_i + 1)."""
-    if gamma <= 0:
-        raise ValueError("gamma must be positive")
+    if not gamma > 0:  # NaN too
+        raise ValueError(f"gamma must be positive, got {gamma!r}")
     shadows = [ProxOnlyObjective(o) for o in objectives]
     state = dpgaw_init(g, W, shadows, np.full(g.node_count, gamma), x0, safety=1.0)
     return state.evolve(tau_inv=gamma / (np.array(g.degrees) + 1))

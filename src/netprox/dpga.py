@@ -198,8 +198,8 @@ def gamma_star(
     kappas: np.ndarray, psi_min_pos: float, edge_count: int, dist0: float
 ) -> float:
     """Bound-optimal equal penalty (2/||x0 - x*||) sqrt((sum kappa^2/psi + 1)/|E|)."""
-    if dist0 <= 0:
-        raise ValueError("x0 coincides with x*; any positive gamma works")
+    if not dist0 > 0:  # NaN too
+        raise ValueError(f"dist0 must be positive (x0 = x*: any gamma works), got {dist0!r}")
     kap2 = float(np.sum(np.asarray(kappas) ** 2))
     return 2.0 / dist0 * float(np.sqrt((kap2 / psi_min_pos + 1.0) / edge_count))
 

@@ -163,8 +163,8 @@ class BlockProblem:
         gammas = np.asarray(self.gammas, dtype=float)
         if len(self.blocks) != len(self.objectives) or len(self.blocks) != gammas.size:
             raise ValueError("blocks, objectives and gammas must align")
-        if np.any(gammas <= 0):
-            raise ValueError("penalties gamma_i must be positive")
+        if not (gammas > 0).all():  # NaN too
+            raise ValueError(f"penalties gamma_i must be positive, got {gammas.tolist()!r}")
         object.__setattr__(self, "gammas", gammas)
         dims: dict[int, int] = {}
         weights: dict[int, float] = {}

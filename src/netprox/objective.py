@@ -304,14 +304,14 @@ class NetworkObjective(tuple):
     """The N node objectives of a network, evaluated on stacked (N, n) rows.
 
     NodeObjectives with A of one shape are stacked once: A as (N, m, n), b
-    as (N, m), delta, beta1, beta2 and the group counts K as (N, 1) columns,
-    one (N, K, g) group index into the N * n flat entries of the rows, whose
-    short and missing groups point at the one zero sentinel after them (entry
-    N * n), and the (N, n) owners of the coordinates among the N * K group
-    slots. On equal-size groups the kernels match the per-node methods bit for
+    as (N, m), delta, beta1 and beta2 as (N, 1) columns, one (N, K, g) group
+    index (K the most groups of a node, g the largest group) into the N * n
+    flat entries of the rows, whose short and missing groups point at the one
+    zero sentinel after them (entry N * n), and the (N, n) owners of the
+    coordinates among the N * K group slots. On equal-size groups the kernels match the per-node methods bit for
     bit. Anything else leaves A None, and each method calls the nodes one by one."""
 
-    A = b = delta = beta1 = beta2 = K = index = owners = None
+    A = b = delta = beta1 = beta2 = index = owners = None
 
     def __new__(cls, objectives):
         self = super().__new__(cls, objectives)
@@ -325,8 +325,8 @@ class NetworkObjective(tuple):
             owners = np.stack([o.partition.owners for o in self])
             self.owners = owners + index.shape[1] * np.arange(len(self))[:, None]
             self.A, self.b = np.stack([o.A for o in self]), np.stack([o.b for o in self])
-            columns = [[o.delta, o.beta1, o.beta2, o.partition.K] for o in self]
-            self.delta, self.beta1, self.beta2, self.K = np.array(columns).T[:, :, None]
+            columns = [[o.delta, o.beta1, o.beta2] for o in self]
+            self.delta, self.beta1, self.beta2 = np.array(columns).T[:, :, None]
             self._stack_indices = {}
         return self
 

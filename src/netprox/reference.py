@@ -95,8 +95,8 @@ def dual_group_prox(
     the sweep is plain cyclic ascent; the duality gap at the feasible dual
     point certifies termination. Returns (y, gap) with y = xbar - t z.
     """
-    if t <= 0:
-        raise ValueError("prox step t must be positive")
+    if not t > 0:  # NaN too
+        raise ValueError(f"prox step t must be positive, got {t!r}")
     xbar = np.asarray(xbar, dtype=float)
     terms = [(float(b2), part) for b2, part in group_terms]
     P = len(terms)
@@ -145,6 +145,13 @@ def _same_partition(p: GroupPartition, q: GroupPartition) -> bool:
     return len(p.groups) == len(q.groups) and all(
         np.array_equal(a, b) for a, b in zip(p.groups, q.groups)
     )
+
+
+def _one_partition(net) -> bool:
+    """Whether every node has node 0's partition: the same object (generated
+    case-1 nodes share one), tested first, or equal groups."""
+    p = net[0].partition
+    return all(o.partition is p or _same_partition(p, o.partition) for o in net)
 
 
 def _central_solve(net, tol, x0):
@@ -243,7 +250,8 @@ def fista_solve(
     prox of the summed penalty has no closed form and the solve runs on the
     product space: Davis-Yin splitting of the consensus constraint from the
     per-node penalties in the metric diag(L_i), node i stepping by PRODUCT_STEP/L_i.
-    method forces "central" or "product"; the default picks by the partitions.
+    method forces "central" (ValueError unless every node has node 0's
+    partition) or "product"; the default picks by the partitions.
 
     The central gradient is one BLAS product over all nodes' rows stacked,
     sum_i A_i^T clip(A_i x - b_i), with no per-node copy of x.
@@ -253,10 +261,12 @@ def fista_solve(
     precision allows), and with the achieved residual after SOLVE_MAX_ITER steps.
     """
     net = network(objectives)
+    shared = _one_partition(net)
     if method is None:
-        shared = all(_same_partition(net[0].partition, o.partition) for o in net)
         method = "central" if shared else "product"
     if method == "central":
+        if not shared:  # its prox would sum every penalty on node 0's groups
+            raise ValueError("the central solve needs every node on node 0's partition")
         x_star, cert = _central_solve(net, tol, x0)
     elif method == "product":
         x_star, cert = _product_solve(net, tol, x0)

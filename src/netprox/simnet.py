@@ -325,6 +325,8 @@ def _dpgaw_init(run) -> NetworkState:
 
 def _admm_init(run) -> NetworkState:
     gam = np.asarray(run.gammas, dtype=float)
+    if not (gam > 0).all():  # NaN too; checked before the spread, which NaN makes NaN
+        raise ValueError(f"need one positive gamma per node, got {gam.tolist()!r}")
     if np.ptp(gam) != 0:
         raise ValueError("the admm variant uses one shared gamma")
     W = _dpga_w.CommunicationMatrix.from_laplacian(run.graph)

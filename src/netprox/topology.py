@@ -10,7 +10,7 @@ one row per agent: n-vectors as (N, n) arrays, scalars as (N,) arrays.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from types import SimpleNamespace
+from types import MappingProxyType, SimpleNamespace
 
 import numpy as np
 
@@ -178,45 +178,47 @@ class GraphOperator:
         return out
 
 
-@dataclass(frozen=True, eq=False)
 class NetworkState:
     """Every agent's local state, stacked: row i of each field is agent i's.
 
-    Fields of shape (N, n) are the n-vectors an agent stores, fields of
-    shape (N,) its scalars; ``state.x`` reads a field, and the arrays are
-    made read-only. ``ops`` holds the graph operators whose rows the agents
-    know. For callers outside the rounds, indexing and iteration yield a
-    snapshot of agent i's read-only rows (``state[i].x``, ``state[i].node_id``),
-    scalars as Python numbers; ``a + b`` lists the snapshots of both states.
+    Fields of shape (N, n) are the n-vectors an agent stores, fields of shape
+    (N,) its scalars: read-only arrays, read as ``state.x``. ``ops`` holds the
+    graph operators whose rows the agents know. Indexing and iteration yield
+    snapshots of agent i's rows (``state[i].x``, ``state[i].node_id``, scalars
+    as Python numbers); ``a + b`` lists the snapshots of both states.
     """
 
-    fields: dict
-    ops: dict = field(default_factory=dict)
+    __slots__ = ("ops", "__dict__")  # the fields are the instance dict
 
-    def __post_init__(self) -> None:
-        if len({len(a) for a in self.fields.values()}) > 1:
-            raise ValueError("every field needs one row per node")
-        for a in self.fields.values():
-            a.flags.writeable = False
+    def __init__(self, fields: dict, ops: dict | None = None) -> None:
+        object.__setattr__(self, "ops", {} if ops is None else ops)
+        self._store(fields, len(next(iter(fields.values()), ())))
 
-    def __getattr__(self, name: str):
-        try:
-            return self.__dict__["fields"][name]
-        except KeyError:
-            raise AttributeError(name) from None
-
-    def evolve(self, **changes) -> "NetworkState":
-        """This state with the given fields replaced. Only the changed fields
-        are checked for one row per node and made read-only: the others were
-        when this state was built."""
-        N = len(next(iter(self.fields.values())))  # not len(self): self.x goes through __getattr__
-        for name, a in changes.items():
+    def _store(self, fields: dict, N: int) -> None:
+        """Check each field for one row per node and a name free in the class; freeze, store."""
+        for name, a in fields.items():
+            if name in _STATE_ATTRS:
+                raise ValueError(f"field {name!r} would shadow NetworkState.{name}")
             if len(a) != N:
                 raise ValueError(f"field {name!r} has {len(a)} rows, expected one per node ({N})")
             a.flags.writeable = False
+        self.__dict__.update(fields)
+
+    def _immutable(self, name: str, *value) -> None:
+        raise AttributeError(f"cannot set or delete {name!r}: a NetworkState is immutable")
+
+    __setattr__ = __delattr__ = _immutable
+
+    @property
+    def fields(self) -> MappingProxyType:  # by name, read-only
+        return MappingProxyType(self.__dict__)
+
+    def evolve(self, **changes) -> "NetworkState":
+        """This state with these fields replaced: only they need the check and the freeze."""
         new = object.__new__(NetworkState)
-        object.__setattr__(new, "fields", {**self.fields, **changes})
         object.__setattr__(new, "ops", self.ops)
+        new.__dict__.update(self.__dict__)
+        new._store(changes, len(self))
         return new
 
     def vector_count(self) -> int:
@@ -234,6 +236,9 @@ class NetworkState:
 
     def __add__(self, other) -> list:
         return [*self, *other]
+
+
+_STATE_ATTRS = frozenset(dir(NetworkState))  # names a field may not shadow
 
 
 @dataclass(frozen=True)

@@ -2,6 +2,7 @@
 
 import json
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -25,8 +26,9 @@ from netprox.bench import (
 )
 from netprox.dpga_w import CommunicationMatrix
 from netprox.cli import main
+from netprox.objective import objective_from_text
 from netprox.simnet import RoundSchedule, RunRecord, run_synchronous
-from netprox.topology import build_topology, spectral_summary
+from netprox.topology import TopologySpec, build_topology, edge_list_text, spectral_summary
 
 
 def tiny_spec(seed=0):
@@ -473,6 +475,43 @@ def test_cli_bounds_without_a_bounded_algorithm_exits_before_solving(tmp_path, c
     assert main(["bounds", str(path), "--out", str(tmp_path / "out")]) == 2
     assert "no bound curves" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+def test_cli_gen_and_bounds_write_what_reads_back(tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv("NETPROX_CACHE", str(tmp_path / "cache"))
+    cfg = base_config(
+        problem={"case": 1, "N": 5, "n_g": 2}, topology={"kind": "star"}, seeds=[0, 1]
+    )
+    path, out = tmp_path / "cfg.json", tmp_path / "out"
+    path.write_text(json.dumps(cfg))
+    exp = validate_config(cfg)
+    # gen: one directory per seed, each file reading back as what was generated
+    assert main(["gen", str(path), "--out", str(out)]) == 0
+    dirs = capsys.readouterr().out.split()
+    assert dirs == [str(out / f"instance_{exp.label}_seed{seed}") for seed in (0, 1)]
+    for seed, inst in zip((0, 1), map(Path, dirs)):
+        problem = generate_problem(exp.spec(seed))
+        assert TopologySpec.from_text((inst / "topology.txt").read_text()) == exp.topology
+        assert (inst / "edges.txt").read_text() == edge_list_text(exp.graph)
+        planted = np.array((inst / "planted.txt").read_text().split(), dtype=float)
+        assert planted.tobytes() == problem.x_planted.tobytes()
+        for i, obj in enumerate(problem.objectives):
+            back = objective_from_text((inst / f"node{i + 1}.txt").read_text())
+            assert back.A.tobytes() == obj.A.tobytes() and back.b.tobytes() == obj.b.tobytes()
+            assert len(back.partition.groups) == len(obj.partition.groups)
+            for g_back, g in zip(back.partition.groups, obj.partition.groups):
+                assert np.array_equal(g_back, g)
+            assert back.lipschitz == obj.lipschitz
+    # bounds: the theorem-3 curves on the t-grid, falling as t grows
+    assert main(["bounds", str(path), "--out", str(out), "--rounds", "500", "--points", "20"]) == 0
+    csv = Path(capsys.readouterr().out.strip())
+    assert csv == out / f"bounds_{exp.label}_seed0.csv"
+    header, *lines = csv.read_text().splitlines()
+    assert header == "t,bound_theorem3_subopt,bound_theorem3_consensus"
+    table = np.array([line.split(",") for line in lines], dtype=float)
+    assert table[0, 0] == 1 and table[-1, 0] == 500 and (np.diff(table[:, 0]) > 0).all()
+    assert (np.diff(table[:, 1:], axis=0) < 0).all()
+
 
 def test_load_config_reports_json_position(tmp_path):
     path = tmp_path / "broken.json"

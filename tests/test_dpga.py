@@ -369,3 +369,5 @@ def test_gamma_star_values():
     assert val == pytest.approx(np.sqrt(3.5 / 3.0))
     with pytest.raises(ValueError):
         gamma_star(np.array([1.0]), 1.0, 1, 0.0)
+    with pytest.raises(ValueError, match="dist0 must be positive .*got nan"):
+        gamma_star(np.array([1.0]), 1.0, 1, float("nan"))

@@ -88,6 +88,11 @@ def test_problem_validation():
             blocks=(blk, blk), objectives=tuple(objs), gammas=np.array([1.0, -1.0]),
             coupling=ZeroCoupling(),
         )
+    with pytest.raises(ValueError, match="must be positive, got \\[1.0, nan\\]"):
+        BlockProblem(
+            blocks=(blk, blk), objectives=tuple(objs), gammas=np.array([1.0, np.nan]),
+            coupling=ZeroCoupling(),
+        )
     # slot ids must be contiguous from zero
     blk_hole = Block(chunks=(Chunk(A=np.eye(3), b=np.zeros(3), slot=1),))
     with pytest.raises(ValueError):

@@ -78,6 +78,10 @@ def test_dual_prox_multiple_group_terms():
 def test_dual_prox_rejects_bad_step():
     with pytest.raises(ValueError):
         dual_group_prox(np.ones(3), 0.0, 0.1, [])
+    # NaN is refused by name, not met as a stall after every sweep
+    part = random_partition(np.random.default_rng(0), 3, 1)
+    with pytest.raises(ValueError, match="prox step t must be positive, got nan"):
+        dual_group_prox(np.ones(3), float("nan"), 0.1, [(0.1, part)])
 
 
 def test_brute_force_prox_handles_zero_weights():
@@ -189,6 +193,9 @@ def test_distinct_partitions_pick_the_product_path():
     assert base == pytest.approx(sol.F_star, rel=1e-12)
     for _ in range(150):
         assert F(sol.x_star + rng.standard_normal(8) * 1e-4) >= base - 1e-9
+    # a forced central solve would sum every penalty on node 0's groups
+    with pytest.raises(ValueError, match="node 0's partition"):
+        fista_solve(objs, tol=1e-9, method="central")
 
 
 @pytest.mark.parametrize("scale", [3.0, 0.0])

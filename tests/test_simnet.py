@@ -188,7 +188,7 @@ def test_run_validations():
         with pytest.raises(ValueError, match="sigma must be nonnegative, got nan"):
             run_synchronous(algorithm, g, objs, sched, 0, gammas=gam, sigma=float("nan"))
     # so are NaN penalties, on every algorithm whose init takes gammas
-    for algorithm in ("dpga", "sdpga", "dpga_w", "sdpga_w"):
+    for algorithm in ("dpga", "sdpga", "dpga_w", "sdpga_w", "admm"):
         with pytest.raises(ValueError, match="need one positive gamma per node, got \\[nan"):
             run_synchronous(algorithm, g, objs, sched, 0, gammas=np.full(3, np.nan))
     with pytest.raises(ValueError, match="needs gammas"):

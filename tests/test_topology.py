@@ -212,6 +212,25 @@ def test_evolve_checks_and_freezes_the_changed_fields():
     assert new.ops is state.ops and len(new) == 3
     # the parent keeps its own fields, unchanged
     assert state.fields == {"x": x, "c": c} and state.x is x and not x.any()
+    # the fields are plain attributes that cannot be set or deleted
+    assert vars(state) == {"x": x, "c": c} and state.ops == {}
+    for act in (lambda: setattr(state, "x", x_new), lambda: delattr(state, "x"),
+                lambda: setattr(state, "ops", {}), lambda: setattr(state, "y", x_new)):
+        with pytest.raises(AttributeError, match="immutable"):
+            act()
+    with pytest.raises(TypeError):
+        state.fields["x"] = x_new
+    assert state.x is x
+    with pytest.raises(AttributeError, match="'y'"):
+        state.y
+    # one check path: rows at construction, and names that would shadow the class's own
+    with pytest.raises(ValueError, match="field 'c' has 2 rows, expected one per node \\(3\\)"):
+        NetworkState({"x": np.zeros((3, 4)), "c": np.ones(2)})
+    for name in ("ops", "fields", "evolve", "vector_count", "__len__"):
+        with pytest.raises(ValueError, match=f"field '{name}' would shadow"):
+            NetworkState({"x": np.zeros((3, 4)), name: np.ones(3)})
+        with pytest.raises(ValueError, match=f"field '{name}' would shadow"):
+            state.evolve(**{name: np.ones(3)})
 
 
 def test_mixing_matrices_strictly_positive_definite():
