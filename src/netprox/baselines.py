@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dpga_w import CommunicationMatrix, _round, dpgaw_init
-from .errors import InnerSolveError
+from .errors import InnerSolveError, check_positive
 from .objective import NodeObjective, network, row_dot
 from .topology import Graph, MixingPair, NetworkState
 
@@ -38,6 +38,8 @@ __all__ = [
     "ProxOnlyObjective",
 ]
 
+PROX_MAX_ITER = 200000  # accelerated steps of an inner composite solve before it gives up
+
 
 def pg_extra_init(g: Graph, mixing: MixingPair, objectives, x0):
     """The PG-EXTRA network state with a common stepsize.
@@ -47,8 +49,7 @@ def pg_extra_init(g: Graph, mixing: MixingPair, objectives, x0):
     before the run starts.
     """
     L_max = max(o.lipschitz for o in objectives)
-    if L_max <= 0:
-        raise ValueError("cannot set the stepsize when every L_i is zero")
+    check_positive(L_max=L_max)  # every L_i zero leaves no stepsize cap
     c = 0.99 * 2.0 * mixing.lam_min_tilde / L_max
     X0 = np.array(x0, dtype=float)
     fields = dict(
@@ -109,18 +110,16 @@ def pg_extra_kkt_residuals(x_trace, half_trace, mixing: MixingPair, objectives, 
     return kkt_sq, cons_sq
 
 
-def prox_composite_rows(objectives, V, steps, Z0, tol: float = 1e-10, max_iter: int = 200000):
+def prox_composite_rows(objectives, V, steps, Z0, tol: float = 1e-10):
     """Row i is argmin_z xi_i(z) + f_i(z) + |z - v_i|^2 / (2 c_i), c_i = steps[i],
     by accelerated proximal gradient from row i of Z0 with the strong-convexity
     momentum for mu_i = 1/c_i: all rows in one loop, each with its own step and
     momentum. Row i keeps the first iterate whose gradient mapping norm is at or
     below tol, bit for bit where a loop over that row alone would stop.
 
-    Returns the rows and each row's gradient evaluations. After max_iter steps
+    Returns the rows and each row's gradient evaluations. After PROX_MAX_ITER steps
     raises InnerSolveError naming the first node still searching, with its residual.
     """
-    if max_iter < 1:
-        raise ValueError(f"max_iter must be at least 1, got {max_iter}")
     net, mu = network(objectives), 1.0 / steps
     L_s = np.array([o.lipschitz for o in net]) + mu
     t, root = 1.0 / L_s, np.sqrt(L_s / mu)
@@ -128,7 +127,7 @@ def prox_composite_rows(objectives, V, steps, Z0, tol: float = 1e-10, max_iter: 
     Z = W = np.array(Z0, dtype=float)
     out, calls = np.empty_like(Z), np.zeros(len(Z), dtype=int)
     searching = np.ones(len(Z), dtype=bool)
-    for k in range(1, max_iter + 1):
+    for k in range(1, PROX_MAX_ITER + 1):
         grad = net.f_grad(W) + (W - V) * mu[:, None]
         Z_new = net.prox(W - t[:, None] * grad, t)
         gap = np.sqrt(row_dot(W - Z_new, W - Z_new)) / t
@@ -143,10 +142,10 @@ def prox_composite_rows(objectives, V, steps, Z0, tol: float = 1e-10, max_iter: 
     raise InnerSolveError(msg, residual=float(gap[i]))
 
 
-def prox_composite(objective: NodeObjective, v, c: float, tol=1e-10, max_iter=200000):
+def prox_composite(objective: NodeObjective, v, c: float, tol=1e-10):
     """argmin_z xi(z) + f(z) + |z - v|^2 / (2c) from z = v: the one-row prox_composite_rows."""
     V = np.asarray(v, dtype=float)[None]
-    return prox_composite_rows([objective], V, np.array([c], float), V, tol, max_iter)[0][0]
+    return prox_composite_rows([objective], V, np.array([c], float), V, tol)[0][0]
 
 
 @dataclass(frozen=True)
@@ -172,8 +171,7 @@ class ProxOnlyObjective:
 def admm_init(g: Graph, W: CommunicationMatrix, objectives, gamma: float, x0) -> NetworkState:
     """The DPGA-W state for prox-only objectives with one shared gamma: the
     exact stepsizes c_i = 1 / (gamma |omega_i|^2) and tau_i^-1 = gamma / (d_i + 1)."""
-    if not gamma > 0:  # NaN too
-        raise ValueError(f"gamma must be positive, got {gamma!r}")
+    check_positive(gamma=gamma)
     shadows = [ProxOnlyObjective(o) for o in objectives]
     state = dpgaw_init(g, W, shadows, np.full(g.node_count, gamma), x0, safety=1.0)
     return state.evolve(tau_inv=gamma / (np.array(g.degrees) + 1))

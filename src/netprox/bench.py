@@ -11,7 +11,6 @@ Case 1 shares one group partition across nodes; case 2 draws one per node.
 from __future__ import annotations
 
 import json
-import math
 import os
 import re
 from dataclasses import dataclass, field, replace
@@ -22,6 +21,7 @@ import numpy as np
 from . import dpga as _dpga
 from . import dpga_w as _dpga_w
 from . import simnet as _simnet
+from .errors import check_positive, finite_positive
 from .objective import GroupPartition, NodeObjective, power_iteration_sq_norm
 from .reference import (
     SOLVER_REVISION,
@@ -73,8 +73,7 @@ class ProblemSpec:
     def __post_init__(self) -> None:
         if self.case not in (1, 2):
             raise ValueError("case must be 1 or 2")
-        if self.N < 1 or self.n_g < 1 or self.K < 1:
-            raise ValueError("N, n_g, K must be positive")
+        check_positive(N=self.N, n_g=self.n_g, K=self.K)
         if (self.K * self.n_g) % (2 * self.N) != 0:
             raise ValueError(
                 f"m = K*n_g/(2N) = {self.K * self.n_g}/{2 * self.N} is not integral"
@@ -182,8 +181,8 @@ class BoundCurve:
     constants: dict = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        if self.coef_subopt <= 0 or self.coef_consensus <= 0 or self.coef_sqrt < 0:
-            raise ValueError("bound coefficients must be positive")
+        check_positive(coef_subopt=self.coef_subopt, coef_consensus=self.coef_consensus)
+        check_positive(coef_sqrt=self.coef_sqrt)
 
     def subopt_bound(self, t) -> float:
         return self.coef_subopt / t + self.coef_sqrt / np.sqrt(t)
@@ -381,10 +380,6 @@ def _is_a(val, kind) -> bool:
     return isinstance(val, (int, float) if kind is float else kind)
 
 
-def _positive(val) -> bool:
-    return 0 < val < math.inf
-
-
 class _Section:
     """One JSON object of a configuration. Each key is read once, with its
     type, range and default; done() rejects every key that was not read."""
@@ -479,11 +474,11 @@ def validate_config(cfg) -> Experiment:
     )
     gamma_value = None
     if gamma_rule == "heuristic":
-        gamma_value = gam("c_factor", float, 2.6, _positive, "must be a positive number")
+        gamma_value = gam("c_factor", float, 2.6, finite_positive, "must be a positive number")
     elif gamma_rule == "explicit":
         val = gam("value", object)
         vals = val if isinstance(val, list) else [val] * N
-        if len(vals) != N or not all(_is_a(v, float) and _positive(v) for v in vals):
+        if len(vals) != N or not all(_is_a(v, float) and finite_positive(v) for v in vals):
             raise ConfigError(
                 f"gamma_rule.value: expected a positive number or a list of {N} (got {val!r})"
             )
@@ -494,7 +489,9 @@ def validate_config(cfg) -> Experiment:
 
     # noise and the horizon step rule belong to the stochastic variants only
     noisy = bool({"sdpga", "sdpga_w"} & set(algorithms))
-    sigma = top("sigma", float, 0.0, lambda v: 0 <= v < math.inf, "must be a nonnegative number")
+    sigma = top(
+        "sigma", float, 0.0, lambda v: finite_positive(v, zero=True), "must be a nonnegative number"
+    )
     if sigma > 0 and not noisy:
         raise ConfigError("config.sigma: only sdpga and sdpga_w take gradient noise")
     horizon = top("horizon", int, None, lambda v: v >= 1, "must be a positive integer")
@@ -503,8 +500,8 @@ def validate_config(cfg) -> Experiment:
 
     sched = top.section("schedule")
     max_rounds, check_every = sched("max_rounds", int), sched("check_every", int, 1)
-    stop_rel = sched("stop_rel_subopt", float, 1e-3, _positive, "must be a positive number")
-    stop_cons = sched("stop_consensus", float, 1e-4, _positive, "must be a positive number")
+    stop_rel = sched("stop_rel_subopt", float, 1e-3, finite_positive, "must be a positive number")
+    stop_cons = sched("stop_consensus", float, 1e-4, finite_positive, "must be a positive number")
     sched.done()
     schedule = _build("schedule", RoundSchedule, max_rounds, stop_rel, stop_cons, check_every)
 

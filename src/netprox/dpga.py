@@ -19,6 +19,7 @@ from __future__ import annotations
 import numpy as np
 
 from .engine import Block, BlockProblem, Chunk, ZeroCoupling, base_step, scheduled_step, step_rule
+from .errors import check_positive
 from .objective import NoisyOracle, network, oracle_grad, row_dot
 from .topology import Graph, GraphOperator, NetworkState
 
@@ -45,8 +46,7 @@ class GammaMatrix(GraphOperator):
     @classmethod
     def build(cls, g: Graph, gammas: np.ndarray) -> "GammaMatrix":
         gammas = np.asarray(gammas, dtype=float)
-        if not (gammas > 0).all():  # NaN too
-            raise ValueError(f"penalties must be positive, got {gammas.tolist()!r}")
+        check_positive(gammas=gammas)
         i, j = g.edge_ends
         m = np.zeros((g.node_count, g.node_count))
         m[i, j] = m[j, i] = -gammas[i] * gammas[j] / (gammas[i] + gammas[j])
@@ -72,8 +72,9 @@ def dpga_init(
     """
     gammas = np.array(gammas, dtype=float)
     N = g.node_count
-    if gammas.size != N or not (gammas > 0).all():  # NaN too
-        raise ValueError(f"need one positive gamma per node, got {gammas.tolist()!r}")
+    if gammas.size != N:
+        raise ValueError(f"need one gamma per node, got {gammas.tolist()!r}")
+    check_positive(gammas=gammas)
     L = np.array([objectives[i].lipschitz for i in range(N)])
     degree = np.array(g.degrees)
     Gamma = GammaMatrix.build(g, gammas)
@@ -189,8 +190,7 @@ def sdpga_round(
 
 def gamma_heuristic(g: Graph, c_factor: float = 2.6) -> float:
     """Penalty heuristic sqrt(c |N| / (|E| min_i d_i))."""
-    if not c_factor > 0:  # NaN too
-        raise ValueError(f"c_factor must be positive (gamma = 0 is no penalty), got {c_factor!r}")
+    check_positive(c_factor=c_factor)  # gamma = 0 is no penalty
     return float(np.sqrt(c_factor * g.node_count / (g.edge_count * g.min_degree)))
 
 
@@ -198,8 +198,7 @@ def gamma_star(
     kappas: np.ndarray, psi_min_pos: float, edge_count: int, dist0: float
 ) -> float:
     """Bound-optimal equal penalty (2/||x0 - x*||) sqrt((sum kappa^2/psi + 1)/|E|)."""
-    if not dist0 > 0:  # NaN too
-        raise ValueError(f"dist0 must be positive (x0 = x*: any gamma works), got {dist0!r}")
+    check_positive(dist0=dist0)  # x0 = x*: any gamma works
     kap2 = float(np.sum(np.asarray(kappas) ** 2))
     return 2.0 / dist0 * float(np.sqrt((kap2 / psi_min_pos + 1.0) / edge_count))
 

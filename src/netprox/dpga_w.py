@@ -20,6 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .engine import Block, BlockProblem, Chunk, ZeroSumCoupling, base_step, scheduled_step, step_rule
+from .errors import check_positive
 from .objective import NoisyOracle, network, oracle_grad
 from .topology import Graph, GraphOperator, NetworkState
 
@@ -93,8 +94,9 @@ def dpgaw_init(
     """
     gammas = np.array(gammas, dtype=float)
     N = g.node_count
-    if gammas.size != N or not (gammas > 0).all():  # NaN too
-        raise ValueError(f"need one positive gamma per node, got {gammas.tolist()!r}")
+    if gammas.size != N:
+        raise ValueError(f"need one gamma per node, got {gammas.tolist()!r}")
+    check_positive(gammas=gammas)
     L = np.array([objectives[i].lipschitz for i in range(N)])
     X0 = np.array(x0, dtype=float)
     closed = [sorted((*nbrs, i)) for i, nbrs in enumerate(g.neighbor_lists)]

@@ -18,6 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .errors import check_positive
 from .objective import NoisyOracle, oracle_grad
 
 __all__ = [
@@ -163,8 +164,7 @@ class BlockProblem:
         gammas = np.asarray(self.gammas, dtype=float)
         if len(self.blocks) != len(self.objectives) or len(self.blocks) != gammas.size:
             raise ValueError("blocks, objectives and gammas must align")
-        if not (gammas > 0).all():  # NaN too
-            raise ValueError(f"penalties gamma_i must be positive, got {gammas.tolist()!r}")
+        check_positive(gammas=gammas)
         object.__setattr__(self, "gammas", gammas)
         dims: dict[int, int] = {}
         weights: dict[int, float] = {}
@@ -311,7 +311,8 @@ def constant_plan(
     cap = _cap(prob)
     if explicit is not None:
         c = np.asarray(explicit, dtype=float)
-        if np.any(c <= 0) or np.any(c * cap > 1.0 + 1e-12):
+        check_positive(explicit=c)
+        if np.any(c * cap > 1.0 + 1e-12):
             raise ValueError("constant steps violate c_i <= 1/(L_i + gamma_i ||A_i||^2)")
     else:
         c = base_step(cap, safety)

@@ -17,6 +17,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .errors import check_positive
+
 __all__ = [
     "GroupPartition",
     "NetworkObjective",
@@ -122,8 +124,8 @@ def huber(y: np.ndarray, delta):
     Its gradient clamps y to [-delta, delta] coordinatewise and is 1-Lipschitz.
     Rows y (N, m) with a positive delta column (N, 1) give one value per row.
     """
-    if np.isscalar(delta) and not delta > 0:  # NaN too
-        raise ValueError(f"delta must be positive, got {delta!r}")
+    if np.isscalar(delta):
+        check_positive(delta=delta)
     y = np.asarray(y, dtype=float)
     if not np.isfinite(y).all():
         raise ValueError("non-finite input to huber")
@@ -150,10 +152,7 @@ def prox_sparse_group(
     soft-thresholded norm does not exceed t*beta2 map to zero exactly, so no
     division by zero can occur.
     """
-    if not t > 0:  # NaN too
-        raise ValueError(f"prox step t must be positive, got {t!r}")
-    if not (beta1 >= 0 and beta2 >= 0):
-        raise ValueError(f"regularization weights must be nonnegative, got {beta1!r}, {beta2!r}")
+    check_positive(t=t, beta1=beta1, beta2=beta2)
     xbar = np.asarray(xbar, dtype=float)
     return _sparse_group_prox(xbar, t, beta1, beta2, partition.index, partition.owners)
 
@@ -236,16 +235,12 @@ class NodeObjective:
             raise ValueError(
                 f"A has {A.shape[1]} columns but the partition covers {self.partition.n}"
             )
-        if not self.delta > 0:  # NaN too
-            raise ValueError(f"delta must be positive, got {self.delta!r}")
-        if not (self.beta1 >= 0 and self.beta2 >= 0):
-            raise ValueError(
-                f"regularization weights must be nonnegative, got {self.beta1!r}, {self.beta2!r}"
-            )
+        check_positive(delta=self.delta, beta1=self.beta1, beta2=self.beta2)
         object.__setattr__(self, "A", A)
         object.__setattr__(self, "b", b)
-        if self.lipschitz < 0:
+        if self.lipschitz == -1.0:  # the default: compute it
             object.__setattr__(self, "lipschitz", power_iteration_sq_norm(A))
+        check_positive(lipschitz=self.lipschitz)  # A = 0 has L = 0
 
     @property
     def n(self) -> int:
@@ -295,8 +290,7 @@ class NoisyOracle:
 
     @classmethod
     def for_node(cls, sigma: float, seed: int, node: int) -> "NoisyOracle":
-        if not sigma >= 0:  # NaN too
-            raise ValueError(f"sigma must be nonnegative, got {sigma!r}")
+        check_positive(sigma=sigma)
         return cls(sigma=sigma, rng=np.random.default_rng((seed, node)))
 
 

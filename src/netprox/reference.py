@@ -19,6 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .errors import check_positive
 from .objective import (
     GroupPartition,
     group_norm,
@@ -95,8 +96,7 @@ def dual_group_prox(
     the sweep is plain cyclic ascent; the duality gap at the feasible dual
     point certifies termination. Returns (y, gap) with y = xbar - t z.
     """
-    if not t > 0:  # NaN too
-        raise ValueError(f"prox step t must be positive, got {t!r}")
+    check_positive(t=t)
     xbar = np.asarray(xbar, dtype=float)
     terms = [(float(b2), part) for b2, part in group_terms]
     P = len(terms)
@@ -154,7 +154,7 @@ def _one_partition(net) -> bool:
     return all(o.partition is p or _same_partition(p, o.partition) for o in net)
 
 
-def _central_solve(net, tol, x0):
+def _central_solve(net, tol):
     n, partition = net[0].n, net[0].partition
     beta1_tot = float(sum(o.beta1 for o in net))
     beta2_tot = float(sum(o.beta2 for o in net))
@@ -171,7 +171,7 @@ def _central_solve(net, tol, x0):
         z = prox_sparse_group(x - step * grad_sum(x), step, beta1_tot, beta2_tot, partition)
         return float(np.linalg.norm(x - z)) / step
 
-    x = np.zeros(n) if x0 is None else np.array(x0, dtype=float)
+    x = np.zeros(n)
     y = x.copy()
     theta = 1.0
     best, best_it = np.inf, 0
@@ -210,7 +210,7 @@ def _stalled(solve: str, residual: str, floor: float, tol: float) -> RuntimeErro
 PRODUCT_STEP = 1.9  # the product-space splitting's per-node step, in units of 1/L_i
 
 
-def _product_solve(net, tol, x0):
+def _product_solve(net, tol):
     # Davis-Yin splitting on the product space in the metric diag(L_i), where grad F is
     # 1-cocoercive, so node steps PRODUCT_STEP/L_i < 2/L_i converge: per-node gradient and
     # prox steps, the L-weighted consensus projection, the residual scaled by max_i L_i.
@@ -218,7 +218,7 @@ def _product_solve(net, tol, x0):
     L = np.array([o.lipschitz for o in net])
     L[L == 0] = L.max()  # a constant f_i (A_i = 0) is weighted and stepped as the stiffest
     steps, weights = PRODUCT_STEP / L, L / L.sum()
-    Z = np.zeros((N, n)) if x0 is None else np.tile(np.array(x0, dtype=float), (N, 1))
+    Z = np.zeros((N, n))
     cert, best, best_it = np.inf, np.inf, 0
     for it in range(SOLVE_MAX_ITER):
         mu = weights @ Z
@@ -236,13 +236,8 @@ def _product_solve(net, tol, x0):
     )
 
 
-def fista_solve(
-    objectives,
-    tol: float = 1e-12,
-    x0=None,
-    method: str | None = None,
-) -> ReferenceSolution:
-    """Minimize sum_i Phi_i(x) to a certified residual.
+def fista_solve(objectives, tol: float = 1e-12, method: str | None = None) -> ReferenceSolution:
+    """Minimize sum_i Phi_i(x) from x = 0 to a certified residual.
 
     When every node shares one partition the penalty sums into a single
     sparse-group term with a closed-form prox, so plain accelerated proximal
@@ -267,9 +262,9 @@ def fista_solve(
     if method == "central":
         if not shared:  # its prox would sum every penalty on node 0's groups
             raise ValueError("the central solve needs every node on node 0's partition")
-        x_star, cert = _central_solve(net, tol, x0)
+        x_star, cert = _central_solve(net, tol)
     elif method == "product":
-        x_star, cert = _product_solve(net, tol, x0)
+        x_star, cert = _product_solve(net, tol)
     else:
         raise ValueError(f"unknown method {method!r}")
     return _solution(net, x_star, cert)

@@ -23,7 +23,7 @@ from . import baselines as _baselines
 from . import dpga as _dpga
 from . import dpga_w as _dpga_w
 from .engine import step_rule
-from .errors import DivergenceError, ProtocolError
+from .errors import DivergenceError, ProtocolError, check_positive
 from .objective import NoisyOracle, network, row_dot
 from .topology import Graph, NetworkState, mixing_pair
 
@@ -90,10 +90,8 @@ class RoundSchedule:
             val = getattr(self, name)
             if not isinstance(val, (int, np.integer)) or isinstance(val, bool):
                 raise ValueError(f"{name} must be an integer, got {val!r}")
-            if val < 1:
-                raise ValueError(f"{name} must be at least 1")
-        if not (self.stop_rel_subopt > 0 and self.stop_consensus > 0):  # NaN too
-            raise ValueError("stopping thresholds must be positive")
+            check_positive(**{name: val})
+        check_positive(stop_rel_subopt=self.stop_rel_subopt, stop_consensus=self.stop_consensus)
 
 
 @dataclass
@@ -325,8 +323,7 @@ def _dpgaw_init(run) -> NetworkState:
 
 def _admm_init(run) -> NetworkState:
     gam = np.asarray(run.gammas, dtype=float)
-    if not (gam > 0).all():  # NaN too; checked before the spread, which NaN makes NaN
-        raise ValueError(f"need one positive gamma per node, got {gam.tolist()!r}")
+    check_positive(gammas=gam)  # before the spread, which NaN makes NaN
     if np.ptp(gam) != 0:
         raise ValueError("the admm variant uses one shared gamma")
     W = _dpga_w.CommunicationMatrix.from_laplacian(run.graph)
@@ -413,8 +410,7 @@ def run_synchronous(
         raise ValueError("step_mode must be 'CS' or 'AS'")
     if step_mode == "AS" and algorithm != "dpga":
         raise ValueError("adaptive steps are only wired up for dpga")
-    if not sigma >= 0:  # NaN too
-        raise ValueError(f"sigma must be nonnegative, got {sigma!r}")
+    check_positive(sigma=sigma)
     noisy = algorithm in ("sdpga", "sdpga_w")
     if sigma > 0 and not noisy:
         raise ValueError(f"{algorithm} has no gradient-noise mode")

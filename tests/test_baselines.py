@@ -1,11 +1,13 @@
 """PG-EXTRA and consensus ADMM against hand recursions and the W variant."""
 
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from conftest import random_objective, random_objectives
+from netprox import baselines
 from netprox.baselines import (
     ProxOnlyObjective,
     admm_init,
@@ -40,6 +42,10 @@ def test_pg_extra_default_step_and_caps():
     smooth_free = [ProxOnlyObjective(o) for o in objs]
     with pytest.raises(ValueError):
         pg_extra_init(g, mix, smooth_free, x0)
+    # a NaN L_max would set c = NaN
+    no_cap = [SimpleNamespace(lipschitz=float("nan")) for _ in objs]
+    with pytest.raises(ValueError, match="L_max must be finite and positive, got nan"):
+        pg_extra_init(g, mix, no_cap, x0)
 
 
 def test_pg_extra_matches_matrix_recursion():
@@ -141,14 +147,13 @@ def test_prox_composite_quadratic_case():
         assert np.linalg.norm(z - quadratic_prox_reference(obj, v, c)) < 1e-8
 
 
-def test_prox_composite_stall_reports_residual():
+def test_prox_composite_stall_reports_residual(monkeypatch):
     rng = np.random.default_rng(5)
     obj = random_objective(rng, n=7, m=9)
+    monkeypatch.setattr(baselines, "PROX_MAX_ITER", 3)
     with pytest.raises(InnerSolveError) as err:
-        prox_composite(obj, rng.standard_normal(7), 1.0, tol=1e-12, max_iter=3)
+        prox_composite(obj, rng.standard_normal(7), 1.0, tol=1e-12)
     assert err.value.residual > 0
-    with pytest.raises(ValueError, match="max_iter must be at least 1"):
-        prox_composite(obj, rng.standard_normal(7), 1.0, max_iter=0)
     # node 0 starts at its solution (b = 0, v = 0, z = 0) and stops at once;
     # node 1 is the first still searching when the cap is hit
     objs = random_objectives(rng, 3, n=7, m=9)
@@ -156,7 +161,7 @@ def test_prox_composite_stall_reports_residual():
     V = rng.standard_normal((3, 7))
     V[0] = 0.0
     with pytest.raises(InnerSolveError, match="at node 1: gradient mapping") as err:
-        prox_composite_rows(objs, V, np.ones(3), V, tol=1e-12, max_iter=3)
+        prox_composite_rows(objs, V, np.ones(3), V, tol=1e-12)
     assert err.value.residual > 0
     assert f"{err.value.residual:.3e}" in str(err.value)
 

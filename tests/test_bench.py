@@ -211,6 +211,8 @@ def test_reference_cache_entry_that_does_not_fit_is_a_miss(corrupt, tmp_path, mo
 def test_bound_curve_shape():
     with pytest.raises(ValueError):
         BoundCurve(column="bound_theorem3", coef_subopt=0.0, coef_consensus=1.0)
+    with pytest.raises(ValueError, match="coef_subopt must be finite and positive, got nan"):
+        BoundCurve(column="bound_theorem3", coef_subopt=float("nan"), coef_consensus=1.0)
     curve = BoundCurve(column="bound_sdpga", coef_subopt=8.0, coef_consensus=4.0, coef_sqrt=6.0)
     assert curve.subopt_bound(4) == pytest.approx(8.0 / 4 + 6.0 / 2)
     assert curve.consensus_bound(16) == pytest.approx(4.0 / 16 + 6.0 / 4)

@@ -360,8 +360,9 @@ def test_gamma_heuristic_values():
     )
     with pytest.raises(ValueError):
         gamma_heuristic(build_topology("star", 5), c_factor=0.0)
-    with pytest.raises(ValueError, match="c_factor must be positive.*got nan"):
-        gamma_heuristic(build_topology("star", 5), c_factor=float("nan"))
+    for bad in ("nan", "inf"):  # an inf c_factor gives an inf gamma
+        with pytest.raises(ValueError, match=f"c_factor must be finite and positive, got {bad}"):
+            gamma_heuristic(build_topology("star", 5), c_factor=float(bad))
 
 
 def test_gamma_star_values():
@@ -369,5 +370,5 @@ def test_gamma_star_values():
     assert val == pytest.approx(np.sqrt(3.5 / 3.0))
     with pytest.raises(ValueError):
         gamma_star(np.array([1.0]), 1.0, 1, 0.0)
-    with pytest.raises(ValueError, match="dist0 must be positive .*got nan"):
+    with pytest.raises(ValueError, match="dist0 must be finite and positive, got nan"):
         gamma_star(np.array([1.0]), 1.0, 1, float("nan"))

@@ -52,7 +52,7 @@ def test_huber_frozen_values():
 def test_huber_rejects_bad_inputs():
     with pytest.raises(ValueError):
         huber(np.array([1.0]), 0.0)
-    with pytest.raises(ValueError, match="delta must be positive, got nan"):
+    with pytest.raises(ValueError, match="delta must be finite and positive, got nan"):
         huber(np.array([1.0]), float("nan"))
     with pytest.raises(ValueError):
         huber(np.array([np.nan]), 1.0)
@@ -251,6 +251,13 @@ def test_objective_shape_validation():
                 A=np.ones((2, 2)), b=np.zeros(2), partition=part,
                 **{"delta": 1.0, "beta1": 0.1, "beta2": 0.1, **weights},
             )
+    # a supplied L_i is checked, not stored as given for the rounds to diverge on
+    for L in (nan, float("inf")):
+        with pytest.raises(ValueError, match=f"lipschitz must be finite and nonnegative, got {L}"):
+            NodeObjective(
+                A=np.ones((2, 2)), b=np.zeros(2), delta=1.0, beta1=0.1, beta2=0.1,
+                partition=part, lipschitz=L,
+            )
 
 
 def test_gradient_matches_finite_differences():
@@ -330,7 +337,7 @@ def test_objective_text_rejects_garbage():
         (good.replace("7 8", "7 8 9"), "line 9: 3 values, expected m=2"),
         (good + "\n10 11\n", "line 11: text after b"),
         (good + "junk\n", "line 10: text after b"),
-        (good.replace("delta=1.0", "delta=nan"), "delta must be positive, got nan"),
+        (good.replace("delta=1.0", "delta=nan"), "delta must be finite and positive, got nan"),
     ):
         with pytest.raises(ValueError, match=line):
             objective_from_text(text)

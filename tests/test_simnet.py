@@ -81,9 +81,11 @@ def test_round_schedule_validation():
     with pytest.raises(ValueError):
         RoundSchedule(max_rounds=5, check_every=0)
     # NaN compares False with everything, so a run with it could never stop
+    # and one with an inf threshold would stop at its first checked round
     for key in ("stop_rel_subopt", "stop_consensus"):
-        with pytest.raises(ValueError, match="thresholds must be positive"):
-            RoundSchedule(max_rounds=10, **{key: float("nan")})
+        for bad in ("nan", "inf"):
+            with pytest.raises(ValueError, match=f"{key} must be finite and positive, got {bad}"):
+                RoundSchedule(max_rounds=10, **{key: float(bad)})
 
 
 @pytest.mark.parametrize(
@@ -183,14 +185,16 @@ def test_run_validations():
         run_synchronous("dpga", g, objs, sched, 0, gammas=gam, sigma=0.1)
     with pytest.raises(ValueError, match="nonnegative"):
         run_synchronous("sdpga", g, objs, sched, 0, gammas=gam, sigma=-0.1)
-    # a NaN sigma is refused by name, not met as a divergence in round 1
+    # a NaN or inf sigma is refused by name, not met as a divergence in round 1
     for algorithm in ("sdpga", "sdpga_w"):
-        with pytest.raises(ValueError, match="sigma must be nonnegative, got nan"):
-            run_synchronous(algorithm, g, objs, sched, 0, gammas=gam, sigma=float("nan"))
-    # so are NaN penalties, on every algorithm whose init takes gammas
+        for bad in ("nan", "inf"):
+            with pytest.raises(ValueError, match=f"sigma must be finite and nonnegative, got {bad}"):
+                run_synchronous(algorithm, g, objs, sched, 0, gammas=gam, sigma=float(bad))
+    # so are NaN and inf penalties, on every algorithm whose init takes gammas
     for algorithm in ("dpga", "sdpga", "dpga_w", "sdpga_w", "admm"):
-        with pytest.raises(ValueError, match="need one positive gamma per node, got \\[nan"):
-            run_synchronous(algorithm, g, objs, sched, 0, gammas=np.full(3, np.nan))
+        for bad in ("nan", "inf"):
+            with pytest.raises(ValueError, match=f"gammas must be finite and positive, got \\[{bad}"):
+                run_synchronous(algorithm, g, objs, sched, 0, gammas=np.full(3, float(bad)))
     with pytest.raises(ValueError, match="needs gammas"):
         run_synchronous("dpga", g, objs, sched, 0)
     with pytest.raises(ValueError, match="one shared gamma"):
