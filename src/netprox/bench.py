@@ -543,38 +543,34 @@ class ExperimentSummary:
     checks_passed: bool
 
 
-def _bound_for(algorithm, exp: Experiment, objectives, gammas, x0, reference):
-    """The bound curve of a run of one of BOUNDED_ALGORITHMS, over the step
-    sizes that run takes; None for the other algorithms."""
+def _bound_for(algorithm, exp: Experiment, objectives, gammas, reference):
+    """The bound curve of a run of one of BOUNDED_ALGORITHMS, from that run's
+    initial state and over its step sizes; None for the other algorithms."""
     if algorithm not in BOUNDED_ALGORITHMS:
         return None
     graph = exp.graph
-    common = dict(kappas=reference.kappas, x_star=reference.x_star, x0=x0)
+    state = _simnet.initial_state(algorithm, graph, objectives, gammas, exp.horizon, exp.safety)
+    common = dict(kappas=reference.kappas, x_star=reference.x_star, x0=state.x, step_sizes=state.c)
     # the curves are looked up by module-global name, so a wrapper put on
     # this module (as the benchmark's tracer does) sees every call
     if algorithm == "dpga_w":
-        W = _dpga_w.CommunicationMatrix.from_laplacian(graph)
-        state = _dpga_w.dpgaw_init(graph, W, objectives, gammas, x0, safety=exp.safety)
-        return theorem4_curve(graph, W, gammas, step_sizes=state.c, **common)
-    mode = "constant" if algorithm == "dpga" else "horizon"
-    state = _dpga.dpga_init(graph, objectives, gammas, x0, safety=exp.safety, step_mode=mode)
+        return theorem4_curve(graph, state.ops["W"], gammas, **common)
     if algorithm == "dpga":
-        return theorem3_curve(graph, gammas, step_sizes=state.c, **common)
-    dbar = float(np.linalg.norm(reference.x_star - x0[0]))
-    return corollary2_curve(graph, gammas, step_sizes=state.c, sigma=exp.sigma, dbar=dbar, **common)
+        return theorem3_curve(graph, gammas, **common)
+    dbar = float(np.linalg.norm(reference.x_star - state.x[0]))
+    return corollary2_curve(graph, gammas, sigma=exp.sigma, dbar=dbar, **common)
 
 
 def seed_setup(exp: Experiment, seed: int, bounds: bool):
     """What the cells of one seed share: (instance, reference, penalties,
     curves), where curves holds per configured algorithm its bound curve
-    from the x = 0 every run starts at, or None (always None without
-    bounds)."""
+    from the initial state its run starts from, or None (always None
+    without bounds)."""
     problem = generate_problem(exp.spec(seed))
     reference = reference_for(problem)
     gammas = exp.gammas(reference)
-    x0 = [np.zeros(problem.spec.n) for _ in range(exp.problem.N)]
     curves = tuple(
-        _bound_for(a, exp, problem.objectives, gammas, x0, reference) if bounds else None
+        _bound_for(a, exp, problem.objectives, gammas, reference) if bounds else None
         for a in exp.algorithms
     )
     return problem, reference, gammas, curves

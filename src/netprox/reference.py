@@ -22,10 +22,10 @@ import numpy as np
 from .errors import check_positive
 from .objective import (
     GroupPartition,
+    _sparse_group_prox,
     group_norm,
     network,
     power_iteration_sq_norm,
-    prox_sparse_group,
     row_dot,
 )
 
@@ -155,7 +155,7 @@ def _one_partition(net) -> bool:
 
 
 def _central_solve(net, tol):
-    n, partition = net[0].n, net[0].partition
+    n, groups = net[0].n, (net[0].partition.index, net[0].partition.owners)
     beta1_tot = float(sum(o.beta1 for o in net))
     beta2_tot = float(sum(o.beta2 for o in net))
     # the summed gradient as one product over every node's rows, stacked; the Huber
@@ -163,20 +163,23 @@ def _central_solve(net, tol):
     Af, bf = np.vstack([o.A for o in net]), np.concatenate([o.b for o in net])
     d = np.concatenate([np.full(len(o.b), o.delta) for o in net])
     step, lo, AfT = 1.0 / power_iteration_sq_norm(Af), -d, Af.T
+    check_positive(t=step, beta1=beta1_tot, beta2=beta2_tot)  # once: fixed for the solve
 
     def grad_sum(x):  # the clip as its two ufuncs, without np.clip's wrapper
         return AfT @ np.minimum(np.maximum(Af @ x - bf, lo), d)
 
+    def prox_step(x):  # prox_sparse_group at x - step grad, its checks made above
+        return _sparse_group_prox(x - step * grad_sum(x), step, beta1_tot, beta2_tot, *groups)
+
     def gm_at(x):
-        z = prox_sparse_group(x - step * grad_sum(x), step, beta1_tot, beta2_tot, partition)
-        return float(np.linalg.norm(x - z)) / step
+        return float(np.linalg.norm(x - prox_step(x))) / step
 
     x = np.zeros(n)
     y = x.copy()
     theta = 1.0
     best, best_it = np.inf, 0
     for it in range(SOLVE_MAX_ITER):
-        z = prox_sparse_group(y - step * grad_sum(y), step, beta1_tot, beta2_tot, partition)
+        z = prox_step(y)
         dz = z - x
         if float(np.vdot(y - z, dz)) > 0:
             theta = 1.0

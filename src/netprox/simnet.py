@@ -8,7 +8,7 @@ the receivers' GraphOperators, whose support was checked against the graph
 when they were built, so node i only ever reads its neighbours' rows. Global
 quantities (objective value, consensus violation, ergodic averages) are
 computed by an observer between rounds and never fed back into the rounds.
-A small registry maps each algorithm to its init and round functions.
+initial_state builds the state a run starts from; a registry maps each algorithm to its round.
 """
 
 from __future__ import annotations
@@ -40,6 +40,7 @@ __all__ = [
     "audit_check",
     "consensus_metrics",
     "ergodic_aggregates",
+    "initial_state",
     "network_objective",
     "plain_exchange",
     "run_synchronous",
@@ -308,64 +309,46 @@ def audit_check(log: AuditLog, algorithm: str) -> AuditReport:
     )
 
 
-def _dpga_init(run) -> NetworkState:
-    return _dpga.dpga_init(
-        run.graph, run.objectives, run.gammas, run.x0, safety=run.safety, step_mode=run.mode
-    )
-
-
-def _dpgaw_init(run) -> NetworkState:
-    W = _dpga_w.CommunicationMatrix.from_laplacian(run.graph)
-    return _dpga_w.dpgaw_init(
-        run.graph, W, run.objectives, run.gammas, run.x0, safety=run.safety, step_mode=run.mode
-    )
-
-
-def _admm_init(run) -> NetworkState:
-    gam = np.asarray(run.gammas, dtype=float)
+def initial_state(algorithm, graph: Graph, objectives, gammas, horizon, safety) -> NetworkState:
+    """The NetworkState a run of algorithm starts from: every node at x = 0, with
+    the step sizes, operators and penalties its rounds read; the noisy variants
+    take the base step of their schedule (horizon when a horizon is given, else
+    diminishing). run_synchronous and the bound curves both start here, so a
+    curve is built over the steps its run takes. pg_extra reads no gammas."""
+    if algorithm not in ALGORITHMS:
+        raise ValueError(f"unknown algorithm {algorithm!r}; expected one of {ALGORITHMS}")
+    x0 = np.zeros((graph.node_count, objectives[0].n))
+    mode = step_rule(None, horizon) if algorithm in ("sdpga", "sdpga_w") else "constant"
+    if algorithm in ("dpga", "sdpga"):
+        return _dpga.dpga_init(graph, objectives, gammas, x0, safety=safety, step_mode=mode)
+    if algorithm == "pg_extra":
+        return _baselines.pg_extra_init(graph, mixing_pair(graph), objectives, x0)
+    W = _dpga_w.CommunicationMatrix.from_laplacian(graph)
+    if algorithm != "admm":
+        return _dpga_w.dpgaw_init(graph, W, objectives, gammas, x0, safety=safety, step_mode=mode)
+    gam = np.asarray(gammas, dtype=float)
     check_positive(gammas=gam)  # before the spread, which NaN makes NaN
     if np.ptp(gam) != 0:
         raise ValueError("the admm variant uses one shared gamma")
-    W = _dpga_w.CommunicationMatrix.from_laplacian(run.graph)
-    return _baselines.admm_init(run.graph, W, run.objectives, float(gam.flat[0]), run.x0)
+    return _baselines.admm_init(graph, W, objectives, float(gam.flat[0]), x0)
 
 
-# algorithm -> (init(run), round(run, state, k) -> state). The round
-# functions are looked up on their modules at call time, so a wrapper put
-# there (as the benchmark's tracer does) sees every round.
-_REGISTRY = {
-    "dpga": (
-        _dpga_init,
-        lambda run, st, k: (
-            _dpga.dpga_round_adaptive if run.step_mode == "AS" else _dpga.dpga_round
-        )(st, run.objectives, run.exchange)[0],
-    ),
-    "sdpga": (
-        _dpga_init,
-        lambda run, st, k: _dpga.sdpga_round(
-            st, run.objectives, run.oracles, k, run.exchange, horizon=run.horizon
-        )[0],
-    ),
-    "dpga_w": (
-        _dpgaw_init,
-        lambda run, st, k: _dpga_w.dpgaw_round(st, run.objectives, run.exchange)[0],
-    ),
-    "sdpga_w": (
-        _dpgaw_init,
-        lambda run, st, k: _dpga_w.sdpgaw_round(
-            st, run.objectives, run.oracles, k, run.exchange, horizon=run.horizon
-        )[0],
-    ),
-    "pg_extra": (
-        lambda run: _baselines.pg_extra_init(
-            run.graph, mixing_pair(run.graph), run.objectives, run.x0
-        ),
-        lambda run, st, k: _baselines.pg_extra_round(st, run.objectives, run.exchange)[0],
-    ),
-    "admm": (
-        _admm_init,
-        lambda run, st, k: _baselines.admm_round(st, run.objectives, run.exchange)[0],
-    ),
+# algorithm -> round(run, state, k) -> state. The round functions are looked
+# up on their modules at call time, so a wrapper put there (as the
+# benchmark's tracer does) sees every round.
+_ROUNDS = {
+    "dpga": lambda run, st, k: (
+        _dpga.dpga_round_adaptive if run.step_mode == "AS" else _dpga.dpga_round
+    )(st, run.objectives, run.exchange)[0],
+    "sdpga": lambda run, st, k: _dpga.sdpga_round(
+        st, run.objectives, run.oracles, k, run.exchange, horizon=run.horizon
+    )[0],
+    "dpga_w": lambda run, st, k: _dpga_w.dpgaw_round(st, run.objectives, run.exchange)[0],
+    "sdpga_w": lambda run, st, k: _dpga_w.sdpgaw_round(
+        st, run.objectives, run.oracles, k, run.exchange, horizon=run.horizon
+    )[0],
+    "pg_extra": lambda run, st, k: _baselines.pg_extra_round(st, run.objectives, run.exchange)[0],
+    "admm": lambda run, st, k: _baselines.admm_round(st, run.objectives, run.exchange)[0],
 }
 
 
@@ -428,20 +411,15 @@ def run_synchronous(
     if any(o.n != n for o in objectives):
         raise ValueError(f"objective dimensions differ: {sorted({o.n for o in objectives})}")
     audit = AuditLog(node_count=N, n=n)
-    run = SimpleNamespace(  # what the registry's init and round functions read
-        graph=graph,
+    run = SimpleNamespace(  # what the round functions read
         objectives=objectives,
-        gammas=gammas,
-        x0=np.zeros((N, n)),
-        safety=safety,
-        mode=step_rule(None, horizon) if noisy else "constant",  # base stepsize rule
         step_mode=step_mode,
         horizon=horizon,
         oracles=[NoisyOracle.for_node(sigma, seed, i) for i in range(N)] if noisy else None,
         exchange=Transport(graph, audit).exchange,
     )
-    init, advance = _REGISTRY[algorithm]
-    state = init(run)
+    advance = _ROUNDS[algorithm]
+    state = initial_state(algorithm, graph, objectives, gammas, horizon, safety)
 
     audit.record_storage(state)
     F_star = None if reference is None else float(reference.F_star)

@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from netprox import bench
+from netprox import bench, simnet
 from netprox.bench import (
     BoundCurve,
     ConfigError,
@@ -513,6 +513,53 @@ def test_cli_gen_and_bounds_write_what_reads_back(tmp_path, capsys, monkeypatch)
     table = np.array([line.split(",") for line in lines], dtype=float)
     assert table[0, 0] == 1 and table[-1, 0] == 500 and (np.diff(table[:, 0]) > 0).all()
     assert (np.diff(table[:, 1:], axis=0) < 0).all()
+    # theorem 4 and corollary 2 too: the dpga_w and sdpga curves, with and without a horizon
+    for horizon in ({}, {"horizon": 300}):
+        cfg = base_config(
+            problem={"case": 2, "N": 5, "n_g": 4},
+            topology={"kind": "star"},
+            algorithms=["dpga", "dpga_w", "sdpga"],
+            sigma=0.1,
+            **horizon,
+        )
+        path.write_text(json.dumps(cfg))
+        assert main(["bounds", str(path), "--out", str(out), "--rounds", "500"]) == 0
+        header, *lines = Path(capsys.readouterr().out.strip()).read_text().splitlines()
+        pairs = ("theorem3", "theorem4", "sdpga")
+        assert header.split(",") == ["t"] + [
+            f"bound_{p}_{side}" for p in pairs for side in ("subopt", "consensus")
+        ]
+        table = np.array([line.split(",") for line in lines], dtype=float)
+        assert (np.diff(table[:, 1:], axis=0) < 0).all()
+
+
+def test_every_bound_curve_reads_its_runs_initial_state(tmp_path, monkeypatch):
+    # the curves are built from the state run_synchronous starts from, so steps
+    # scaled there move theorem 3, theorem 4 and corollary 2 alike
+    monkeypatch.setenv("NETPROX_CACHE", str(tmp_path / "cache"))
+    exp = validate_config(
+        base_config(
+            problem={"case": 1, "N": 5, "n_g": 2},
+            topology={"kind": "star"},
+            algorithms=["dpga", "dpga_w", "sdpga"],
+            sigma=0.1,
+        )
+    )
+    *_, curves = bench.seed_setup(exp, 0, bounds=True)
+    built = simnet.initial_state
+
+    def quarter_steps(*args):
+        state = built(*args)
+        return state.evolve(c=state.c / 4)
+
+    monkeypatch.setattr(simnet, "initial_state", quarter_steps)
+    *_, moved = bench.seed_setup(exp, 0, bounds=True)
+    columns = [c.column for c in moved]
+    assert columns == ["bound_theorem3", "bound_theorem4", "bound_sdpga"]
+    for before, after in zip(curves, moved):
+        assert after.constants["e_half"] == pytest.approx(4 * before.constants["e_half"])
+        assert after.coef_subopt > before.coef_subopt
+        assert after.coef_consensus > before.coef_consensus
 
 
 def test_load_config_reports_json_position(tmp_path):

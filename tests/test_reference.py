@@ -132,7 +132,7 @@ def test_solves_agree_across_starts_and_methods():
 
 @pytest.mark.parametrize(
     "method, owner, name",
-    [("central", reference, "prox_sparse_group"), ("product", NetworkObjective, "prox")],
+    [("central", reference, "_sparse_group_prox"), ("product", NetworkObjective, "prox")],
 )
 def test_a_stalled_solve_raises_within_the_window(method, owner, name, monkeypatch):
     # tol 1e-20 lies below the floor double precision allows, so the residual stops

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from conftest import random_objective, random_objectives
-from netprox import dpga, dpga_w, simnet
+from netprox import baselines, dpga, dpga_w, simnet
 from netprox.bench import ProblemSpec, generate_problem
 from netprox.dpga import GammaMatrix, dpga_init, dpga_round
 from netprox.errors import DivergenceError, ProtocolError
@@ -27,7 +27,7 @@ from netprox.simnet import (
     plain_exchange,
     run_synchronous,
 )
-from netprox.topology import build_topology
+from netprox.topology import build_topology, mixing_pair
 
 
 @dataclasses.dataclass(frozen=True)
@@ -403,6 +403,54 @@ def test_replayed_inboxes_reproduce_the_run():
 
 def test_algorithm_registry_covers_profiles():
     assert set(TABLE_PROFILES) == set(ALGORITHMS)
+
+
+def _own_init(algorithm, g, objs, gammas, horizon, safety):
+    """The start each algorithm's own init builds, spelled out per algorithm."""
+    x0 = np.zeros((g.node_count, objs[0].n))
+    noisy = "horizon" if horizon is not None else "diminishing"
+    W = dpga_w.CommunicationMatrix.from_laplacian(g)
+    return {
+        "dpga": lambda: dpga_init(g, objs, gammas, x0, safety=safety),
+        "sdpga": lambda: dpga_init(g, objs, gammas, x0, safety=safety, step_mode=noisy),
+        "dpga_w": lambda: dpga_w.dpgaw_init(g, W, objs, gammas, x0, safety=safety),
+        "sdpga_w": lambda: dpga_w.dpgaw_init(
+            g, W, objs, gammas, x0, safety=safety, step_mode=noisy
+        ),
+        "pg_extra": lambda: baselines.pg_extra_init(g, mixing_pair(g), objs, x0),
+        "admm": lambda: baselines.admm_init(g, W, objs, float(gammas[0]), x0),
+    }[algorithm]()
+
+
+@pytest.mark.parametrize("kind, N", [("star", 5), ("circle", 50)])
+@pytest.mark.parametrize(
+    "algorithm, horizon",
+    [(a, None) for a in ALGORITHMS] + [("sdpga", 100), ("sdpga_w", 100)],
+)
+def test_initial_state_is_what_each_init_builds(algorithm, horizon, kind, N):
+    g = build_topology(kind, N)
+    objs = generate_problem(ProblemSpec(case=1, N=N, n_g=10, seed=0)).objectives
+    gammas = {
+        "pg_extra": None,
+        "admm": np.full(N, 1.5),
+    }.get(algorithm, 1.0 + 0.1 * np.arange(N))
+    got = simnet.initial_state(algorithm, g, objs, gammas, horizon, 0.9)
+    want = _own_init(algorithm, g, objs, gammas, horizon, 0.9)
+    assert list(got.fields) == list(want.fields)
+    for name, a in want.fields.items():
+        b = got.fields[name]
+        assert (b.dtype, b.shape, b.tobytes()) == (a.dtype, a.shape, a.tobytes()), name
+    assert list(got.ops) == list(want.ops)
+    for name, op in want.ops.items():
+        assert type(got.ops[name]) is type(op)
+        assert got.ops[name].matrix.tobytes() == op.matrix.tobytes(), name
+    assert not got.x.any()
+
+
+def test_initial_state_rejects_an_unknown_algorithm():
+    g, objs = small_net(seed=2)
+    with pytest.raises(ValueError, match="unknown algorithm 'dgd'"):
+        simnet.initial_state("dgd", g, objs, np.ones(3), None, 0.999)
 
 
 def test_rounds_are_called_through_their_modules(monkeypatch):
