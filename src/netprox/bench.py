@@ -13,7 +13,7 @@ from __future__ import annotations
 import json
 import os
 import re
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -178,7 +178,6 @@ class BoundCurve:
     coef_subopt: float
     coef_consensus: float
     coef_sqrt: float = 0.0
-    constants: dict = field(default_factory=dict)
 
     def __post_init__(self) -> None:
         check_positive(coef_subopt=self.coef_subopt, coef_consensus=self.coef_consensus)
@@ -191,86 +190,43 @@ class BoundCurve:
         return self.coef_consensus / t + self.coef_sqrt / np.sqrt(t)
 
 
-def _half_distances(step_sizes, x_star, x0) -> float:
-    total = 0.0
+def _ergodic_curve(column: str, q, s, kappas, x_star, x0, step_sizes) -> BoundCurve:
+    """The O(1/t) bound of theorems 3 and 4, which differ only in the penalty
+    norm q and the spectral constant s: (2 q kappa^2 / s + E) / t on the gap and
+    (q (kappa^2 / s + 1) + E) / t on consensus, with kappa^2 = sum_i kappa_i^2
+    and E = sum_i |x_star - x0_i|^2 / (2 c_i) over the c_i the run uses."""
+    kap_sq = float(sum(k**2 for k in kappas))
+    e_half = 0.0
     for c_i, x0_i in zip(step_sizes, x0):
         d = x_star - np.asarray(x0_i, dtype=float)
-        total += float(d @ d) / (2.0 * c_i)
-    return total
+        e_half += float(d @ d) / (2.0 * c_i)
+    return BoundCurve(column, 2.0 * q * kap_sq / s + e_half, q * (kap_sq / s + 1.0) + e_half)
 
 
 def theorem3_curve(graph: Graph, gammas, kappas, x_star, x0, step_sizes) -> BoundCurve:
-    """Ergodic bounds for the edge-penalty method: both the two-sided
-    suboptimality constant and the edge-aggregate consensus constant decay
-    like 1/t. step_sizes must be the c_i the run actually uses."""
+    """Ergodic bounds for the edge-penalty method: q is the largest
+    1/gamma_i + 1/gamma_j over the edges, s = psi_min the smallest positive
+    Laplacian eigenvalue, and step_sizes the c_i the run actually uses."""
     gam = np.asarray(gammas, dtype=float)
     q_norm = max(1.0 / gam[i] + 1.0 / gam[j] for i, j in graph.edges)
-    sigma_min = spectral_summary(graph).psi_min_pos
-    kap_sq = float(sum(k**2 for k in kappas))
-    e_half = _half_distances(step_sizes, x_star, x0)
-    return BoundCurve(
-        column="bound_theorem3",
-        coef_subopt=2.0 * q_norm * kap_sq / sigma_min + e_half,
-        coef_consensus=q_norm * (kap_sq / sigma_min + 1.0) + e_half,
-        constants={
-            "q_norm": q_norm,
-            "sigma_min": sigma_min,
-            "kappa_sq": kap_sq,
-            "e_half": e_half,
-        },
-    )
+    psi_min = spectral_summary(graph).psi_min_pos
+    return _ergodic_curve("bound_theorem3", q_norm, psi_min, kappas, x_star, x0, step_sizes)
 
 
-def theorem4_curve(
-    graph: Graph,
-    W,
-    gammas,
-    kappas,
-    x_star,
-    x0,
-    step_sizes,
-    tau_variant: str = "stated",
-) -> BoundCurve:
-    """Ergodic bounds for the weighted-network method. The consensus metric
-    is |(Omega kron I) xbar|; tau_variant picks whether tau_max sums 1/gamma
-    over open neighborhoods ("stated") or closed ones ("proof")."""
-    stated, proof = _dpga_w.tau_values(graph, gammas)
-    if tau_variant == "stated":
-        tau_max = stated
-    elif tau_variant == "proof":
-        tau_max = proof
-    else:
-        raise ValueError("tau_variant must be 'stated' or 'proof'")
+def theorem4_curve(graph: Graph, W, gammas, kappas, x_star, x0, step_sizes) -> BoundCurve:
+    """Ergodic bounds for the weighted-network method, with q = tau_max as
+    the theorem states it (1/gamma summed over open neighborhoods) and
+    s = sigma_min(W)^2. The consensus metric is |(Omega kron I) xbar|."""
+    tau_max = _dpga_w.tau_values(graph, gammas)[0]
     sigma_min_sq = W.sigma_min_pos**2
-    kap_sq = float(sum(k**2 for k in kappas))
-    e_half = _half_distances(step_sizes, x_star, x0)
-    return BoundCurve(
-        column="bound_theorem4",
-        coef_subopt=2.0 * tau_max * kap_sq / sigma_min_sq + e_half,
-        coef_consensus=tau_max * (kap_sq / sigma_min_sq + 1.0) + e_half,
-        constants={
-            "tau_max": tau_max,
-            "sigma_min_sq": sigma_min_sq,
-            "kappa_sq": kap_sq,
-            "e_half": e_half,
-        },
-    )
+    return _ergodic_curve("bound_theorem4", tau_max, sigma_min_sq, kappas, x_star, x0, step_sizes)
 
 
 def corollary2_curve(graph: Graph, gammas, kappas, x_star, x0, step_sizes, sigma, dbar) -> BoundCurve:
     """Stochastic-oracle version of the edge-penalty bounds: the 1/t
     constants plus N (Dbar^2 + 2 sigma^2) / (2 sqrt(t)) on both sides."""
     det = theorem3_curve(graph, gammas, kappas, x_star, x0, step_sizes)
-    extra = graph.node_count * (dbar**2 + 2.0 * sigma**2) / 2.0
-    constants = dict(det.constants)
-    constants.update({"sigma": float(sigma), "dbar": float(dbar)})
-    return BoundCurve(
-        column="bound_sdpga",
-        coef_subopt=det.coef_subopt,
-        coef_consensus=det.coef_consensus,
-        coef_sqrt=extra,
-        constants=constants,
-    )
+    return replace(det, column="bound_sdpga", coef_sqrt=graph.node_count * (dbar**2 + 2.0 * sigma**2) / 2.0)
 
 
 # the algorithms with a bound curve: theorem 3, theorem 4 and corollary 2
@@ -300,12 +256,7 @@ def equal_gamma_simplified(graph: Graph, gamma, kappas, lipschitzes, x_star, x0_
         column = "bound_theorem4"
     else:
         raise ValueError("variant must be 'dpga' or 'dpga_w'")
-    return BoundCurve(
-        column=column,
-        coef_subopt=num,
-        coef_consensus=num,
-        constants={"gamma": float(gamma), "kappa_sq": kap_sq, "dist_sq": dist_sq},
-    )
+    return BoundCurve(column=column, coef_subopt=num, coef_consensus=num)
 
 
 class ConfigError(ValueError):
@@ -324,6 +275,8 @@ def load_config(path) -> dict:
         return json.loads(text)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}: line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
+    except ValueError as exc:  # an integer literal past Python's int-from-text digit limit
+        raise ConfigError(f"{path}: {exc}") from exc
 
 
 @dataclass(frozen=True)
@@ -380,6 +333,14 @@ def _is_a(val, kind) -> bool:
     return isinstance(val, (int, float) if kind is float else kind)
 
 
+def _float_of(name: str, val) -> float:
+    """float(val) for a JSON number; an integer too large for a float is a ConfigError."""
+    try:
+        return float(val)
+    except OverflowError:
+        raise ConfigError(f"{name}: an integer too large for a float") from None
+
+
 class _Section:
     """One JSON object of a configuration. Each key is read once, with its
     type, range and default; done() rejects every key that was not read."""
@@ -403,7 +364,9 @@ class _Section:
             what = "a number" if kind is float else kind.__name__
             null = " or null" if default is None else ""
             raise ConfigError(f"{name}: expected {what}{null}, got {type(val).__name__}")
-        val = float(val) if kind is float else val
+        if kind in (int, float):  # every number fits a float, so a horizon has a float root
+            as_float = _float_of(name, val)
+            val = as_float if kind is float else val
         if valid is not None and not valid(val):
             raise ConfigError(f"{name}: {rule} (got {val!r})")
         return val
@@ -484,7 +447,7 @@ def validate_config(cfg) -> Experiment:
             )
         if "admm" in algorithms and len(set(vals)) > 1:
             raise ConfigError("gamma_rule: admm needs one shared gamma")
-        gamma_value = tuple(float(v) for v in vals)
+        gamma_value = tuple(_float_of("gamma_rule.value", v) for v in vals)
     gam.done()
 
     # noise and the horizon step rule belong to the stochastic variants only

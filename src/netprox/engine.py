@@ -44,7 +44,6 @@ __all__ = [
     "constraint_residuals",
     "theorem1_rhs",
     "theorem2_constant",
-    "stochastic_extra_term",
     "lyapunov_a",
 ]
 
@@ -277,11 +276,11 @@ def step_rule(rule: str | None, horizon: int | None, oracles=()) -> str:
 
 
 def scheduled_step(base, rule: str, k: int, horizon: int | None = None):
-    """c_i^k under a resolved rule: the base c_i for constant steps, else
-    1/c_i^k = 1/c_i + sqrt(k), with k frozen at the horizon for that rule."""
+    """c_i^k under a resolved rule: the base c_i for constant steps, else 1/c_i^k =
+    1/c_i + sqrt(k), k frozen at the horizon for that rule (a float: no int root past 2**64)."""
     if rule == "constant":
         return base
-    return 1.0 / (1.0 / base + np.sqrt(horizon if rule == "horizon" else k))
+    return 1.0 / (1.0 / base + np.sqrt(float(horizon if rule == "horizon" else k)))
 
 
 @dataclass(frozen=True)
@@ -526,11 +525,6 @@ def theorem2_constant(
             2.0 * c[i]
         )
     return float(total)
-
-
-def stochastic_extra_term(N: int, Dbar: float, sigma: float, t: int) -> float:
-    """N (Dbar^2 + 2 sigma^2) / (2 sqrt(t)), the noise penalty on the bound."""
-    return N * (Dbar**2 + 2.0 * sigma**2) / (2.0 * np.sqrt(t))
 
 
 def lyapunov_a(

@@ -84,10 +84,9 @@ def dual_group_prox(
 ):
     """Certified prox of beta1|y|_1 + sum_p beta2_p |y|_{G_p} at xbar.
 
-    group_terms is a sequence of (beta2, partition) pairs, so the same
-    routine serves the single-partition oracle and the summed penalty that
-    appears when several nodes carry different groupings. Maximizes the
-    concave dual
+    group_terms is a sequence of (beta2, partition) pairs. The oracle passes
+    one; several are kept for certifying a case-2 reference, whose nodes'
+    different groupings sum to one penalty. Maximizes the concave dual
 
         D(u, w_1..w_P) = <z, xbar> - (t/2)|z|^2,   z = u + sum_p w_p,
 

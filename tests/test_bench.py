@@ -230,12 +230,12 @@ def test_theorem3_curve_constants_by_hand():
     steps = [0.5, 0.25, 0.2]
     curve = theorem3_curve(g, gammas, kappas, x_star, x0, steps)
     e_half = 4.0 / (2 * 0.5) + 4.0 / (2 * 0.25) + 4.0 / (2 * 0.2)
+    # q is the hub-leaf edge with gamma 1 and 2; psi_min of the star is 1
     q_norm = 1.0 + 1.0 / 2.0
     kap_sq = 9.0
-    assert curve.constants["q_norm"] == pytest.approx(q_norm)
-    assert curve.constants["sigma_min"] == pytest.approx(1.0)
     assert curve.coef_subopt == pytest.approx(2 * q_norm * kap_sq / 1.0 + e_half)
     assert curve.coef_consensus == pytest.approx(q_norm * (kap_sq + 1.0) + e_half)
+    assert curve.coef_sqrt == 0.0
     assert curve.column == "bound_theorem3"
 
 
@@ -251,16 +251,12 @@ def test_theorem4_curve_tau_variants():
         step_sizes=[0.1, 0.1, 0.1],
     )
     stated = theorem4_curve(g, W, **kw)
-    proof = theorem4_curve(g, W, tau_variant="proof", **kw)
-    # leaves see the hub's 1/gamma=1, beating the hub's 1/2 + 1/3
-    assert stated.constants["tau_max"] == pytest.approx(1.0)
-    assert proof.constants["tau_max"] == pytest.approx(1.0 + 1.0 / 2 + 1.0 / 3)
-    assert proof.coef_subopt > stated.coef_subopt
-    # sigma_min of the star Laplacian is 1, squared stays 1
-    assert stated.constants["sigma_min_sq"] == pytest.approx(1.0)
+    # leaves see the hub's 1/gamma=1, beating the hub's 1/2 + 1/3, so the
+    # stated tau_max is 1; sigma_min of the star Laplacian is 1, squared stays 1
+    e_half = 3 * 4.0 / (2 * 0.1)
+    assert stated.coef_subopt == pytest.approx(2 * 1.0 * 3.0 / 1.0 + e_half)
+    assert stated.coef_consensus == pytest.approx(1.0 * (3.0 / 1.0 + 1.0) + e_half)
     assert stated.column == "bound_theorem4"
-    with pytest.raises(ValueError):
-        theorem4_curve(g, W, tau_variant="middle", **kw)
 
 
 def test_corollary2_adds_the_noise_term():
@@ -281,6 +277,40 @@ def test_corollary2_adds_the_noise_term():
     assert sto.subopt_bound(100) == pytest.approx(det.coef_subopt / 100 + sto.coef_sqrt / 10)
 
 
+@pytest.mark.parametrize("kind, N", [("star", 5), ("circle", 6)])
+def test_curve_coefficients_are_the_papers_formulas_to_the_bit(kind, N):
+    g = build_topology(kind, N)
+    W = CommunicationMatrix.from_laplacian(g)
+    # theorem 3: s = psi_min; theorem 4: s = sigma_min(W)^2
+    s3, s4 = spectral_summary(g).psi_min_pos, W.sigma_min_pos**2
+    rng = np.random.default_rng(N)
+    for _ in range(25):  # enough draws that a reordered product misses some last bit
+        gammas = 0.5 + rng.random(N)  # unequal, so q and tau_max pick one edge and one node
+        kappas = tuple(1.0 + rng.random(N))
+        x_star = rng.standard_normal(6)
+        x0 = [rng.standard_normal(6) for _ in range(N)]
+        steps = 0.1 + rng.random(N)
+        sigma, dbar = rng.random(), rng.random()
+        kap_sq = float(sum(k**2 for k in kappas))
+        e_half = 0.0
+        for c_i, x0_i in zip(steps, x0):
+            d = x_star - x0_i
+            e_half += float(d @ d) / (2.0 * c_i)
+        # theorem 3: q = max over edges of 1/gamma_i + 1/gamma_j; theorem 4: q = tau_max,
+        # 1/gamma summed over open neighborhoods
+        q3 = max(1.0 / gammas[i] + 1.0 / gammas[j] for i, j in g.edges)
+        q4 = float(max(sum(1.0 / gammas[j] for j in g.neighbor_lists[i]) for i in range(N)))
+        args = (gammas, kappas, x_star, x0, steps)
+        for curve, q, s, coef_sqrt in (
+            (theorem3_curve(g, *args), q3, s3, 0.0),
+            (theorem4_curve(g, W, *args), q4, s4, 0.0),
+            (corollary2_curve(g, *args, sigma, dbar), q3, s3, N * (dbar**2 + 2.0 * sigma**2) / 2.0),
+        ):
+            assert curve.coef_subopt == 2.0 * q * kap_sq / s + e_half
+            assert curve.coef_consensus == q * (kap_sq / s + 1.0) + e_half
+            assert curve.coef_sqrt == coef_sqrt
+
+
 def test_equal_gamma_simplification_dominates():
     N = 5
     gamma = 1.7
@@ -290,6 +320,7 @@ def test_equal_gamma_simplification_dominates():
     x0c = np.zeros(8)
     x0 = [x0c] * N
     dist_sq = float(np.sum(x_star**2))
+    kap_sq = float(sum(k**2 for k in kappas))
     for kind in ("star", "circle"):
         g = build_topology(kind, N)
         # largest admissible steps make the distance term collapse
@@ -297,7 +328,13 @@ def test_equal_gamma_simplification_dominates():
         general = theorem3_curve(g, np.full(N, gamma), kappas, x_star, x0, steps)
         simple = equal_gamma_simplified(g, gamma, kappas, lips, x_star, x0c, variant="dpga")
         expected_e_half = (gamma * g.edge_count + sum(lips) / 2.0) * dist_sq
-        assert general.constants["e_half"] == pytest.approx(expected_e_half, rel=1e-12)
+        q_norm, psi = 2.0 / gamma, spectral_summary(g).psi_min_pos
+        assert general.coef_subopt == pytest.approx(
+            2.0 * q_norm * kap_sq / psi + expected_e_half, rel=1e-12
+        )
+        assert general.coef_consensus == pytest.approx(
+            q_norm * (kap_sq / psi + 1.0) + expected_e_half, rel=1e-12
+        )
         assert simple.coef_subopt >= general.coef_subopt
         assert simple.coef_consensus >= general.coef_consensus
 
@@ -306,8 +343,13 @@ def test_equal_gamma_simplification_dominates():
         general_w = theorem4_curve(g, W, np.full(N, gamma), kappas, x_star, x0, steps_w)
         simple_w = equal_gamma_simplified(g, gamma, kappas, lips, x_star, x0c, variant="dpga_w")
         frob_sq = spectral_summary(g).frob_norm_sq
-        assert general_w.constants["e_half"] == pytest.approx(
-            0.5 * (gamma * frob_sq + sum(lips)) * dist_sq, rel=1e-12
+        e_half_w = 0.5 * (gamma * frob_sq + sum(lips)) * dist_sq
+        tau_max, s_w = g.max_degree / gamma, W.sigma_min_pos**2
+        assert general_w.coef_subopt == pytest.approx(
+            2.0 * tau_max * kap_sq / s_w + e_half_w, rel=1e-12
+        )
+        assert general_w.coef_consensus == pytest.approx(
+            tau_max * (kap_sq / s_w + 1.0) + e_half_w, rel=1e-12
         )
         assert simple_w.coef_subopt >= general_w.coef_subopt
         assert simple_w.coef_consensus >= general_w.coef_consensus
@@ -344,6 +386,9 @@ def test_config_validation_diagnostics():
         validate_config(base_config(gamma_rule={"rule": "fixed"}))
     with pytest.raises(ConfigError, match="gamma_rule.value"):
         validate_config(base_config(gamma_rule={"rule": "explicit"}))
+    for value in (10**400, [1.0, 10**400]):
+        with pytest.raises(ConfigError, match="gamma_rule.value: an integer too large for a float"):
+            validate_config(base_config(gamma_rule={"rule": "explicit", "value": value}))
     with pytest.raises(ConfigError, match="c_factor"):
         validate_config(base_config(gamma_rule={"rule": "heuristic", "c_factor": -2}))
     with pytest.raises(ConfigError, match="sigma"):
@@ -546,20 +591,23 @@ def test_every_bound_curve_reads_its_runs_initial_state(tmp_path, monkeypatch):
         )
     )
     *_, curves = bench.seed_setup(exp, 0, bounds=True)
-    built = simnet.initial_state
+    built, states = simnet.initial_state, []
 
     def quarter_steps(*args):
         state = built(*args)
+        states.append(state)
         return state.evolve(c=state.c / 4)
 
     monkeypatch.setattr(simnet, "initial_state", quarter_steps)
-    *_, moved = bench.seed_setup(exp, 0, bounds=True)
+    _, reference, _, moved = bench.seed_setup(exp, 0, bounds=True)
     columns = [c.column for c in moved]
     assert columns == ["bound_theorem3", "bound_theorem4", "bound_sdpga"]
-    for before, after in zip(curves, moved):
-        assert after.constants["e_half"] == pytest.approx(4 * before.constants["e_half"])
-        assert after.coef_subopt > before.coef_subopt
-        assert after.coef_consensus > before.coef_consensus
+    dist_sq = float(reference.x_star @ reference.x_star)  # every run starts at x = 0
+    for before, after, state in zip(curves, moved, states):
+        # quartered steps quadruple E = sum_i |x_star - x0_i|^2 / (2 c_i): 3 E more on both sides
+        e_half = sum(dist_sq / (2.0 * c) for c in state.c)
+        assert after.coef_subopt - before.coef_subopt == pytest.approx(3 * e_half)
+        assert after.coef_consensus - before.coef_consensus == pytest.approx(3 * e_half)
 
 
 def test_load_config_reports_json_position(tmp_path):
@@ -567,6 +615,11 @@ def test_load_config_reports_json_position(tmp_path):
     path.write_text('{\n  "problem": oops\n}\n')
     with pytest.raises(ConfigError, match="line 2"):
         load_config(path)
+    # an integer literal past Python's digit limit for reading text as an int
+    huge = tmp_path / "huge.json"
+    huge.write_text('{"sigma": 1' + "0" * 5000 + "}")
+    with pytest.raises(ConfigError, match=r"huge\.json: .*digits"):
+        load_config(huge)
     good = tmp_path / "good.json"
     import json
 

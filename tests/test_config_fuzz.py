@@ -32,8 +32,8 @@ _WRONG_TYPE = {
     bool: [1, "yes", None],
 }
 _OUT_OF_RANGE = {
-    int: [-1, 0, 1, 3],
-    float: [-1.0, 0.0, 1.5],
+    int: [-1, 0, 1, 3, 10**400],
+    float: [-1.0, 0.0, 1.5, 10**400],
     str: ["", "no-such-value"],
     list: [[], [-1], ["x", "x"]],
     dict: [{}],

@@ -21,7 +21,6 @@ from netprox.engine import (
     primal_dual_step,
     spgadmm_step,
     step_rule,
-    stochastic_extra_term,
     theorem1_rhs,
     theorem2_constant,
     y_step_residual,
@@ -376,11 +375,6 @@ def test_lyapunov_nonincreasing():
         cur = lyapunov_a(prob, plan.base, state, star.x, star.y, star.lam)
         assert cur <= prev + 1e-9
         prev = cur
-
-
-def test_stochastic_extra_term_value():
-    assert stochastic_extra_term(3, 2.0, 0.5, 4) == pytest.approx(3 * 4.5 / 4.0)
-    assert stochastic_extra_term(1, 0.0, 0.0, 9) == 0.0
 
 
 def test_engine_drives_edge_consensus_to_agreement():

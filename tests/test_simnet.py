@@ -246,6 +246,17 @@ def test_noisy_runs_reject_a_horizon_below_one(algorithm, horizon):
         )
 
 
+@pytest.mark.parametrize("algorithm", ["sdpga", "sdpga_w"])
+def test_noisy_runs_take_a_horizon_beyond_int64(algorithm):
+    # numpy has no root of an integer above 2**64, so the step roots a float
+    g, objs = small_net(seed=2)
+    res = run_synchronous(
+        algorithm, g, objs, RoundSchedule(max_rounds=3), 0,
+        gammas=np.ones(3), sigma=0.1, horizon=10**30,
+    )
+    assert res.rounds == 3 and np.isfinite(res.final_x).all()
+
+
 def test_audit_matches_declared_profiles():
     g, objs = small_net()
     n = objs[0].n
