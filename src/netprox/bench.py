@@ -44,6 +44,8 @@ __all__ = [
     "ExperimentSummary",
     "GeneratedProblem",
     "ProblemSpec",
+    "REFERENCE_TOL",
+    "bound_curve",
     "corollary2_curve",
     "equal_gamma_simplified",
     "generate_problem",
@@ -146,6 +148,7 @@ def generate_problem(spec: ProblemSpec) -> GeneratedProblem:
 
 # case 1 shares one partition, so its reference solves centrally; case 2 on the product space
 _SOLVE_METHOD = {1: "central", 2: "product"}
+REFERENCE_TOL = 1e-12  # the certificate every reference is solved to, and a cached one must meet
 
 
 def reference_key(spec: ProblemSpec) -> str:
@@ -155,16 +158,16 @@ def reference_key(spec: ProblemSpec) -> str:
     return f"{instance}_{_SOLVE_METHOD[spec.case]}_rev{SOLVER_REVISION}"
 
 
-def reference_for(problem: GeneratedProblem, tol: float = 1e-12) -> ReferenceSolution:
+def reference_for(problem: GeneratedProblem) -> ReferenceSolution:
     """Certified central solution, loaded from the on-disk cache when the
-    same instance was solved before to a certificate within tol; otherwise
-    solved, and the cache entry overwritten. A hit recomputes F_star and the
-    kappas from the cached x_star."""
+    same instance was solved before to a certificate within REFERENCE_TOL;
+    otherwise solved, and the cache entry overwritten. A hit recomputes
+    F_star and the kappas from the cached x_star."""
     key = reference_key(problem.spec)
     hit = load_reference(key, problem.objectives)
-    if hit is not None and hit.certificate <= tol:
+    if hit is not None and hit.certificate <= REFERENCE_TOL:
         return hit
-    sol = fista_solve(problem.objectives, tol=tol, method=_SOLVE_METHOD[problem.spec.case])
+    sol = fista_solve(problem.objectives, tol=REFERENCE_TOL, method=_SOLVE_METHOD[problem.spec.case])
     save_reference(key, sol)
     return sol
 
@@ -263,6 +266,16 @@ class ConfigError(ValueError):
     """Invalid experiment configuration; the message names the failing key."""
 
 
+def _unique_keys(pairs) -> dict:
+    """One JSON object's pairs as a dict; a repeated key, whose last value json.loads keeps, is refused."""
+    obj = {}
+    for key, val in pairs:
+        if key in obj:
+            raise ConfigError(f"key {key!r} given twice")
+        obj[key] = val
+    return obj
+
+
 def load_config(path) -> dict:
     """Parse a JSON configuration file; validate_config decodes it."""
     try:
@@ -272,10 +285,10 @@ def load_config(path) -> dict:
     except OSError as exc:
         raise ConfigError(f"{path}: cannot read: {exc.strerror or exc}") from exc
     try:
-        return json.loads(text)
+        return json.loads(text, object_pairs_hook=_unique_keys)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}: line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
-    except ValueError as exc:  # an integer literal past Python's int-from-text digit limit
+    except ValueError as exc:  # a repeated key, or an integer literal past Python's int-from-text digit limit
         raise ConfigError(f"{path}: {exc}") from exc
 
 
@@ -506,7 +519,7 @@ class ExperimentSummary:
     checks_passed: bool
 
 
-def _bound_for(algorithm, exp: Experiment, objectives, gammas, reference):
+def bound_curve(algorithm, exp: Experiment, objectives, gammas, reference):
     """The bound curve of a run of one of BOUNDED_ALGORITHMS, from that run's
     initial state and over its step sizes; None for the other algorithms."""
     if algorithm not in BOUNDED_ALGORITHMS:
@@ -524,19 +537,13 @@ def _bound_for(algorithm, exp: Experiment, objectives, gammas, reference):
     return corollary2_curve(graph, gammas, sigma=exp.sigma, dbar=dbar, **common)
 
 
-def seed_setup(exp: Experiment, seed: int, bounds: bool):
-    """What the cells of one seed share: (instance, reference, penalties,
-    curves), where curves holds per configured algorithm its bound curve
-    from the initial state its run starts from, or None (always None
-    without bounds)."""
+def seed_setup(exp: Experiment, seed: int):
+    """What the cells of one seed share: (instance, reference, penalties)."""
     problem = generate_problem(exp.spec(seed))
     reference = reference_for(problem)
-    gammas = exp.gammas(reference)
-    curves = tuple(
-        _bound_for(a, exp, problem.objectives, gammas, reference) if bounds else None
-        for a in exp.algorithms
-    )
-    return problem, reference, gammas, curves
+    # the optimal rule has no finite gamma where x_star = x0 = 0: its bound falls as gamma grows
+    gammas = _build(f"gamma_rule: seed {seed}", exp.gammas, reference)
+    return problem, reference, gammas
 
 
 def run_experiment(config: dict, out_dir=None, check: bool = False) -> ExperimentSummary:
@@ -556,8 +563,9 @@ def run_experiment(config: dict, out_dir=None, check: bool = False) -> Experimen
     csv_paths = []
     checks_passed = True
     for seed in exp.seeds:
-        problem, reference, gammas, curves = seed_setup(exp, seed, exp.bounds)
-        for algorithm, bound in zip(exp.algorithms, curves):
+        problem, reference, gammas = seed_setup(exp, seed)
+        for algorithm in exp.algorithms:
+            bound = bound_curve(algorithm, exp, problem.objectives, gammas, reference) if exp.bounds else None
             mode_tag = f"_{exp.step_mode.lower()}" if algorithm == "dpga" else ""
             noisy = algorithm in ("sdpga", "sdpga_w")
             result = _simnet.run_synchronous(
@@ -571,10 +579,14 @@ def run_experiment(config: dict, out_dir=None, check: bool = False) -> Experimen
                 horizon=exp.horizon if noisy else None,
                 step_mode=exp.step_mode if algorithm == "dpga" else "CS",
                 reference=reference,
-                bound=bound,
                 collect_ergodic=exp.bounds,
                 safety=exp.safety,
             )
+            if bound is not None:  # the cell's curve at each checked round k = r[0], in its own column
+                col = _simnet.CSV_COLUMNS.index(bound.column)
+                result.record = _simnet.RunRecord(
+                    tuple(r[:col] + (float(bound.subopt_bound(r[0])),) + r[col + 1 :] for r in result.record.rows)
+                )
             path = out / f"{algorithm}{mode_tag}_{exp.label}_seed{seed}.csv"
             result.record.write_csv(path)
             csv_paths.append(path)

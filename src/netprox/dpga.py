@@ -198,7 +198,7 @@ def gamma_star(
     kappas: np.ndarray, psi_min_pos: float, edge_count: int, dist0: float
 ) -> float:
     """Bound-optimal equal penalty (2/||x0 - x*||) sqrt((sum kappa^2/psi + 1)/|E|)."""
-    check_positive(dist0=dist0)  # x0 = x*: any gamma works
+    check_positive(dist0=dist0)  # x0 = x*: the bound falls as gamma grows, so no gamma is optimal
     kap2 = float(np.sum(np.asarray(kappas) ** 2))
     return 2.0 / dist0 * float(np.sqrt((kap2 / psi_min_pos + 1.0) / edge_count))
 

@@ -309,6 +309,9 @@ class NetworkObjective(tuple):
 
     def __new__(cls, objectives):
         self = super().__new__(cls, objectives)
+        dims = sorted({o.n for o in self if hasattr(o, "n")})  # a ProxOnlyObjective has none
+        if len(dims) > 1:
+            raise ValueError(f"objective dimensions differ: {dims}")
         if all(isinstance(o, NodeObjective) for o in self) and len({o.A.shape for o in self}) == 1:
             n, shapes = self[0].n, np.array([o.partition.index.shape for o in self])
             index = np.full((len(self), *shapes.max(axis=0)), n)

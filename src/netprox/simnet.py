@@ -70,8 +70,6 @@ CSV_COLUMNS = (
     "bound_sdpga",
 )
 
-_BOUND_COLUMNS = ("bound_theorem3", "bound_theorem4", "bound_sdpga")
-
 _ERGODIC_KEYS = ("t", "ergodic_F", "subopt_gap", "edge_aggregate", "omega_norm")
 
 
@@ -364,7 +362,6 @@ def run_synchronous(
     horizon: int | None = None,
     step_mode: str = "CS",
     reference=None,
-    bound=None,
     collect_ergodic: bool = False,
     safety: float = 0.999,
 ) -> RunResult:
@@ -382,10 +379,10 @@ def run_synchronous(
     sigma and horizon belong to sdpga and sdpga_w. Anything else raises
     ValueError.
 
-    Parameters beyond the spec of the run (bound, collect_ergodic) only add
-    observer output and never change iterates. The ergodic curves hold t,
-    ergodic_F, subopt_gap, edge_aggregate and omega_norm, one value per
-    checked round; subopt_gap is a list of None without a reference.
+    collect_ergodic only adds observer output and never changes iterates.
+    The ergodic curves hold t, ergodic_F, subopt_gap, edge_aggregate and
+    omega_norm, one value per checked round; subopt_gap is a list of None
+    without a reference. The bound columns of the record are left empty.
     """
     if algorithm not in ALGORITHMS:
         raise ValueError(f"unknown algorithm {algorithm!r}; expected one of {ALGORITHMS}")
@@ -404,12 +401,10 @@ def run_synchronous(
     if algorithm != "pg_extra" and gammas is None:
         raise ValueError(f"{algorithm} needs gammas")
 
-    objectives = network(objectives)  # stacked once; every round reads it
+    objectives = network(objectives)  # stacked once, its dimensions checked; every round reads it
     N, n = graph.node_count, objectives[0].n
     if len(objectives) != N:
         raise ValueError(f"{len(objectives)} objectives for a graph of {N} nodes")
-    if any(o.n != n for o in objectives):
-        raise ValueError(f"objective dimensions differ: {sorted({o.n for o in objectives})}")
     audit = AuditLog(node_count=N, n=n)
     run = SimpleNamespace(  # what the round functions read
         objectives=objectives,
@@ -423,11 +418,6 @@ def run_synchronous(
 
     audit.record_storage(state)
     F_star = None if reference is None else float(reference.F_star)
-    bound_col = None
-    if bound is not None:
-        if bound.column not in _BOUND_COLUMNS:
-            raise ValueError(f"unknown bound column {bound.column!r}")
-        bound_col = CSV_COLUMNS.index(bound.column)
 
     erg_sum = np.zeros((N, n))
     XX = np.empty((2, N, n)) if collect_ergodic else None  # a checked round's (X, Xbar)
@@ -459,10 +449,7 @@ def run_synchronous(
             F = network_objective(objectives, X)
             max_edge, V = consensus_metrics(graph, X)
         rel = None if F_star is None else abs(F - F_star) / (abs(F_star) or 1.0)
-        row = [k, F, rel, V, max_edge, audit.sent, None, None, None]
-        if bound_col is not None:
-            row[bound_col] = float(bound.subopt_bound(k))
-        rows.append(tuple(row))
+        rows.append((k, F, rel, V, max_edge, audit.sent, None, None, None))
         if (
             F_star is not None
             and rel <= schedule.stop_rel_subopt

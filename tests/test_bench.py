@@ -12,6 +12,7 @@ from netprox.bench import (
     BoundCurve,
     ConfigError,
     ProblemSpec,
+    bound_curve,
     corollary2_curve,
     equal_gamma_simplified,
     generate_problem,
@@ -140,19 +141,32 @@ def test_reference_cache_rebuilds_F_star_and_kappas_from_x_star(tmp_path, monkey
 
 
 def test_reference_cache_honours_the_requested_tolerance(tmp_path, monkeypatch):
-    from netprox.reference import load_reference
+    from dataclasses import replace
+
+    from netprox.reference import fista_solve, load_reference, save_reference
 
     monkeypatch.setenv("NETPROX_CACHE", str(tmp_path))
     prob = generate_problem(ProblemSpec(case=1, N=5, n_g=4, seed=0))
     key = reference_key(prob.spec)
-    coarse = reference_for(prob, tol=1e-3)
-    assert 1e-12 < coarse.certificate <= 1e-3
-    # a cached solution certified looser than asked for is solved again
+    solves = []
+
+    def counted(*args, **kwargs):
+        solves.append(kwargs["tol"])
+        return fista_solve(*args, **kwargs)
+
+    monkeypatch.setattr(bench, "fista_solve", counted)
+    coarse = fista_solve(prob.objectives, tol=1e-3)
+    assert bench.REFERENCE_TOL < coarse.certificate <= 1e-3
+    save_reference(key, coarse)
+    # a cached solution certified looser than REFERENCE_TOL is solved again
     fine = reference_for(prob)
-    assert fine.certificate <= 1e-12
+    assert solves == [bench.REFERENCE_TOL] and fine.certificate <= bench.REFERENCE_TOL
     assert load_reference(key, prob.objectives).certificate == fine.certificate
     # and one certified at least as tight is reused
-    assert reference_for(prob, tol=1e-3).certificate == fine.certificate
+    assert reference_for(prob).certificate == fine.certificate
+    save_reference(key, replace(fine, certificate=bench.REFERENCE_TOL))
+    assert reference_for(prob).certificate == bench.REFERENCE_TOL
+    assert len(solves) == 1
 
 
 def test_corrupt_reference_cache_is_a_miss(tmp_path, monkeypatch):
@@ -590,8 +604,13 @@ def test_every_bound_curve_reads_its_runs_initial_state(tmp_path, monkeypatch):
             sigma=0.1,
         )
     )
-    *_, curves = bench.seed_setup(exp, 0, bounds=True)
-    built, states = simnet.initial_state, []
+    problem, reference, gammas = bench.seed_setup(exp, 0)
+
+    def curves():
+        return [bound_curve(a, exp, problem.objectives, gammas, reference) for a in exp.algorithms]
+
+    before_all, built, states = curves(), simnet.initial_state, []
+    assert bound_curve("pg_extra", exp, problem.objectives, gammas, reference) is None
 
     def quarter_steps(*args):
         state = built(*args)
@@ -599,11 +618,11 @@ def test_every_bound_curve_reads_its_runs_initial_state(tmp_path, monkeypatch):
         return state.evolve(c=state.c / 4)
 
     monkeypatch.setattr(simnet, "initial_state", quarter_steps)
-    _, reference, _, moved = bench.seed_setup(exp, 0, bounds=True)
+    moved = curves()
     columns = [c.column for c in moved]
     assert columns == ["bound_theorem3", "bound_theorem4", "bound_sdpga"]
     dist_sq = float(reference.x_star @ reference.x_star)  # every run starts at x = 0
-    for before, after, state in zip(curves, moved, states):
+    for before, after, state in zip(before_all, moved, states):
         # quartered steps quadruple E = sum_i |x_star - x0_i|^2 / (2 c_i): 3 E more on both sides
         e_half = sum(dist_sq / (2.0 * c) for c in state.c)
         assert after.coef_subopt - before.coef_subopt == pytest.approx(3 * e_half)
@@ -625,6 +644,39 @@ def test_load_config_reports_json_position(tmp_path):
 
     good.write_text(json.dumps(base_config()))
     assert load_config(good)["topology"] == {"kind": "clique"}
+
+
+def test_load_config_refuses_a_repeated_key(tmp_path, capsys):
+    # json.loads keeps a repeated key's last value, so either run would go on silently
+    text = json.dumps(base_config(max_rounds=5))
+    repeats = {
+        "schedule": text[:-1] + ', "schedule": {"max_rounds": 7}}',
+        "N": text.replace('"n_g": 2}', '"n_g": 2, "N": 4}'),
+    }
+    for key, config in repeats.items():
+        path = tmp_path / f"repeated_{key}.json"
+        path.write_text(config)
+        with pytest.raises(ConfigError, match=f"^{re.escape(str(path))}: key '{key}' given twice$"):
+            load_config(path)
+        assert main(["check", str(path), "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err == f"config error: {path}: key '{key}' given twice\n"
+    assert not (tmp_path / "out").exists()
+
+
+def test_optimal_gamma_rule_names_a_seed_whose_solution_is_zero(tmp_path, capsys, monkeypatch):
+    # at seed 6, x_star = 0 = x0: the rule's bound falls as gamma grows, so it has no finite gamma
+    monkeypatch.setenv("NETPROX_CACHE", str(tmp_path / "cache"))
+    cfg = base_config(
+        max_rounds=10, problem={"case": 1, "N": 5, "n_g": 1}, topology={"kind": "star"},
+        seeds=[6], gamma_rule={"rule": "optimal"},
+    )
+    assert not reference_for(generate_problem(validate_config(cfg).spec(6))).x_star.any()
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    for command in ("check", "bounds"):
+        assert main([command, str(path), "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: gamma_rule: seed 6: ") and err.count("\n") == 1
 
 
 def test_output_dir_precedence(tmp_path, monkeypatch):
@@ -658,6 +710,8 @@ def test_run_experiment_end_to_end(tmp_path, monkeypatch):
 
 
 def test_run_experiment_csv_reads_back_as_the_record(tmp_path, monkeypatch):
+    # the simulator leaves the bound columns empty; run_experiment writes each
+    # bounded cell's curve into that curve's column at every checked round
     monkeypatch.setenv("NETPROX_CACHE", str(tmp_path / "cache"))
     records = []
     run = bench._simnet.run_synchronous
@@ -668,22 +722,33 @@ def test_run_experiment_csv_reads_back_as_the_record(tmp_path, monkeypatch):
         return result
 
     monkeypatch.setattr(bench._simnet, "run_synchronous", recording)
-    cfg = base_config(algorithms=["dpga", "dpga_w", "sdpga", "pg_extra"], bounds=True)
+    cfg = base_config(max_rounds=40, algorithms=["dpga", "dpga_w", "sdpga", "pg_extra"], bounds=True)
+    cfg["schedule"]["check_every"] = 3
+    exp = validate_config(cfg)
     summary = run_experiment(cfg, out_dir=tmp_path / "runs")
+    problem, reference, gammas = bench.seed_setup(exp, 0)
     assert len(records) == len(summary.csv_paths) == 4
-    for path, record in zip(summary.csv_paths, records):
-        assert RunRecord.read_csv(path).rows == record.rows
-    # each bounded algorithm fills its own theorem's column, pg_extra none
     columns = ("bound_theorem3", "bound_theorem4", "bound_sdpga")
-    filled = {
-        row["algorithm"]: [c for c in columns if None not in record.column(c)]
-        for row, record in zip(summary.rows, records)
-    }
+    others = [i for i, name in enumerate(simnet.CSV_COLUMNS) if name not in columns]
+    filled = {}
+    for algorithm, path, record in zip(exp.algorithms, summary.csv_paths, records):
+        back = RunRecord.read_csv(path)
+        assert [[r[i] for i in others] for r in back.rows] == [[r[i] for i in others] for r in record.rows]
+        rounds = back.column("round")
+        assert rounds[:-1] == list(range(3, 3 * len(rounds), 3))
+        curve = bound_curve(algorithm, exp, problem.objectives, gammas, reference)
+        filled[algorithm] = None if curve is None else curve.column
+        for c in columns:
+            assert record.column(c) == [None] * len(rounds)
+            if c == filled[algorithm]:
+                assert back.column(c) == [float(curve.subopt_bound(k)) for k in rounds]
+            else:
+                assert back.column(c) == [None] * len(rounds)
     assert filled == {
-        "dpga_cs": ["bound_theorem3"],
-        "dpga_w": ["bound_theorem4"],
-        "sdpga": ["bound_sdpga"],
-        "pg_extra": [],
+        "dpga": "bound_theorem3",
+        "dpga_w": "bound_theorem4",
+        "sdpga": "bound_sdpga",
+        "pg_extra": None,
     }
 
 

@@ -5,6 +5,7 @@ import pytest
 
 from conftest import random_objective, random_objectives, random_partition
 from netprox import reference
+from netprox.baselines import ProxOnlyObjective
 from netprox.bench import ProblemSpec, generate_problem
 from netprox.objective import (
     GroupPartition,
@@ -177,6 +178,17 @@ def test_nodes_with_different_row_counts_certify(method):
     for _ in range(20):
         probe = sol.x_star + 1e-3 * rng.standard_normal(8)
         assert sum(o.phi(probe) for o in objs) >= sol.F_star - 1e-12
+
+
+@pytest.mark.parametrize("method", [None, "central", "product"])
+def test_nodes_of_different_dimensions_are_refused_by_name(method):
+    # a 2x4 and a 2x6 node are refused when the network is built, before any product
+    rng = np.random.default_rng(3)
+    objs = [random_objective(rng, n=4, m=2, K=2), random_objective(rng, n=6, m=2, K=2)]
+    with pytest.raises(ValueError, match=r"^objective dimensions differ: \[4, 6\]$"):
+        fista_solve(objs, method=method)
+    # an entry without an n, as a ProxOnlyObjective, still takes the per-node path
+    assert network([objs[0], ProxOnlyObjective(objs[1])]).A is None
 
 
 def test_distinct_partitions_pick_the_product_path():
