@@ -320,6 +320,11 @@ class Experiment:
     def spec(self, seed: int) -> ProblemSpec:
         return replace(self.problem, seed=seed)
 
+    @property
+    def bounded(self) -> tuple[str, ...]:
+        """The algorithms with a bound curve: none under AS, whose steps no curve covers."""
+        return () if self.step_mode == "AS" else tuple(a for a in self.algorithms if a in BOUNDED_ALGORITHMS)
+
     def gammas(self, reference: ReferenceSolution) -> np.ndarray:
         """Per-node penalties; the optimal rule's gamma is for the x0 = 0
         every run starts from."""
@@ -493,7 +498,7 @@ def validate_config(cfg) -> Experiment:
         seeds=tuple(seeds),
         schedule=schedule,
         horizon=horizon,
-        bounds=top("bounds", bool, False),
+        bounds=top("bounds", bool, False, lambda v: not v or step_mode == "CS", "no curve covers 'AS' steps"),
         safety=top("safety", float, 0.999, lambda v: 0 < v <= 1, "must lie in (0, 1]"),
         label=top(
             "label", str, f"case{case}_N{N}_ng{n_g}_{topology.kind}",
@@ -520,9 +525,9 @@ class ExperimentSummary:
 
 
 def bound_curve(algorithm, exp: Experiment, objectives, gammas, reference):
-    """The bound curve of a run of one of BOUNDED_ALGORITHMS, from that run's
+    """The bound curve of a run of one of exp.bounded, from that run's
     initial state and over its step sizes; None for the other algorithms."""
-    if algorithm not in BOUNDED_ALGORITHMS:
+    if algorithm not in exp.bounded:
         return None
     graph = exp.graph
     state = _simnet.initial_state(algorithm, graph, objectives, gammas, exp.horizon, exp.safety)
@@ -557,13 +562,13 @@ def run_experiment(config: dict, out_dir=None, check: bool = False) -> Experimen
     errors; checks_passed reflects the outcome.
     """
     exp = validate_config(config)
+    setups = [seed_setup(exp, seed) for seed in exp.seeds]  # every seed's config error before any cell
     out = output_dir(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     rows = []
     csv_paths = []
     checks_passed = True
-    for seed in exp.seeds:
-        problem, reference, gammas = seed_setup(exp, seed)
+    for seed, (problem, reference, gammas) in zip(exp.seeds, setups):
         for algorithm in exp.algorithms:
             bound = bound_curve(algorithm, exp, problem.objectives, gammas, reference) if exp.bounds else None
             mode_tag = f"_{exp.step_mode.lower()}" if algorithm == "dpga" else ""

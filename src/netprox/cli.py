@@ -46,15 +46,14 @@ def _cmd_run(args, check: bool) -> int:
 
 def _cmd_bounds(args) -> int:
     exp = bench.validate_config(bench.load_config(args.config))
-    bounded = [a for a in exp.algorithms if a in bench.BOUNDED_ALGORITHMS]
-    if not bounded:
+    if not exp.bounded:
         print("no bound curves for the configured algorithms", file=sys.stderr)
         return 2
     out = bench.output_dir(args.out)
     out.mkdir(parents=True, exist_ok=True)
     seed = exp.seeds[0]
     problem, reference, gammas = bench.seed_setup(exp, seed)
-    curves = [bench.bound_curve(a, exp, problem.objectives, gammas, reference) for a in bounded]
+    curves = [bench.bound_curve(a, exp, problem.objectives, gammas, reference) for a in exp.bounded]
     ts = np.unique(
         np.geomspace(1, args.rounds, num=min(args.points, args.rounds)).astype(int)
     )

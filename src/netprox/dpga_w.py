@@ -38,14 +38,13 @@ _W_TOL = 1e-10
 
 @dataclass(frozen=True)
 class CommunicationMatrix(GraphOperator):
-    """Validated weight matrix plus cached per-node columns omega_i.
+    """Validated weight matrix plus the squared norms of its per-node columns omega_i.
 
     omega_i is column i of W restricted to N_i u {i}; its squared norm sets
     the node's stepsize cap. sigma_min_pos is the smallest positive
     eigenvalue.
     """
 
-    omegas: tuple[np.ndarray, ...] = field(init=False, repr=False)
     omega_norms_sq: tuple[float, ...] = field(init=False, repr=False)
     sigma_min_pos: float = field(init=False)
 
@@ -66,8 +65,7 @@ class CommunicationMatrix(GraphOperator):
             raise ValueError("W must be positive semidefinite")
         if eigs[1] <= _W_TOL * scale:
             raise ValueError("W must have rank N-1")
-        omegas = tuple(m[sorted((*nbrs, i)), i] for i, nbrs in enumerate(g.neighbor_lists))
-        object.__setattr__(self, "omegas", omegas)
+        omegas = (m[sorted((*nbrs, i)), i] for i, nbrs in enumerate(g.neighbor_lists))
         object.__setattr__(self, "omega_norms_sq", tuple(float(col @ col) for col in omegas))
         object.__setattr__(self, "sigma_min_pos", float(eigs[1]))
 

@@ -32,7 +32,6 @@ __all__ = [
     "power_iteration_sq_norm",
     "row_dot",
     "objective_to_text",
-    "objective_from_text",
 ]
 
 POWER_TOL = 1e-10  # power iteration's relative tolerance on sigma_max(A)^2
@@ -414,38 +413,3 @@ def objective_to_text(obj: NodeObjective) -> str:
         lines.append(" ".join(repr(float(v)) for v in row))
     lines.append(" ".join(repr(float(v)) for v in obj.b))
     return "\n".join(lines) + "\n"
-
-
-def objective_from_text(text: str) -> NodeObjective:
-    numbered = [(no, ln) for no, ln in enumerate(text.splitlines(), start=1) if ln.strip()]
-    lines = [ln for _, ln in numbered]
-
-    def floats(k: int, count: int, name: str) -> list[float]:
-        vals = [float(v) for v in lines[k].split()]
-        if len(vals) != count:
-            raise ValueError(f"line {numbered[k][0]}: {len(vals)} values, expected {name}={count}")
-        return vals
-
-    try:
-        dims = dict(part.split("=") for part in lines[0].split())
-        m, n = int(dims["m"]), int(dims["n"])
-        delta = float(lines[1].split("=", 1)[1])
-        beta1 = float(lines[2].split("=", 1)[1])
-        beta2 = float(lines[3].split("=", 1)[1])
-        K = int(lines[4].split("=", 1)[1])
-        groups = []
-        for k in range(K):
-            toks = lines[5 + k].split()
-            if toks[0] != "group":
-                raise ValueError(f"line {numbered[5 + k][0]}: expected 'group'")
-            groups.append(np.array([int(t) - 1 for t in toks[1:]], dtype=np.intp))
-        A = np.array([floats(5 + K + r, n, "n") for r in range(m)])
-        b = np.array(floats(5 + K + m, m, "m"))
-        if len(lines) > 6 + K + m:
-            raise ValueError(f"line {numbered[6 + K + m][0]}: text after b")
-    except (KeyError, IndexError, ValueError) as exc:
-        raise ValueError(f"malformed objective text: {exc}") from exc
-    return NodeObjective(
-        A=A, b=b, delta=delta, beta1=beta1, beta2=beta2,
-        partition=GroupPartition(tuple(groups)),
-    )

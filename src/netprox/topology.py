@@ -272,7 +272,7 @@ def build_topology(
         Only meaningful for ``small_world``.
     seed : int or None
         Seeds the extra-edge sampler; the result is deterministic for a
-        fixed seed. Required for ``small_world`` with extra_edges > 0.
+        fixed seed. Only valid for ``small_world``; required with extra_edges > 0.
 
     Returns
     -------
@@ -284,8 +284,8 @@ def build_topology(
         raise ValueError(f"unknown topology kind {kind!r}")
     if N < 2:
         raise ValueError(f"need at least 2 nodes, got {N}")
-    if kind != "small_world" and extra_edges:
-        raise ValueError(f"extra_edges is only valid for small_world, got kind={kind!r}")
+    if kind != "small_world" and (extra_edges or seed is not None):
+        raise ValueError(f"{'extra_edges' if extra_edges else 'seed'} is only valid for small_world, got kind={kind!r}")
 
     if kind == "star":
         edges = [(0, j) for j in range(1, N)]
@@ -351,46 +351,17 @@ def mixing_pair(g: Graph) -> MixingPair:
 
 @dataclass(frozen=True)
 class TopologySpec:
-    """Serializable recipe for a topology; the seed is the source of truth."""
+    """The topology recipe ``netprox gen`` writes to topology.txt; the seed is the source of truth."""
 
     kind: str
     N: int
     extra_edges: int = 0
     seed: int | None = None
 
-    def build(self) -> Graph:
-        return build_topology(self.kind, self.N, self.extra_edges, self.seed)
-
     def to_text(self) -> str:
         lines = [f"kind={self.kind}", f"N={self.N}", f"extra_edges={self.extra_edges}"]
         lines.append(f"seed={'none' if self.seed is None else self.seed}")
         return "\n".join(lines) + "\n"
-
-    @classmethod
-    def from_text(cls, text: str) -> "TopologySpec":
-        keys, fields = ("kind", "N", "extra_edges", "seed"), {}
-        for ln, raw in enumerate(text.splitlines(), start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise ValueError(f"line {ln}: expected key=value, got {raw!r}")
-            key, _, val = line.partition("=")
-            key = key.strip()
-            if key not in keys or key in fields:
-                why = "repeated" if key in fields else "unknown"
-                raise ValueError(f"line {ln}: {why} key {key!r}")
-            fields[key] = val.strip()
-        missing = set(keys) - fields.keys()
-        if missing:
-            raise ValueError(f"missing keys: {sorted(missing)}")
-        seed = None if fields["seed"] == "none" else int(fields["seed"])
-        return cls(
-            kind=fields["kind"],
-            N=int(fields["N"]),
-            extra_edges=int(fields["extra_edges"]),
-            seed=seed,
-        )
 
 
 def edge_list_text(g: Graph) -> str:

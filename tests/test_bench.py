@@ -27,9 +27,9 @@ from netprox.bench import (
 )
 from netprox.dpga_w import CommunicationMatrix
 from netprox.cli import main
-from netprox.objective import objective_from_text
+from netprox.objective import objective_to_text
 from netprox.simnet import RoundSchedule, RunRecord, run_synchronous
-from netprox.topology import TopologySpec, build_topology, edge_list_text, spectral_summary
+from netprox.topology import build_topology, edge_list_text, spectral_summary
 
 
 def tiny_spec(seed=0):
@@ -484,6 +484,8 @@ def test_config_validation_diagnostics():
         ({"algorithms": ["dpga_w"], "horizon": 1}, "config.horizon"),
         ({"problem": {"case": 1, "N": 1, "n_g": 2}}, "problem.N"),
         ({"problem": {"case": 1, "N": 0, "n_g": 2}}, "problem.N"),
+        ({"step_mode": "AS", "bounds": True}, "config.bounds"),
+        ({"topology": {"kind": "star", "seed": 3}}, "topology"),
     ],
 )
 def test_config_rejects_mistyped_keys(overrides, key, tmp_path, capsys):
@@ -532,10 +534,13 @@ def test_cli_bounds_without_a_bounded_algorithm_exits_before_solving(tmp_path, c
 
     monkeypatch.setattr(bench, "reference_for", no_solve)
     path = tmp_path / "cfg.json"
-    path.write_text(json.dumps(base_config(algorithms=["pg_extra", "admm"])))
-    assert main(["bounds", str(path), "--out", str(tmp_path / "out")]) == 2
-    assert "no bound curves" in capsys.readouterr().err
-    assert not (tmp_path / "out").exists()
+    # dpga under AS has no curve either: its backtracking steps are not the theorem-3 c_i
+    for cfg in (base_config(algorithms=["pg_extra", "admm"]), base_config(step_mode="AS")):
+        path.write_text(json.dumps(cfg))
+        assert main(["bounds", str(path), "--out", str(tmp_path / "out")]) == 2
+        assert "no bound curves" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+        assert bound_curve("dpga", validate_config(cfg), None, None, None) is None
 
 
 def test_cli_gen_and_bounds_write_what_reads_back(tmp_path, capsys, monkeypatch):
@@ -546,23 +551,26 @@ def test_cli_gen_and_bounds_write_what_reads_back(tmp_path, capsys, monkeypatch)
     path, out = tmp_path / "cfg.json", tmp_path / "out"
     path.write_text(json.dumps(cfg))
     exp = validate_config(cfg)
-    # gen: one directory per seed, each file reading back as what was generated
+    # gen: one directory per seed, each file the writers' text, whose numbers read back bit for bit
     assert main(["gen", str(path), "--out", str(out)]) == 0
     dirs = capsys.readouterr().out.split()
     assert dirs == [str(out / f"instance_{exp.label}_seed{seed}") for seed in (0, 1)]
     for seed, inst in zip((0, 1), map(Path, dirs)):
         problem = generate_problem(exp.spec(seed))
-        assert TopologySpec.from_text((inst / "topology.txt").read_text()) == exp.topology
+        names = ["topology.txt", "edges.txt", "planted.txt"] + [f"node{i}.txt" for i in range(1, 6)]
+        assert sorted(f.name for f in inst.iterdir()) == sorted(names)
+        assert (inst / "topology.txt").read_text() == exp.topology.to_text()
         assert (inst / "edges.txt").read_text() == edge_list_text(exp.graph)
         planted = np.array((inst / "planted.txt").read_text().split(), dtype=float)
         assert planted.tobytes() == problem.x_planted.tobytes()
         for i, obj in enumerate(problem.objectives):
-            back = objective_from_text((inst / f"node{i + 1}.txt").read_text())
-            assert back.A.tobytes() == obj.A.tobytes() and back.b.tobytes() == obj.b.tobytes()
-            assert len(back.partition.groups) == len(obj.partition.groups)
-            for g_back, g in zip(back.partition.groups, obj.partition.groups):
-                assert np.array_equal(g_back, g)
-            assert back.lipschitz == obj.lipschitz
+            text = (inst / f"node{i + 1}.txt").read_text()
+            assert text == objective_to_text(obj)
+            m, K = obj.A.shape[0], obj.partition.K
+            rows = [np.array(line.split(), dtype=float) for line in text.splitlines()[5 + K :]]
+            assert len(rows) == m + 1
+            assert np.array(rows[:m]).tobytes() == obj.A.tobytes()
+            assert rows[m].tobytes() == obj.b.tobytes()
     # bounds: the theorem-3 curves on the t-grid, falling as t grows
     assert main(["bounds", str(path), "--out", str(out), "--rounds", "500", "--points", "20"]) == 0
     csv = Path(capsys.readouterr().out.strip())
@@ -671,12 +679,16 @@ def test_optimal_gamma_rule_names_a_seed_whose_solution_is_zero(tmp_path, capsys
         seeds=[6], gamma_rule={"rule": "optimal"},
     )
     assert not reference_for(generate_problem(validate_config(cfg).spec(6))).x_star.any()
-    path = tmp_path / "cfg.json"
-    path.write_text(json.dumps(cfg))
-    for command in ("check", "bounds"):
-        assert main([command, str(path), "--out", str(tmp_path / "out")]) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("config error: gamma_rule: seed 6: ") and err.count("\n") == 1
+    path, out = tmp_path / "cfg.json", tmp_path / "out"
+    # seed 0 runs fine, but every seed is set up before the first cell, so it leaves no CSV or
+    # summary (bounds reads only the first seed)
+    for seeds, commands in (([6], ("check", "bounds")), ([0, 6], ("check",))):
+        path.write_text(json.dumps({**cfg, "seeds": seeds}))
+        for command in commands:
+            assert main([command, str(path), "--out", str(out)]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("config error: gamma_rule: seed 6: ") and err.count("\n") == 1
+            assert not list(out.glob("*"))
 
 
 def test_output_dir_precedence(tmp_path, monkeypatch):

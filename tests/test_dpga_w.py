@@ -40,7 +40,6 @@ def quad_setup(seed=0, n=5, gammas=(1.0, 2.0, 0.7, 1.3)):
 def test_laplacian_is_a_valid_weight_matrix():
     g = build_topology("star", 4)
     W = CommunicationMatrix.from_laplacian(g)
-    assert np.allclose(W.omegas[0], [3.0, -1.0, -1.0, -1.0])
     assert W.omega_norms_sq[0] == pytest.approx(12.0)
     assert W.omega_norms_sq[1] == pytest.approx(2.0)
     assert W.sigma_min_pos == pytest.approx(1.0)
