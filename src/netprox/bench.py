@@ -26,6 +26,7 @@ from .objective import GroupPartition, NodeObjective, power_iteration_sq_norm
 from .reference import (
     SOLVER_REVISION,
     ReferenceSolution,
+    cache_dir,
     fista_solve,
     load_reference,
     save_reference,
@@ -39,6 +40,7 @@ CSV_V = _simnet.CSV_COLUMNS.index("consensus_violation_V")
 __all__ = [
     "BOUNDED_ALGORITHMS",
     "BoundCurve",
+    "Cell",
     "ConfigError",
     "Experiment",
     "ExperimentSummary",
@@ -46,6 +48,7 @@ __all__ = [
     "ProblemSpec",
     "REFERENCE_TOL",
     "bound_curve",
+    "cells",
     "corollary2_curve",
     "equal_gamma_simplified",
     "generate_problem",
@@ -53,8 +56,8 @@ __all__ = [
     "output_dir",
     "reference_for",
     "reference_key",
+    "run_cell",
     "run_experiment",
-    "seed_setup",
     "theorem3_curve",
     "theorem4_curve",
     "validate_config",
@@ -162,13 +165,16 @@ def reference_for(problem: GeneratedProblem) -> ReferenceSolution:
     """Certified central solution, loaded from the on-disk cache when the
     same instance was solved before to a certificate within REFERENCE_TOL;
     otherwise solved, and the cache entry overwritten. A hit recomputes
-    F_star and the kappas from the cached x_star."""
+    F_star and the kappas from the cached x_star. An unwritable cache is a ConfigError."""
     key = reference_key(problem.spec)
     hit = load_reference(key, problem.objectives)
     if hit is not None and hit.certificate <= REFERENCE_TOL:
         return hit
     sol = fista_solve(problem.objectives, tol=REFERENCE_TOL, method=_SOLVE_METHOD[problem.spec.case])
-    save_reference(key, sol)
+    try:
+        save_reference(key, sol)
+    except OSError as exc:
+        raise ConfigError(f"NETPROX_CACHE: cannot write {cache_dir()}: {exc.strerror or exc}") from exc
     return sol
 
 
@@ -510,10 +516,16 @@ def validate_config(cfg) -> Experiment:
 
 
 def output_dir(override=None) -> Path:
-    if override is not None:
-        return Path(override)
+    """The output directory, made if missing: override (the --out flag), else
+    $NETPROX_OUT, else ./netprox_out. One that cannot be made is a ConfigError."""
     env = os.environ.get("NETPROX_OUT")
-    return Path(env) if env else Path.cwd() / "netprox_out"
+    path = Path(override) if override is not None else Path(env) if env else Path.cwd() / "netprox_out"
+    try:
+        path.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        source = "--out" if override is not None else "NETPROX_OUT" if env else "output directory"
+        raise ConfigError(f"{source}: cannot make the directory {path}: {exc.strerror or exc}") from exc
+    return path
 
 
 @dataclass
@@ -542,13 +554,61 @@ def bound_curve(algorithm, exp: Experiment, objectives, gammas, reference):
     return corollary2_curve(graph, gammas, sigma=exp.sigma, dbar=dbar, **common)
 
 
-def seed_setup(exp: Experiment, seed: int):
-    """What the cells of one seed share: (instance, reference, penalties)."""
-    problem = generate_problem(exp.spec(seed))
-    reference = reference_for(problem)
-    # the optimal rule has no finite gamma where x_star = x0 = 0: its bound falls as gamma grows
-    gammas = _build(f"gamma_rule: seed {seed}", exp.gammas, reference)
-    return problem, reference, gammas
+@dataclass(frozen=True)
+class Cell:
+    """One (seed, algorithm) run: the seed's instance, reference and penalties,
+    and the run's bound curve if it has one and exp.bounds is on, else None."""
+
+    seed: int
+    algorithm: str
+    problem: GeneratedProblem
+    reference: ReferenceSolution
+    gammas: np.ndarray
+    curve: BoundCurve | None
+
+
+def cells(exp: Experiment) -> list[Cell]:
+    """Every cell, seed by seed in algorithm order; every seed is set up before
+    this returns, so any seed's config error comes before any output."""
+    out = []
+    for seed in exp.seeds:
+        problem = generate_problem(exp.spec(seed))
+        reference = reference_for(problem)
+        # the optimal rule has no finite gamma where x_star = x0 = 0: its bound falls as gamma grows
+        gammas = _build(f"gamma_rule: seed {seed}", exp.gammas, reference)
+        for algorithm in exp.algorithms:
+            curve = bound_curve(algorithm, exp, problem.objectives, gammas, reference) if exp.bounds else None
+            out.append(Cell(seed, algorithm, problem, reference, gammas, curve))
+    return out
+
+
+def run_cell(exp: Experiment, cell: Cell):
+    """Run one cell: its RunResult, with the curve in its CSV column at each checked
+    round k = row[0], and each check's outcome: threshold reached ("solved"), meter
+    as profiled ("audit"), ergodic errors under the curve ("bound", true without one)."""
+    algorithm, curve = cell.algorithm, cell.curve
+    noisy = algorithm in ("sdpga", "sdpga_w")
+    result = _simnet.run_synchronous(
+        algorithm, exp.graph, cell.problem.objectives, exp.schedule, cell.seed,
+        gammas=None if algorithm == "pg_extra" else cell.gammas,
+        sigma=exp.sigma if noisy else 0.0, horizon=exp.horizon if noisy else None,
+        step_mode=exp.step_mode if algorithm == "dpga" else "CS",
+        reference=cell.reference, collect_ergodic=curve is not None, safety=exp.safety,
+    )
+    dominated = True
+    if curve is not None:
+        col = _simnet.CSV_COLUMNS.index(curve.column)
+        result.record = _simnet.RunRecord(
+            tuple(r[:col] + (float(curve.subopt_bound(r[0])),) + r[col + 1 :] for r in result.record.rows)
+        )
+        erg = result.ergodic
+        cons = "omega_norm" if algorithm == "dpga_w" else "edge_aggregate"
+        dominated = not np.any(
+            (np.abs(erg["subopt_gap"]) > curve.subopt_bound(erg["t"]))
+            | (erg[cons] > curve.consensus_bound(erg["t"]))
+        )
+    audit_ok = _simnet.audit_check(result.audit, algorithm).ok
+    return result, {"solved": result.solved, "audit": audit_ok, "bound": dominated}
 
 
 def run_experiment(config: dict, out_dir=None, check: bool = False) -> ExperimentSummary:
@@ -556,65 +616,28 @@ def run_experiment(config: dict, out_dir=None, check: bool = False) -> Experimen
 
     Writes one CSV per cell (seed explicit in the filename) plus a text
     summary with the final relative suboptimality, consensus violation,
-    round count, and solved flag per cell. In check mode the summary also
-    verifies the audit profiles, threshold termination, and (when bounds
-    are on) that the theoretical curves dominate the measured ergodic
-    errors; checks_passed reflects the outcome.
+    round count, and solved flag per cell. checks_passed is whether every
+    cell passed run_cell's checks; in check mode the summary ends with their
+    outcome, which names the first failing cell and check.
     """
     exp = validate_config(config)
-    setups = [seed_setup(exp, seed) for seed in exp.seeds]  # every seed's config error before any cell
+    todo = cells(exp)
     out = output_dir(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     rows = []
     csv_paths = []
-    checks_passed = True
-    for seed, (problem, reference, gammas) in zip(exp.seeds, setups):
-        for algorithm in exp.algorithms:
-            bound = bound_curve(algorithm, exp, problem.objectives, gammas, reference) if exp.bounds else None
-            mode_tag = f"_{exp.step_mode.lower()}" if algorithm == "dpga" else ""
-            noisy = algorithm in ("sdpga", "sdpga_w")
-            result = _simnet.run_synchronous(
-                algorithm,
-                exp.graph,
-                problem.objectives,
-                exp.schedule,
-                seed,
-                gammas=None if algorithm == "pg_extra" else gammas,
-                sigma=exp.sigma if noisy else 0.0,
-                horizon=exp.horizon if noisy else None,
-                step_mode=exp.step_mode if algorithm == "dpga" else "CS",
-                reference=reference,
-                collect_ergodic=exp.bounds,
-                safety=exp.safety,
-            )
-            if bound is not None:  # the cell's curve at each checked round k = r[0], in its own column
-                col = _simnet.CSV_COLUMNS.index(bound.column)
-                result.record = _simnet.RunRecord(
-                    tuple(r[:col] + (float(bound.subopt_bound(r[0])),) + r[col + 1 :] for r in result.record.rows)
-                )
-            path = out / f"{algorithm}{mode_tag}_{exp.label}_seed{seed}.csv"
-            result.record.write_csv(path)
-            csv_paths.append(path)
-            last = result.record.rows[-1]
-            rows.append(
-                {
-                    "algorithm": algorithm + mode_tag,
-                    "seed": seed,
-                    "rel_subopt": last[CSV_REL],
-                    "V": last[CSV_V],
-                    "rounds": result.rounds,
-                    "solved": result.solved,
-                }
-            )
-            if check:
-                erg = result.ergodic
-                cons = "omega_norm" if algorithm == "dpga_w" else "edge_aggregate"
-                dominated = bound is None or not np.any(
-                    (np.abs(erg["subopt_gap"]) > bound.subopt_bound(erg["t"]))
-                    | (erg[cons] > bound.consensus_bound(erg["t"]))
-                )
-                audit_ok = _simnet.audit_check(result.audit, algorithm).ok
-                checks_passed = checks_passed and result.solved and audit_ok and dominated
+    failed = None
+    for cell in todo:
+        result, checks = run_cell(exp, cell)
+        name = cell.algorithm + (f"_{exp.step_mode.lower()}" if cell.algorithm == "dpga" else "")
+        path = out / f"{name}_{exp.label}_seed{cell.seed}.csv"
+        result.record.write_csv(path)
+        csv_paths.append(path)
+        last = result.record.rows[-1]
+        rows.append(
+            {"algorithm": name, "seed": cell.seed, "rel_subopt": last[CSV_REL], "V": last[CSV_V],
+             "rounds": result.rounds, "solved": result.solved}
+        )
+        failed = failed or next((f"{name} seed {cell.seed}: {c}" for c, ok in checks.items() if not ok), None)
 
     summary_path = out / f"summary_{exp.label}.txt"
     lines = [
@@ -627,8 +650,8 @@ def run_experiment(config: dict, out_dir=None, check: bool = False) -> Experimen
             f"{r['rounds']:>7} {'yes' if r['solved'] else 'no'}"
         )
     if check:
-        lines.append(f"checks: {'PASS' if checks_passed else 'FAIL'}")
+        lines.append("checks: PASS" if failed is None else f"checks: FAIL ({failed})")
     summary_path.write_text("\n".join(lines) + "\n")
     return ExperimentSummary(
-        rows=rows, csv_paths=csv_paths, summary_path=summary_path, checks_passed=checks_passed
+        rows=rows, csv_paths=csv_paths, summary_path=summary_path, checks_passed=failed is None
     )

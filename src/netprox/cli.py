@@ -1,7 +1,7 @@
 """Command line front end.
 
 Four subcommands: run an experiment configuration, check it (exit code
-reflects the outcome), dump the theoretical bound curves for it, and
+reflects the outcome), dump the theoretical bound curves of each seed, and
 generate instance files for inspection. Output goes to --out, the
 NETPROX_OUT environment variable, or ./netprox_out, in that order.
 """
@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import replace
 
 import numpy as np
 
@@ -49,27 +50,24 @@ def _cmd_bounds(args) -> int:
     if not exp.bounded:
         print("no bound curves for the configured algorithms", file=sys.stderr)
         return 2
+    cells = bench.cells(replace(exp, bounds=True))
     out = bench.output_dir(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    seed = exp.seeds[0]
-    problem, reference, gammas = bench.seed_setup(exp, seed)
-    curves = [bench.bound_curve(a, exp, problem.objectives, gammas, reference) for a in exp.bounded]
-    ts = np.unique(
-        np.geomspace(1, args.rounds, num=min(args.points, args.rounds)).astype(int)
-    )
-    header = ["t"]
-    for c in curves:
-        header.extend([f"{c.column}_subopt", f"{c.column}_consensus"])
-    lines = [",".join(header)]
-    for t in ts:
-        cells = [str(int(t))]
+    ts = np.unique(np.geomspace(1, args.rounds, num=min(args.points, args.rounds)).astype(int))
+    for seed in exp.seeds:
+        curves = [c.curve for c in cells if c.seed == seed and c.curve is not None]
+        header = ["t"]
         for c in curves:
-            cells.append(repr(float(c.subopt_bound(int(t)))))
-            cells.append(repr(float(c.consensus_bound(int(t)))))
-        lines.append(",".join(cells))
-    path = out / f"bounds_{exp.label}_seed{seed}.csv"
-    path.write_text("\n".join(lines) + "\n")
-    print(path)
+            header.extend([f"{c.column}_subopt", f"{c.column}_consensus"])
+        lines = [",".join(header)]
+        for t in ts:
+            row = [str(int(t))]
+            for c in curves:
+                row.append(repr(float(c.subopt_bound(int(t)))))
+                row.append(repr(float(c.consensus_bound(int(t)))))
+            lines.append(",".join(row))
+        path = out / f"bounds_{exp.label}_seed{seed}.csv"
+        path.write_text("\n".join(lines) + "\n")
+        print(path)
     return 0
 
 
@@ -79,7 +77,7 @@ def _cmd_gen(args) -> int:
     for seed in exp.seeds:
         problem = bench.generate_problem(exp.spec(seed))
         inst = out / f"instance_{exp.label}_seed{seed}"
-        inst.mkdir(parents=True, exist_ok=True)
+        inst.mkdir(exist_ok=True)
         (inst / "topology.txt").write_text(exp.topology.to_text())
         (inst / "edges.txt").write_text(edge_list_text(exp.graph))
         (inst / "planted.txt").write_text(

@@ -571,15 +571,22 @@ def test_cli_gen_and_bounds_write_what_reads_back(tmp_path, capsys, monkeypatch)
             assert len(rows) == m + 1
             assert np.array(rows[:m]).tobytes() == obj.A.tobytes()
             assert rows[m].tobytes() == obj.b.tobytes()
-    # bounds: the theorem-3 curves on the t-grid, falling as t grows
+    # bounds: one CSV per seed, each its cell's theorem-3 curves on the t-grid, falling as t grows
     assert main(["bounds", str(path), "--out", str(out), "--rounds", "500", "--points", "20"]) == 0
-    csv = Path(capsys.readouterr().out.strip())
-    assert csv == out / f"bounds_{exp.label}_seed0.csv"
-    header, *lines = csv.read_text().splitlines()
-    assert header == "t,bound_theorem3_subopt,bound_theorem3_consensus"
-    table = np.array([line.split(",") for line in lines], dtype=float)
-    assert table[0, 0] == 1 and table[-1, 0] == 500 and (np.diff(table[:, 0]) > 0).all()
-    assert (np.diff(table[:, 1:], axis=0) < 0).all()
+    csvs = capsys.readouterr().out.split()
+    assert csvs == [str(out / f"bounds_{exp.label}_seed{seed}.csv") for seed in (0, 1)]
+    curves = [cell.curve for cell in bench.cells(validate_config({**cfg, "bounds": True}))]
+    tables = []
+    for csv, curve in zip(map(Path, csvs), curves):
+        header, *lines = csv.read_text().splitlines()
+        assert header == "t,bound_theorem3_subopt,bound_theorem3_consensus"
+        table = np.array([line.split(",") for line in lines], dtype=float)
+        assert table[0, 0] == 1 and table[-1, 0] == 500 and (np.diff(table[:, 0]) > 0).all()
+        assert (np.diff(table[:, 1:], axis=0) < 0).all()
+        assert table[:, 1].tolist() == [float(curve.subopt_bound(int(t))) for t in table[:, 0]]
+        assert table[:, 2].tolist() == [float(curve.consensus_bound(int(t))) for t in table[:, 0]]
+        tables.append(table)
+    assert not np.array_equal(*tables)  # each seed has its own x_star and kappas
     # theorem 4 and corollary 2 too: the dpga_w and sdpga curves, with and without a horizon
     for horizon in ({}, {"horizon": 300}):
         cfg = base_config(
@@ -612,7 +619,8 @@ def test_every_bound_curve_reads_its_runs_initial_state(tmp_path, monkeypatch):
             sigma=0.1,
         )
     )
-    problem, reference, gammas = bench.seed_setup(exp, 0)
+    cell = bench.cells(exp)[0]
+    problem, reference, gammas = cell.problem, cell.reference, cell.gammas
 
     def curves():
         return [bound_curve(a, exp, problem.objectives, gammas, reference) for a in exp.algorithms]
@@ -680,9 +688,8 @@ def test_optimal_gamma_rule_names_a_seed_whose_solution_is_zero(tmp_path, capsys
     )
     assert not reference_for(generate_problem(validate_config(cfg).spec(6))).x_star.any()
     path, out = tmp_path / "cfg.json", tmp_path / "out"
-    # seed 0 runs fine, but every seed is set up before the first cell, so it leaves no CSV or
-    # summary (bounds reads only the first seed)
-    for seeds, commands in (([6], ("check", "bounds")), ([0, 6], ("check",))):
+    # seed 0 runs fine, but every seed is set up before the first cell, so it leaves no CSV or summary
+    for seeds, commands in (([6], ("check", "bounds")), ([0, 6], ("check", "bounds"))):
         path.write_text(json.dumps({**cfg, "seeds": seeds}))
         for command in commands:
             assert main([command, str(path), "--out", str(out)]) == 2
@@ -693,11 +700,64 @@ def test_optimal_gamma_rule_names_a_seed_whose_solution_is_zero(tmp_path, capsys
 
 def test_output_dir_precedence(tmp_path, monkeypatch):
     assert output_dir(tmp_path / "x") == tmp_path / "x"
+    assert (tmp_path / "x").is_dir()
     monkeypatch.setenv("NETPROX_OUT", str(tmp_path / "env"))
     assert output_dir() == tmp_path / "env"
     monkeypatch.delenv("NETPROX_OUT")
     monkeypatch.chdir(tmp_path)
     assert output_dir() == tmp_path / "netprox_out"
+
+
+def test_unwritable_output_or_cache_exits_2(tmp_path, capsys, monkeypatch):
+    # an output path or a cache that names a file is refused in one line, not a traceback
+    monkeypatch.setenv("NETPROX_CACHE", str(tmp_path / "cache"))
+    path, taken = tmp_path / "cfg.json", tmp_path / "taken"
+    path.write_text(json.dumps(base_config(max_rounds=10)))
+    taken.write_text("a file")
+    for command in ("check", "bounds", "gen"):
+        assert main([command, str(path), "--out", str(taken)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: --out: cannot make the directory {taken}: ")
+        assert err.count("\n") == 1
+    monkeypatch.setenv("NETPROX_OUT", str(taken))
+    assert main(["check", str(path)]) == 2
+    assert capsys.readouterr().err.startswith(f"config error: NETPROX_OUT: cannot make the directory {taken}: ")
+    assert taken.read_text() == "a file"
+    # the reference is set up before the output directory is made, so nothing is written
+    monkeypatch.setenv("NETPROX_CACHE", str(taken))
+    out = tmp_path / "out"
+    for command in ("check", "bounds"):
+        assert main([command, str(path), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: NETPROX_CACHE: cannot write {taken}: ")
+        assert err.count("\n") == 1
+        assert not list(out.glob("*"))
+
+
+def test_check_names_the_first_failing_cell_and_check(tmp_path, capsys, monkeypatch):
+    from dataclasses import replace
+
+    monkeypatch.setenv("NETPROX_CACHE", str(tmp_path / "cache"))
+    path, out = tmp_path / "cfg.json", tmp_path / "out"
+    # seed 1's admm reaches the threshold in 40 rounds and its dpga in 120, so 80 starves only dpga
+    cfg = base_config(max_rounds=80, algorithms=["admm", "dpga"], seeds=[0, 1])
+    summary = run_experiment(cfg, out_dir=out, check=True)
+    assert [r["solved"] for r in summary.rows] == [True, True, True, False]
+    assert not summary.checks_passed
+    assert summary.summary_path.read_text().splitlines()[-1] == "checks: FAIL (dpga_cs seed 1: solved)"
+    path.write_text(json.dumps(cfg))
+    assert main(["check", str(path), "--out", str(out)]) == 1
+    assert capsys.readouterr().out.splitlines()[-1] == "FAIL"
+    # a theorem-3 curve shrunk below the run's errors fails only dpga's bound check; dpga_w's holds
+    def shrunk(*args, **kwargs):
+        return replace(theorem3_curve(*args, **kwargs), coef_subopt=1e-9, coef_consensus=1e-9)
+
+    monkeypatch.setattr(bench, "theorem3_curve", shrunk)
+    summary = run_experiment(
+        base_config(algorithms=["dpga_w", "dpga"], seeds=[1], bounds=True), out_dir=out, check=True
+    )
+    assert all(r["solved"] for r in summary.rows)
+    assert summary.summary_path.read_text().splitlines()[-1] == "checks: FAIL (dpga_cs seed 1: bound)"
 
 
 def test_run_experiment_end_to_end(tmp_path, monkeypatch):
@@ -725,12 +785,13 @@ def test_run_experiment_csv_reads_back_as_the_record(tmp_path, monkeypatch):
     # the simulator leaves the bound columns empty; run_experiment writes each
     # bounded cell's curve into that curve's column at every checked round
     monkeypatch.setenv("NETPROX_CACHE", str(tmp_path / "cache"))
-    records = []
+    records, collected = [], []
     run = bench._simnet.run_synchronous
 
     def recording(*args, **kwargs):
         result = run(*args, **kwargs)
         records.append(result.record)
+        collected.append(kwargs["collect_ergodic"])
         return result
 
     monkeypatch.setattr(bench._simnet, "run_synchronous", recording)
@@ -738,17 +799,18 @@ def test_run_experiment_csv_reads_back_as_the_record(tmp_path, monkeypatch):
     cfg["schedule"]["check_every"] = 3
     exp = validate_config(cfg)
     summary = run_experiment(cfg, out_dir=tmp_path / "runs")
-    problem, reference, gammas = bench.seed_setup(exp, 0)
-    assert len(records) == len(summary.csv_paths) == 4
+    setup = bench.cells(exp)
+    assert len(records) == len(summary.csv_paths) == len(setup) == 4
     columns = ("bound_theorem3", "bound_theorem4", "bound_sdpga")
     others = [i for i, name in enumerate(simnet.CSV_COLUMNS) if name not in columns]
     filled = {}
-    for algorithm, path, record in zip(exp.algorithms, summary.csv_paths, records):
+    for algorithm, path, record, cell in zip(exp.algorithms, summary.csv_paths, records, setup):
         back = RunRecord.read_csv(path)
         assert [[r[i] for i in others] for r in back.rows] == [[r[i] for i in others] for r in record.rows]
         rounds = back.column("round")
         assert rounds[:-1] == list(range(3, 3 * len(rounds), 3))
-        curve = bound_curve(algorithm, exp, problem.objectives, gammas, reference)
+        curve = bound_curve(algorithm, exp, cell.problem.objectives, cell.gammas, cell.reference)
+        assert (cell.algorithm, cell.curve) == (algorithm, curve)
         filled[algorithm] = None if curve is None else curve.column
         for c in columns:
             assert record.column(c) == [None] * len(rounds)
@@ -762,6 +824,8 @@ def test_run_experiment_csv_reads_back_as_the_record(tmp_path, monkeypatch):
         "sdpga": "bound_sdpga",
         "pg_extra": None,
     }
+    # only a cell with a curve sums the ergodic iterates its check reads
+    assert collected == [True, True, True, False]
 
 
 def test_run_experiment_passes_horizon_and_gammas_only_where_taken(tmp_path, monkeypatch):
