@@ -30,7 +30,6 @@ from .topology import Graph, MixingPair, NetworkState
 __all__ = [
     "pg_extra_init",
     "pg_extra_round",
-    "pg_extra_kkt_residuals",
     "admm_init",
     "admm_round",
     "prox_composite",
@@ -73,41 +72,6 @@ def pg_extra_round(state: NetworkState, objectives, exchange):
     X = net.prox(half, state.c)
     new = state.evolve(x=X, mix_prev=state.ops["W_tilde"] @ received, x_half=half, grad_prev=grads)
     return new, state.x
-
-
-def pg_extra_kkt_residuals(x_trace, half_trace, mixing: MixingPair, objectives, c):
-    """Squared stationarity and consensus residuals per round.
-
-    x_trace stacks the network iterate X^m for m = 0..T (rows are nodes);
-    half_trace holds the pre-prox points X^{m+1/2} for m = 0..T-1. Entry m of
-    the first array is |r^m|^2 weighted by W_tilde, where
-
-        r^m = (W_tilde - W) sum_{tau<=m} X^tau + c (grad f(X^m) + G^{m+1})
-
-    and G^{m+1} = (X^{m+1/2} - X^{m+1}) / c collects the prox subgradients.
-    Entry m of the second is |U X^{m+1}|_F^2 with U the PSD square root of
-    W_tilde - W.
-    """
-    T = len(half_trace)
-    if len(x_trace) != T + 1:
-        raise ValueError("need one more iterate than pre-prox point")
-    diff = mixing.W_tilde.matrix - mixing.W.matrix
-    evals, evecs = np.linalg.eigh(diff)
-    U = (evecs * np.sqrt(np.clip(evals, 0.0, None))) @ evecs.T
-    kkt_sq = np.empty(T)
-    cons_sq = np.empty(T)
-    net = network(objectives)
-    running = np.zeros_like(np.asarray(x_trace[0], dtype=float))
-    for m in range(T):
-        X_m = np.asarray(x_trace[m], dtype=float)
-        X_next = np.asarray(x_trace[m + 1], dtype=float)
-        running = running + X_m
-        G = (np.asarray(half_trace[m], dtype=float) - X_next) / c
-        R = diff @ running + c * (net.f_grad(X_m) + G)
-        kkt_sq[m] = float(np.sum(R * (mixing.W_tilde @ R)))
-        UX = U @ X_next
-        cons_sq[m] = float(np.sum(UX * UX))
-    return kkt_sq, cons_sq
 
 
 def prox_composite_rows(objectives, V, steps, Z0, tol: float = 1e-10):

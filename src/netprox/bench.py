@@ -50,7 +50,6 @@ __all__ = [
     "bound_curve",
     "cells",
     "corollary2_curve",
-    "equal_gamma_simplified",
     "generate_problem",
     "load_config",
     "output_dir",
@@ -165,13 +164,15 @@ def reference_for(problem: GeneratedProblem) -> ReferenceSolution:
     """Certified central solution, loaded from the on-disk cache when the
     same instance was solved before to a certificate within REFERENCE_TOL;
     otherwise solved, and the cache entry overwritten. A hit recomputes
-    F_star and the kappas from the cached x_star. An unwritable cache is a ConfigError."""
+    F_star and the kappas from the cached x_star. A cache directory that cannot
+    be made is a ConfigError before the solve, one that cannot be written after it."""
     key = reference_key(problem.spec)
     hit = load_reference(key, problem.objectives)
     if hit is not None and hit.certificate <= REFERENCE_TOL:
         return hit
-    sol = fista_solve(problem.objectives, tol=REFERENCE_TOL, method=_SOLVE_METHOD[problem.spec.case])
     try:
+        cache_dir().mkdir(parents=True, exist_ok=True)  # a cache on a file fails here, not after the solve
+        sol = fista_solve(problem.objectives, tol=REFERENCE_TOL, method=_SOLVE_METHOD[problem.spec.case])
         save_reference(key, sol)
     except OSError as exc:
         raise ConfigError(f"NETPROX_CACHE: cannot write {cache_dir()}: {exc.strerror or exc}") from exc
@@ -240,32 +241,6 @@ def corollary2_curve(graph: Graph, gammas, kappas, x_star, x0, step_sizes, sigma
 
 # the algorithms with a bound curve: theorem 3, theorem 4 and corollary 2
 BOUNDED_ALGORITHMS = ("dpga", "dpga_w", "sdpga")
-
-
-def equal_gamma_simplified(graph: Graph, gamma, kappas, lipschitzes, x_star, x0_common, variant: str = "dpga") -> BoundCurve:
-    """The single-constant simplifications available when every node uses
-    one gamma, starts at the same point, and takes the largest allowed step.
-    Dominates the max of the corresponding general bounds."""
-    kap_sq = float(sum(k**2 for k in kappas))
-    dist_sq = float(np.sum((x_star - np.asarray(x0_common, dtype=float)) ** 2))
-    summary = spectral_summary(graph)
-    psi = summary.psi_min_pos
-    L_sum = float(sum(lipschitzes))
-    if variant == "dpga":
-        num = (4.0 / gamma) * (kap_sq / psi + 1.0) + (
-            gamma * graph.edge_count + L_sum / 2.0
-        ) * dist_sq
-        column = "bound_theorem3"
-    elif variant == "dpga_w":
-        frob_sq = summary.frob_norm_sq
-        num = 0.5 * (
-            4.0 * (graph.max_degree + 1) / gamma * (kap_sq / psi**2 + 1.0)
-            + (gamma * frob_sq + L_sum) * dist_sq
-        )
-        column = "bound_theorem4"
-    else:
-        raise ValueError("variant must be 'dpga' or 'dpga_w'")
-    return BoundCurve(column=column, coef_subopt=num, coef_consensus=num)
 
 
 class ConfigError(ValueError):

@@ -77,7 +77,10 @@ def _cmd_gen(args) -> int:
     for seed in exp.seeds:
         problem = bench.generate_problem(exp.spec(seed))
         inst = out / f"instance_{exp.label}_seed{seed}"
-        inst.mkdir(exist_ok=True)
+        try:
+            inst.mkdir(exist_ok=True)
+        except OSError as exc:
+            raise bench.ConfigError(f"cannot make the instance directory {inst}: {exc.strerror or exc}") from exc
         (inst / "topology.txt").write_text(exp.topology.to_text())
         (inst / "edges.txt").write_text(edge_list_text(exp.graph))
         (inst / "planted.txt").write_text(

@@ -19,7 +19,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import check_positive
-from .objective import NoisyOracle, oracle_grad
 
 __all__ = [
     "Chunk",
@@ -34,17 +33,8 @@ __all__ = [
     "step_rule",
     "scheduled_step",
     "constant_plan",
-    "diminishing_plan",
-    "horizon_plan",
     "pgadmm_step",
-    "spgadmm_step",
     "primal_dual_step",
-    "y_step_residual",
-    "engine_objective",
-    "constraint_residuals",
-    "theorem1_rhs",
-    "theorem2_constant",
-    "lyapunov_a",
 ]
 
 
@@ -76,10 +66,6 @@ class Block:
         if len(n) != 1:
             raise ValueError("chunks of one block disagree on the x dimension")
 
-    @property
-    def n(self) -> int:
-        return self.chunks[0].A.shape[1]
-
     def stacked_A(self) -> np.ndarray:
         return np.vstack([c.A for c in self.chunks])
 
@@ -92,9 +78,6 @@ class ZeroCoupling:
 
     def prox(self, v: list[np.ndarray], t: float) -> list[np.ndarray]:
         return [np.array(s, copy=True) for s in v]
-
-    def g_value(self, y) -> float:
-        return 0.0
 
     def groups(self):
         return ()
@@ -133,10 +116,6 @@ class ZeroSumCoupling:
             for s in g:
                 out[s] = out[s] - mean
         return out
-
-    def g_value(self, y) -> float:
-        # finite on its domain; engine states keep y feasible by construction
-        return 0.0
 
 
 def _slot_targets(prob: "BlockProblem", x, lam) -> list[np.ndarray]:
@@ -203,8 +182,6 @@ class EngineState:
     y: tuple[np.ndarray, ...]
     lam: tuple[tuple[np.ndarray, ...], ...]
     k: int
-    ergodic_x: tuple[np.ndarray, ...]
-    ergodic_y: tuple[np.ndarray, ...]
 
     @classmethod
     def initial(
@@ -229,16 +206,6 @@ class EngineState:
             y=y,
             lam=lam,
             k=0,
-            ergodic_x=tuple(np.zeros_like(v) for v in x),
-            ergodic_y=tuple(np.zeros_like(v) for v in y),
-        )
-
-    def ergodic_mean(self) -> tuple[list[np.ndarray], list[np.ndarray]]:
-        if self.k < 1:
-            raise ValueError("ergodic average undefined before the first step")
-        return (
-            [v / self.k for v in self.ergodic_x],
-            [v / self.k for v in self.ergodic_y],
         )
 
 
@@ -318,16 +285,6 @@ def constant_plan(
     return StepPlan(rule="constant", base=c)
 
 
-def diminishing_plan(prob: BlockProblem) -> StepPlan:
-    return StepPlan(rule="diminishing", base=base_step(_cap(prob), step_mode="diminishing"))
-
-
-def horizon_plan(prob: BlockProblem, horizon: int) -> StepPlan:
-    return StepPlan(
-        rule="horizon", base=base_step(_cap(prob), step_mode="horizon"), horizon=horizon
-    )
-
-
 def _advance(
     state: EngineState, prob: BlockProblem, c: np.ndarray, grads: list[np.ndarray]
 ) -> EngineState:
@@ -354,8 +311,6 @@ def _advance(
         y=tuple(y_new),
         lam=tuple(lam_new),
         k=state.k + 1,
-        ergodic_x=tuple(e + v for e, v in zip(state.ergodic_x, x_new)),
-        ergodic_y=tuple(e + v for e, v in zip(state.ergodic_y, y_new)),
     )
 
 
@@ -364,25 +319,10 @@ def pgadmm_step(state: EngineState, prob: BlockProblem, plan: StepPlan) -> Engin
 
     x-step: prox-gradient on the augmented Lagrangian with x evaluated at the
     previous snapshot; y-step: exact minimizer; lambda-step: gamma_i-scaled
-    residual ascent. The counter and the from-k=1 ergodic sums advance.
+    residual ascent. The counter advances.
     """
     c = plan.step_sizes(state.k)
     grads = [prob.objectives[i].f_grad(state.x[i]) for i in range(prob.N)]
-    return _advance(state, prob, c, grads)
-
-
-def spgadmm_step(
-    state: EngineState,
-    prob: BlockProblem,
-    plan: StepPlan,
-    oracles: list[NoisyOracle],
-) -> EngineState:
-    """PG-ADMM step with oracle gradients and k-dependent stepsizes."""
-    step_rule(plan.rule, plan.horizon, oracles)
-    c = plan.step_sizes(state.k)
-    grads = [
-        oracle_grad(prob.objectives[i], oracles[i], state.x[i]) for i in range(prob.N)
-    ]
     return _advance(state, prob, c, grads)
 
 
@@ -432,116 +372,3 @@ def primal_dual_step(
     px = prob.coupling.prox([u / gamma for u in v_slots], 1.0 / gamma)
     lam_new = [v[r] - gamma * px[slot_of[r]] for r in range(len(v))]
     return x_new, lam_new
-
-
-def engine_objective(prob: BlockProblem, x, y) -> float:
-    total = prob.coupling.g_value(y)
-    for i, obj in enumerate(prob.objectives):
-        total += obj.xi_value(x[i]) + obj.f_value(x[i])
-    return float(total)
-
-
-def constraint_residuals(prob: BlockProblem, x, y) -> list[list[np.ndarray]]:
-    return [
-        [ch.A @ x[i] - y[ch.slot] - ch.b for ch in blk.chunks]
-        for i, blk in enumerate(prob.blocks)
-    ]
-
-
-def y_step_residual(prob: BlockProblem, state: EngineState) -> float:
-    """Partial-optimality residual of the y-step at the current state.
-
-    Aggregates zeta_s = sum over chunks of (lambda + gamma residual) per slot;
-    exact y-steps give zeta = 0 for free slots and zeta constant within each
-    zero-sum group.
-    """
-    zeta = [np.zeros(d) for d in prob.slot_dims]
-    for i, blk in enumerate(prob.blocks):
-        gi = prob.gammas[i]
-        for r, ch in enumerate(blk.chunks):
-            zeta[ch.slot] += state.lam[i][r] + gi * (
-                ch.A @ state.x[i] - state.y[ch.slot] - ch.b
-            )
-    grouped = set()
-    worst = 0.0
-    for g in prob.coupling.groups():
-        grouped.update(g)
-        mean = sum(zeta[s] for s in g) / len(g)
-        for s in g:
-            worst = max(worst, float(np.linalg.norm(zeta[s] - mean)))
-    for s in range(len(zeta)):
-        if s not in grouped:
-            worst = max(worst, float(np.linalg.norm(zeta[s])))
-    return worst
-
-
-def _x_metric_sq(prob: BlockProblem, i: int, v: np.ndarray, c_i: float) -> float:
-    """||v||^2 in the Q_i = I - c_i gamma_i A_i^T A_i metric."""
-    Av = prob.blocks[i].stacked_A() @ v
-    return float(v @ v - c_i * prob.gammas[i] * (Av @ Av))
-
-
-def _y_metric_sq(prob: BlockProblem, ya, yb) -> float:
-    """||ya - yb||^2 in the sum_i gamma_i B_i^T B_i metric (slot diagonal)."""
-    return float(
-        sum(
-            w * np.linalg.norm(a - b) ** 2
-            for w, a, b in zip(prob.slot_weights, ya, yb)
-        )
-    )
-
-
-def theorem1_rhs(
-    prob: BlockProblem,
-    c: np.ndarray,
-    x0,
-    y0,
-    x_star,
-    y_star,
-    lam_choice,
-    t: int,
-) -> float:
-    """Right-hand side of the ergodic key inequality at iteration t.
-
-    lam_choice is the free multiplier the inequality holds for; lambda^0 = 0
-    as the engine enforces.
-    """
-    total = _y_metric_sq(prob, y_star, y0)
-    for i in range(prob.N):
-        total += np.linalg.norm(np.concatenate(lam_choice[i])) ** 2 / prob.gammas[i]
-        total += _x_metric_sq(prob, i, np.asarray(x_star[i]) - np.asarray(x0[i]), c[i]) / c[i]
-    return total / (2.0 * t)
-
-
-def theorem2_constant(
-    prob: BlockProblem, c: np.ndarray, x0, y0, x_star, y_star, lam_star
-) -> float:
-    """C(c_1, ..., c_N) with lambda^0 = 0."""
-    total = 0.5 * _y_metric_sq(prob, y_star, y0)
-    for i in range(prob.N):
-        lnorm2 = np.linalg.norm(np.concatenate(lam_star[i])) ** 2
-        total += 4.0 * lnorm2 / prob.gammas[i]
-        total += _x_metric_sq(prob, i, np.asarray(x_star[i]) - np.asarray(x0[i]), c[i]) / (
-            2.0 * c[i]
-        )
-    return float(total)
-
-
-def lyapunov_a(
-    prob: BlockProblem,
-    c: np.ndarray,
-    state: EngineState,
-    x_star,
-    y_star,
-    lam_star,
-) -> float:
-    """a^k = sum_i (1/c_i)||x_i - x_i*||_{Q_i}^2 + gamma_i ||B_i(y - y*)||^2
-    + (1/gamma_i)||lambda_i - lambda_i*||^2, nonincreasing under strict steps."""
-    total = 0.0
-    for i, blk in enumerate(prob.blocks):
-        gi = prob.gammas[i]
-        total += _x_metric_sq(prob, i, state.x[i] - np.asarray(x_star[i]), c[i]) / c[i]
-        for r, ch in enumerate(blk.chunks):
-            total += gi * np.linalg.norm(state.y[ch.slot] - y_star[ch.slot]) ** 2
-            total += np.linalg.norm(state.lam[i][r] - lam_star[i][r]) ** 2 / gi
-    return float(total)

@@ -13,7 +13,6 @@ from netprox.baselines import (
     admm_init,
     admm_round,
     pg_extra_init,
-    pg_extra_kkt_residuals,
     pg_extra_round,
     prox_composite,
     prox_composite_rows,
@@ -23,6 +22,7 @@ from netprox.dpga_w import CommunicationMatrix, dpgaw_init, dpgaw_round
 from netprox.errors import InnerSolveError, ProtocolError
 from netprox.simnet import RoundSchedule, audit_check, plain_exchange, run_synchronous
 from netprox.topology import build_topology, mixing_pair
+from theory import pg_extra_kkt_residuals
 
 
 def network(seed=0, N=4, n=6):

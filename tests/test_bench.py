@@ -14,7 +14,6 @@ from netprox.bench import (
     ProblemSpec,
     bound_curve,
     corollary2_curve,
-    equal_gamma_simplified,
     generate_problem,
     load_config,
     output_dir,
@@ -30,6 +29,7 @@ from netprox.cli import main
 from netprox.objective import objective_to_text
 from netprox.simnet import RoundSchedule, RunRecord, run_synchronous
 from netprox.topology import build_topology, edge_list_text, spectral_summary
+from theory import equal_gamma_simplified
 
 
 def tiny_spec(seed=0):
@@ -723,7 +723,20 @@ def test_unwritable_output_or_cache_exits_2(tmp_path, capsys, monkeypatch):
     assert main(["check", str(path)]) == 2
     assert capsys.readouterr().err.startswith(f"config error: NETPROX_OUT: cannot make the directory {taken}: ")
     assert taken.read_text() == "a file"
-    # the reference is set up before the output directory is made, so nothing is written
+    # an instance directory's path taken by a file
+    inst = tmp_path / "gen" / f"instance_{validate_config(base_config()).label}_seed0"
+    inst.parent.mkdir()
+    inst.write_text("a file")
+    assert main(["gen", str(path), "--out", str(inst.parent)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: cannot make the instance directory {inst}: ")
+    assert err.count("\n") == 1
+    # the reference is set up before the output directory is made, so nothing is written,
+    # and a cache miss fails before the solve
+    def no_solve(*args, **kwargs):
+        raise AssertionError("solved for a cache that cannot be written")
+
+    monkeypatch.setattr(bench, "fista_solve", no_solve)
     monkeypatch.setenv("NETPROX_CACHE", str(taken))
     out = tmp_path / "out"
     for command in ("check", "bounds"):

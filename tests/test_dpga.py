@@ -17,17 +17,12 @@ from netprox.dpga import (
     gamma_star,
     sdpga_round,
 )
-from netprox.engine import (
-    EngineState,
-    constant_plan,
-    diminishing_plan,
-    pgadmm_step,
-    spgadmm_step,
-)
+from netprox.engine import EngineState, constant_plan, pgadmm_step
 from netprox.errors import ProtocolError
 from netprox.objective import NodeObjective, NoisyOracle, network
 from netprox.simnet import plain_exchange
 from netprox.topology import GraphOperator, NetworkState, build_topology
+from theory import diminishing_plan, spgadmm_step
 
 
 def triangle_setup(seed=0, n=6, gammas=(1.0, 2.0, 0.7)):

@@ -14,11 +14,12 @@ from netprox.dpga_w import (
     tau_values,
     w_consensus_problem,
 )
-from netprox.engine import EngineState, constant_plan, diminishing_plan, pgadmm_step, spgadmm_step
+from netprox.engine import EngineState, constant_plan, pgadmm_step
 from netprox.errors import ProtocolError
 from netprox.objective import NoisyOracle
 from netprox.simnet import plain_exchange
 from netprox.topology import build_topology
+from theory import diminishing_plan, spgadmm_step
 
 
 def weighted_laplacian(g, weights):

@@ -12,20 +12,23 @@ from netprox.engine import (
     ZeroCoupling,
     ZeroSumCoupling,
     constant_plan,
+    pgadmm_step,
+    primal_dual_step,
+    step_rule,
+)
+from netprox.objective import NoisyOracle
+from theory import (
     constraint_residuals,
     diminishing_plan,
     engine_objective,
+    ergodic_mean,
     horizon_plan,
     lyapunov_a,
-    pgadmm_step,
-    primal_dual_step,
     spgadmm_step,
-    step_rule,
     theorem1_rhs,
     theorem2_constant,
     y_step_residual,
 )
-from netprox.objective import NoisyOracle
 
 
 def pair_consensus_problem(rng, n=5, gamma=(1.0, 2.0)):
@@ -195,11 +198,11 @@ def test_ergodic_mean_accumulates_from_first_step():
     x0 = [rng.standard_normal(5), rng.standard_normal(5)]
     states = run_engine(prob, x0, 7)
     xs = [st.x for st in states[1:]]
-    xbar, ybar = states[-1].ergodic_mean()
+    xbar, ybar = ergodic_mean(states)
     manual = sum(np.asarray(x[0]) for x in xs) / 7
     assert np.allclose(xbar[0], manual, atol=1e-14)
     with pytest.raises(ValueError):
-        states[0].ergodic_mean()
+        ergodic_mean(states[:1])
 
 
 def test_noiseless_stochastic_step_matches_deterministic():
@@ -326,12 +329,14 @@ def test_ergodic_inequality_for_any_multiplier():
 
     plan = constant_plan(prob)
     state = EngineState.initial(prob, x0)
+    states = [state]
     y0 = [np.array(v) for v in state.y]
     for t in range(1, 301):
         state = pgadmm_step(state, prob, plan)
+        states.append(state)
         if t % 50 != 0:
             continue
-        xbar, ybar = state.ergodic_mean()
+        xbar, ybar = ergodic_mean(states)
         gap0 = engine_objective(prob, xbar, ybar) - F_star
         resid = constraint_residuals(prob, xbar, ybar)
         for lam_choice in (zero, tuple(lam_star), tuple(pushed)):
@@ -351,13 +356,15 @@ def test_constant_step_error_constant_bounds_gap():
     F_star = engine_objective(prob, star.x, star.y)
     plan = constant_plan(prob)
     state = EngineState.initial(prob, x0)
+    states = [state]
     y0 = [np.array(v) for v in state.y]
     C = theorem2_constant(prob, plan.base, x0, y0, star.x, star.y, star.lam)
     assert C > 0
     for t in range(1, 401):
         state = pgadmm_step(state, prob, plan)
+        states.append(state)
         if t % 100 == 0:
-            xbar, ybar = state.ergodic_mean()
+            xbar, ybar = ergodic_mean(states)
             gap = abs(engine_objective(prob, xbar, ybar) - F_star)
             assert gap <= C / t + 1e-9
 
