@@ -20,7 +20,7 @@ import numpy as np
 
 from .engine import Block, BlockProblem, Chunk, ZeroCoupling, base_step, scheduled_step, step_rule
 from .errors import check_positive
-from .objective import NoisyOracle, network, oracle_grad, row_dot
+from .objective import adds_noise, network, oracle_grad, row_dot
 from .topology import Graph, GraphOperator, NetworkState
 
 __all__ = [
@@ -168,23 +168,26 @@ def dpga_round_adaptive(state: NetworkState, objectives, exchange):
 def sdpga_round(
     state: NetworkState,
     objectives,
-    oracles: list[NoisyOracle],
+    oracles,
     k: int,
     exchange,
     horizon: int | None = None,
     rule: str | None = None,
+    steps: np.ndarray | None = None,
 ):
-    """Stochastic DPGA round.
+    """Stochastic DPGA round; oracles is the network's NoisyOracle or one per node.
 
     Stepsizes follow 1/c_i^k = 1/c_i + sqrt(k) by default, or the
     horizon-constant variant 1/c_i^k = 1/c_i + sqrt(horizon) when a horizon
     is given. rule="constant" is admissible only for sigma = 0 oracles and
-    then reproduces dpga_round exactly.
+    then reproduces dpga_round exactly. steps, when given, are this round's
+    stepsizes from a schedule the caller resolved once (as run_synchronous
+    does), and rule and horizon are not read.
     """
-    rule = step_rule(rule, horizon, oracles)
+    if steps is None:
+        steps = scheduled_step(state.c, step_rule(rule, horizon, adds_noise(oracles)), k, horizon)
     net = network(objectives)
     grads = oracle_grad(net, oracles, state.x)
-    steps = scheduled_step(state.c, rule, k, horizon)
     return _round(state, exchange, _prox_step(state, net, grads, steps))
 
 

@@ -21,7 +21,7 @@ import numpy as np
 
 from .engine import Block, BlockProblem, Chunk, ZeroSumCoupling, base_step, scheduled_step, step_rule
 from .errors import check_positive
-from .objective import NoisyOracle, network, oracle_grad
+from .objective import adds_noise, network, oracle_grad
 from .topology import Graph, GraphOperator, NetworkState
 
 __all__ = [
@@ -130,17 +130,18 @@ def dpgaw_round(state: NetworkState, objectives, exchange):
 def sdpgaw_round(
     state: NetworkState,
     objectives,
-    oracles: list[NoisyOracle],
+    oracles,
     k: int,
     exchange,
     horizon: int | None = None,
     rule: str | None = None,
+    steps: np.ndarray | None = None,
 ):
-    """Stochastic DPGA-W round; stepsize schedules as in sdpga_round."""
-    rule = step_rule(rule, horizon, oracles)
+    """Stochastic DPGA-W round; oracles and stepsize schedules as in sdpga_round."""
+    if steps is None:
+        steps = scheduled_step(state.c, step_rule(rule, horizon, adds_noise(oracles)), k, horizon)
     net = network(objectives)
-    grads = oracle_grad(net, oracles, state.x)
-    return _round(state, net.prox, exchange, grads, scheduled_step(state.c, rule, k, horizon))
+    return _round(state, net.prox, exchange, oracle_grad(net, oracles, state.x), steps)
 
 
 def tau_values(g: Graph, gammas) -> tuple[float, float]:

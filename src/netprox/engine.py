@@ -222,17 +222,17 @@ def base_step(cap, safety: float = 0.999, step_mode: str = "constant"):
     return safety / cap if step_mode == "constant" else 1.0 / (cap + 1.0)
 
 
-def step_rule(rule: str | None, horizon: int | None, oracles=()) -> str:
+def step_rule(rule: str | None, horizon: int | None, noisy: bool = False) -> str:
     """Resolve a stepsize rule (None means horizon when a horizon is given,
     else diminishing) and reject a horizon below 1, constant steps under
-    gradient noise and a horizon rule without a horizon."""
+    gradient noise (noisy) and a horizon rule without a horizon."""
     if horizon is not None and horizon < 1:
         raise ValueError(f"horizon must be at least 1, got {horizon}")
     if rule is None:
         rule = "horizon" if horizon is not None else "diminishing"
     if rule not in STEP_RULES:
         raise ValueError(f"unknown stepsize rule {rule!r}")
-    if rule == "constant" and any(o.sigma > 0 for o in oracles):
+    if rule == "constant" and noisy:
         raise ValueError(
             "constant steps are only admissible for noiseless oracles; "
             "use a diminishing or horizon rule when sigma > 0"

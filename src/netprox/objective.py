@@ -12,7 +12,6 @@ f_i has an L_i-Lipschitz gradient with L_i = sigma_max(A_i)^2.
 
 from __future__ import annotations
 
-from collections.abc import Iterator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -24,6 +23,7 @@ __all__ = [
     "NetworkObjective",
     "NodeObjective",
     "NoisyOracle",
+    "adds_noise",
     "huber",
     "prox_sparse_group",
     "oracle_grad",
@@ -36,7 +36,7 @@ __all__ = [
 
 POWER_TOL = 1e-10  # power iteration's relative tolerance on sigma_max(A)^2
 POWER_MAX_ITER = 50000  # power iteration's cap on steps
-NOISE_BLOCK = 2048  # noise values a NoisyOracle draws per generator call, in whole draws of n
+NOISE_BLOCK = 2048  # noise values a NoisyOracle row draws per generator call, in whole draws of n
 
 
 @dataclass(frozen=True)
@@ -86,8 +86,11 @@ def _group_norm_sums(X: np.ndarray, index: np.ndarray) -> np.ndarray:
     """||x_i||_{G_i} for every row of X (..., n), the group norms summed in
     group order (an accumulate, so sequential whatever the shape); index points
     into X's flat entries followed by one zero sentinel entry, which every short
-    group's padding points at, and its shape is that of the result plus (K, g)."""
-    E = np.concatenate((X.ravel(), [0.0]))[index]
+    group's padding points at, and its shape is that of the result plus (K, g).
+    An index without padding holds each entry once (index.size == X.size), so it
+    gathers from X's flat entries themselves, without the sentinel's copy."""
+    flat = X.ravel()
+    E = (flat if index.size == X.size else np.concatenate((flat, [0.0])))[index]
     return np.add.accumulate(np.sqrt(row_dot(E, E)), axis=-1)[..., -1]
 
 
@@ -106,8 +109,10 @@ def _sparse_group_prox(V, t, beta1, beta2, index, owners) -> np.ndarray:
     E = flat[index]
     norms = np.sqrt(row_dot(E, E))
     thresh = t * beta2
-    keep = norms > thresh
-    scale = np.where(keep, 1.0 - thresh / np.where(keep, norms, 1.0), 0.0)
+    keep = norms > thresh  # the other groups scale by 0.0, with no division by their norm
+    scale = np.zeros(norms.shape)
+    np.divide(thresh, norms, out=scale, where=keep)
+    np.subtract(1.0, scale, out=scale, where=keep)
     eta *= scale.ravel()[owners]
     return eta
 
@@ -126,15 +131,21 @@ def huber(y: np.ndarray, delta):
     if np.isscalar(delta):
         check_positive(delta=delta)
     y = np.asarray(y, dtype=float)
-    if not np.isfinite(y).all():
+    value = _huber_rows(y, delta, 0.5 * delta * delta)
+    return float(value) if y.ndim == 1 else value
+
+
+def _huber_rows(y: np.ndarray, delta, half_delta_sq) -> np.ndarray:
+    """huber's values on the last axis of y, without its guards on delta; the
+    non-finite check stays."""
+    if not np.logical_and.reduce(np.isfinite(y), axis=None):
         raise ValueError("non-finite input to huber")
     a = np.abs(y)
     q = 0.5 * y
     q *= y
     l = delta * a
-    l -= 0.5 * delta * delta
-    value = np.add.reduce(np.where(a <= delta, q, l), axis=-1)
-    return float(value) if y.ndim == 1 else value
+    l -= half_delta_sq
+    return np.add.reduce(np.where(a <= delta, q, l), axis=-1)
 
 
 def prox_sparse_group(
@@ -266,31 +277,63 @@ class NodeObjective:
         return prox_sparse_group(v, t, self.beta1, self.beta2, self.partition)
 
 
-@dataclass
 class NoisyOracle:
-    """Stochastic first-order oracle: exact gradient plus zero-mean noise.
+    """Stochastic first-order oracle of some nodes, one row each: exact gradient
+    plus zero-mean noise.
 
     Noise is isotropic Gaussian with per-coordinate variance sigma^2/n so the
-    squared-norm second moment equals sigma^2. sigma = 0 returns the exact
-    gradient without touching the stream.
+    squared-norm second moment equals sigma^2. Row r is node nodes[r], with its
+    own sigma[r] and its own stream default_rng((seed, nodes[r])); a row with
+    sigma = 0 adds nothing and never touches its stream.
 
-    The draws come a block at a time: one standard_normal((B, n)) call,
-    B = max(1, NOISE_BLOCK // n), scaled in place by sigma/sqrt(n), gives the
-    next B draws of n, each the bits that standard_normal(n) times that scalar
-    would give, in the same order. noise holds the rows not yet used, so the
-    generator runs less than one block ahead of the draws used.
+    The draws come a block at a time into one (M, B, n) buffer, M the noisy rows
+    and B = max(1, NOISE_BLOCK // n): each noisy row's generator fills its (B, n)
+    slice with one standard_normal call, and the buffer is scaled in place by each
+    row's sigma/sqrt(n). Draw j of a row is then the bits that its j-th
+    standard_normal(n) call times that scalar would give, and a round adds draw j
+    of every noisy row with one ufunc. The generators run less than one block
+    ahead of the draws used; a run's oracle is its own, so no state outlives it.
     """
 
-    sigma: float
-    rng: np.random.Generator
-    noise: Iterator[np.ndarray] = field(
-        init=False, default_factory=lambda: iter(()), repr=False, compare=False
-    )
+    def __init__(self, sigma, seed: int, nodes) -> None:
+        sigma = np.full(len(nodes), sigma, dtype=float)
+        check_positive(sigma=sigma)
+        self.sigma = sigma
+        self.rngs = tuple(np.random.default_rng((seed, i)) for i in nodes)
+        self._noisy = np.flatnonzero(sigma)
+        self._rows = None if self._noisy.size == sigma.size else self._noisy  # None: every row
+        self._block = np.empty((self._noisy.size, 0, 0))
+        self._next = 0
 
     @classmethod
     def for_node(cls, sigma: float, seed: int, node: int) -> "NoisyOracle":
-        check_positive(sigma=sigma)
-        return cls(sigma=sigma, rng=np.random.default_rng((seed, node)))
+        return cls(sigma, seed, (node,))
+
+    def perturb(self, G: np.ndarray) -> None:
+        """Add every noisy row's next draw to its row of G (R, n), in place."""
+        if not self._noisy.size:
+            return
+        if self._next == self._block.shape[1]:  # the block is used up: draw the next one
+            if len(G) != self.sigma.size:
+                raise ValueError(f"{len(G)} gradient rows for an oracle of {self.sigma.size}")
+            n = G.shape[-1]
+            if self._block.shape[2] != n:
+                self._block = np.empty((self._noisy.size, max(1, NOISE_BLOCK // n), n))
+            for i, rows in zip(self._noisy.tolist(), self._block):
+                self.rngs[i].standard_normal(out=rows)
+            self._block *= (self.sigma[self._noisy] / np.sqrt(n))[:, None, None]
+            self._next = 0
+        draw = self._block[:, self._next]
+        self._next += 1
+        if self._rows is None:
+            G += draw
+        else:
+            G[self._rows] += draw
+
+
+def adds_noise(noisy) -> bool:
+    """Whether oracle_grad with noisy, a NoisyOracle or a sequence of them, perturbs a row."""
+    return any(o.sigma.any() for o in ((noisy,) if isinstance(noisy, NoisyOracle) else noisy))
 
 
 class NetworkObjective(tuple):
@@ -323,6 +366,7 @@ class NetworkObjective(tuple):
             self.A, self.b = np.stack([o.A for o in self]), np.stack([o.b for o in self])
             columns = [[o.delta, o.beta1, o.beta2] for o in self]
             self.delta, self.beta1, self.beta2 = np.array(columns).T[:, :, None]
+            self._half_delta_sq = 0.5 * self.delta * self.delta
             self._stack_indices = {}
         return self
 
@@ -340,7 +384,9 @@ class NetworkObjective(tuple):
         """Row i is f_i(x_i)."""
         if self.A is None:
             return np.array([o.f_value(x) for o, x in zip(self, X)])
-        return huber((self.A @ X[..., None])[..., 0] - self.b, self.delta)
+        Y = (self.A @ X[..., None])[..., 0]
+        Y -= self.b
+        return _huber_rows(Y, self.delta, self._half_delta_sq)
 
     def f_grad(self, X: np.ndarray) -> np.ndarray:
         """Row i is grad f_i(x_i)."""
@@ -348,7 +394,7 @@ class NetworkObjective(tuple):
             return np.stack([o.f_grad(x) for o, x in zip(self, X)])
         Y = (self.A @ X[:, :, None])[:, :, 0]
         Y -= self.b
-        if not np.isfinite(Y).all():
+        if not np.logical_and.reduce(np.isfinite(Y), axis=None):
             raise ValueError("non-finite residual in f_grad")
         # the Huber gradient: the clip as its two ufuncs, without np.clip's wrapper
         C = np.minimum(np.maximum(Y, -self.delta, out=Y), self.delta, out=Y)
@@ -371,7 +417,7 @@ class NetworkObjective(tuple):
         else:
             xi = self.beta1[:, 0] * np.add.reduce(np.abs(S), axis=-1)
             xi = xi + self.beta2[:, 0] * _group_norm_sums(S, self._stack_index(len(S)))
-            Fs = [float(sum(row)) for row in (xi + self.f_value(S)).tolist()]
+            Fs = list(map(sum, (xi + self.f_value(S)).tolist()))  # Python floats
         return Fs if X.ndim == 3 else Fs[0]
 
 
@@ -381,19 +427,14 @@ def network(objectives) -> NetworkObjective:
 
 
 def oracle_grad(obj, noisy, x: np.ndarray) -> np.ndarray:
-    """Gradient plus noise for one node and its NoisyOracle, or for a NetworkObjective's
-    rows and the per-node oracles: each noisy node adds its next draw of n."""
+    """Gradient plus noise: noisy is a NoisyOracle with one row per row of x (a
+    single x is one row), or a sequence of one-row NoisyOracles, one per row."""
     grad = obj.f_grad(x)
-    n = grad.shape[-1]
-    for row, orc in zip(grad.reshape(-1, n), [noisy] if isinstance(noisy, NoisyOracle) else noisy):
-        if orc.sigma != 0.0:
-            draw = next(orc.noise, None)
-            if draw is None:  # the block is used up: draw the next one
-                block = orc.rng.standard_normal((max(1, NOISE_BLOCK // n), n))
-                block *= orc.sigma / np.sqrt(n)
-                orc.noise = iter(block)
-                draw = next(orc.noise)
-            row += draw
+    if isinstance(noisy, NoisyOracle):
+        noisy.perturb(grad if grad.ndim == 2 else grad[None])
+    else:
+        for orc, row in zip(noisy, grad):
+            orc.perturb(row[None])
     return grad
 
 

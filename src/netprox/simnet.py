@@ -14,6 +14,7 @@ initial_state builds the state a run starts from; a registry maps each algorithm
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass, field
 from types import SimpleNamespace
 
@@ -22,7 +23,7 @@ import numpy as np
 from . import baselines as _baselines
 from . import dpga as _dpga
 from . import dpga_w as _dpga_w
-from .engine import step_rule
+from .engine import scheduled_step, step_rule
 from .errors import DivergenceError, ProtocolError, check_positive
 from .objective import NoisyOracle, network, row_dot
 from .topology import Graph, NetworkState, mixing_pair
@@ -99,9 +100,11 @@ class AuditLog:
 
     Under local broadcast every node sends and stores the same amount, so a
     record updates one count: sent, the scalars each node has sent, and stored,
-    the most n-vectors each node has held. scalars_sent and peak_vectors read
-    them per node, as a dict that stays the same (edits included) until its
-    count moves."""
+    the most n-vectors each node has held. Storage is metered where a state's
+    fields change: NetworkState keeps its vector_count as it stores them, so a
+    round's record_storage reads one number and walks no field. scalars_sent
+    and peak_vectors read the counts per node, as a dict that stays the same
+    (edits included) until its count moves."""
 
     node_count: int
     n: int
@@ -114,7 +117,7 @@ class AuditLog:
         self.sent += payload.size // self.node_count
 
     def record_storage(self, state: NetworkState) -> None:
-        self.stored = max(self.stored, state.vector_count())
+        self.stored = max(self.stored, state.vector_count)
 
     @property
     def scalars_sent(self) -> dict[int, int]:
@@ -249,14 +252,15 @@ def _edge_sq(graph: Graph, X) -> np.ndarray:
     a stack (S, N, n) gives (S, E) from one pass. np.take keeps the edge rows
     contiguous, where X[..., i, :] on a stack would give transposed strides."""
     i, j = graph.edge_ends
-    D = np.take(X, i, axis=-2)
-    D -= np.take(X, j, axis=-2)
+    D = X.take(i, axis=-2)
+    D -= X.take(j, axis=-2)
     return row_dot(D, D)
 
 
 def _max_edge(sq: np.ndarray, n: int) -> tuple[float, float]:
-    max_edge = float(np.sqrt(sq.max()))
-    return max_edge, max_edge / np.sqrt(n)
+    # a scalar's root through math: np.sqrt's correctly rounded value, without a ufunc call
+    max_edge = math.sqrt(np.maximum.reduce(sq))
+    return max_edge, np.float64(max_edge) / math.sqrt(n)
 
 
 def consensus_metrics(graph: Graph, X) -> tuple[float, float]:
@@ -275,8 +279,9 @@ def ergodic_aggregates(graph: Graph, Xbar) -> tuple[float, ...]:
     lead = ()
     if Xbar.ndim == 3:
         lead, sq, Xbar = _max_edge(sq[0], Xbar.shape[2]), sq[1], Xbar[1]
-    edge_agg = float(np.sqrt(sq.sum()))
-    return *lead, edge_agg, float(np.linalg.norm(graph.laplacian() @ Xbar))
+    edge_agg = math.sqrt(np.add.reduce(sq))
+    v = (graph.laplacian() @ Xbar).ravel()  # the Frobenius norm as np.linalg.norm takes it
+    return *lead, edge_agg, math.sqrt(v @ v)
 
 
 def audit_check(log: AuditLog, algorithm: str) -> AuditReport:
@@ -339,15 +344,25 @@ _ROUNDS = {
         _dpga.dpga_round_adaptive if run.step_mode == "AS" else _dpga.dpga_round
     )(st, run.objectives, run.exchange)[0],
     "sdpga": lambda run, st, k: _dpga.sdpga_round(
-        st, run.objectives, run.oracles, k, run.exchange, horizon=run.horizon
+        st, run.objectives, run.oracles, k, run.exchange, steps=run.steps(k)
     )[0],
     "dpga_w": lambda run, st, k: _dpga_w.dpgaw_round(st, run.objectives, run.exchange)[0],
     "sdpga_w": lambda run, st, k: _dpga_w.sdpgaw_round(
-        st, run.objectives, run.oracles, k, run.exchange, horizon=run.horizon
+        st, run.objectives, run.oracles, k, run.exchange, steps=run.steps(k)
     )[0],
     "pg_extra": lambda run, st, k: _baselines.pg_extra_round(st, run.objectives, run.exchange)[0],
     "admm": lambda run, st, k: _baselines.admm_round(st, run.objectives, run.exchange)[0],
 }
+
+
+def _noisy_steps(base: np.ndarray, horizon: int | None):
+    """Round k's stepsizes of a noisy run from its base steps, the schedule resolved
+    once: the horizon rule's steps are one array for the whole run."""
+    rule = step_rule(None, horizon)
+    if rule == "horizon":
+        steps = scheduled_step(base, rule, 0, horizon)
+        return lambda k: steps
+    return lambda k: scheduled_step(base, rule, k)
 
 
 def run_synchronous(
@@ -406,15 +421,15 @@ def run_synchronous(
     if len(objectives) != N:
         raise ValueError(f"{len(objectives)} objectives for a graph of {N} nodes")
     audit = AuditLog(node_count=N, n=n)
+    state = initial_state(algorithm, graph, objectives, gammas, horizon, safety)
     run = SimpleNamespace(  # what the round functions read
         objectives=objectives,
         step_mode=step_mode,
-        horizon=horizon,
-        oracles=[NoisyOracle.for_node(sigma, seed, i) for i in range(N)] if noisy else None,
+        oracles=NoisyOracle(sigma, seed, range(N)) if noisy else None,
+        steps=_noisy_steps(state.c, horizon) if noisy else None,
         exchange=Transport(graph, audit).exchange,
     )
     advance = _ROUNDS[algorithm]
-    state = initial_state(algorithm, graph, objectives, gammas, horizon, safety)
 
     audit.record_storage(state)
     F_star = None if reference is None else float(reference.F_star)
@@ -426,7 +441,7 @@ def run_synchronous(
     for k in range(1, schedule.max_rounds + 1):
         state = advance(run, state, k - 1)
         X = state.x
-        if not np.isfinite(X).all():  # the per-row pass only names the node
+        if not np.logical_and.reduce(np.isfinite(X), axis=None):  # the row pass names the node
             finite = np.isfinite(X).all(axis=1)
             raise DivergenceError(
                 f"{algorithm} diverged in round {k}: node {int(np.argmin(finite))} "

@@ -161,8 +161,8 @@ class GraphOperator:
 
     def __matmul__(self, X: np.ndarray) -> np.ndarray:
         N = self.graph.node_count
-        if np.ndim(X) != 2 or len(X) != N:
-            raise ProtocolError(f"mixing needs an (N, n) payload with N = {N}, got {np.shape(X)}")
+        if X.ndim != 2 or len(X) != N:
+            raise ProtocolError(f"mixing needs an (N, n) payload with N = {N}, got {X.shape}")
         out = self._diag * X
         out += 0.0  # the sum's start at 0, which turns a -0.0 into +0.0
         for rows, ids, weights in self._slots:
@@ -182,27 +182,33 @@ class NetworkState:
     """Every agent's local state, stacked: row i of each field is agent i's.
 
     Fields of shape (N, n) are the n-vectors an agent stores, fields of shape
-    (N,) its scalars: read-only arrays, read as ``state.x``. ``ops`` holds the
-    graph operators whose rows the agents know. Indexing and iteration yield
-    snapshots of agent i's rows (``state[i].x``, ``state[i].node_id``, scalars
-    as Python numbers); ``a + b`` lists the snapshots of both states.
+    (N,) its scalars: read-only arrays, read as ``state.x``. ``vector_count``
+    is the number of n-vectors, kept up to date where fields are stored, the
+    only place it can change. ``ops`` holds the graph operators whose rows the
+    agents know. Indexing and iteration yield snapshots of agent i's rows
+    (``state[i].x``, ``state[i].node_id``, scalars as Python numbers);
+    ``a + b`` lists the snapshots of both states.
     """
 
-    __slots__ = ("ops", "__dict__")  # the fields are the instance dict
+    __slots__ = ("ops", "vector_count", "__dict__")  # the fields are the instance dict
 
     def __init__(self, fields: dict, ops: dict | None = None) -> None:
         object.__setattr__(self, "ops", {} if ops is None else ops)
-        self._store(fields, len(next(iter(fields.values()), ())))
+        self._store(fields, len(next(iter(fields.values()), ())), 0)
 
-    def _store(self, fields: dict, N: int) -> None:
-        """Check each field for one row per node and a name free in the class; freeze, store."""
+    def _store(self, fields: dict, N: int, vector_count: int) -> None:
+        """Check each field for one row per node and a name free in the class;
+        freeze, store, and count the n-vectors from the vector_count before."""
+        old = self.__dict__
         for name, a in fields.items():
             if name in _STATE_ATTRS:
                 raise ValueError(f"field {name!r} would shadow NetworkState.{name}")
             if len(a) != N:
                 raise ValueError(f"field {name!r} has {len(a)} rows, expected one per node ({N})")
             a.flags.writeable = False
-        self.__dict__.update(fields)
+            vector_count += (a.ndim == 2) - (name in old and old[name].ndim == 2)
+        old.update(fields)
+        object.__setattr__(self, "vector_count", vector_count)
 
     def _immutable(self, name: str, *value) -> None:
         raise AttributeError(f"cannot set or delete {name!r}: a NetworkState is immutable")
@@ -218,12 +224,8 @@ class NetworkState:
         new = object.__new__(NetworkState)
         object.__setattr__(new, "ops", self.ops)
         new.__dict__.update(self.__dict__)
-        new._store(changes, len(self))
+        new._store(changes, len(self.x), self.vector_count)
         return new
-
-    def vector_count(self) -> int:
-        """n-vectors each agent stores: the number of (N, n) fields."""
-        return sum(a.ndim == 2 for a in self.fields.values())
 
     def __len__(self) -> int:
         return len(self.x)
@@ -246,7 +248,6 @@ class SpectralSummary:
     eigenvalues: np.ndarray
     psi_min_pos: float
     psi_max: float
-    frob_norm_sq: float
 
 
 @dataclass(frozen=True)
@@ -336,7 +337,6 @@ def spectral_summary(g: Graph) -> SpectralSummary:
         eigenvalues=eigs,
         psi_min_pos=float(eigs[1]),
         psi_max=psi_max,
-        frob_norm_sq=float(np.sum(omega * omega)),
     )
 
 

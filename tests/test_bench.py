@@ -29,7 +29,7 @@ from netprox.cli import main
 from netprox.objective import objective_to_text
 from netprox.simnet import RoundSchedule, RunRecord, run_synchronous
 from netprox.topology import build_topology, edge_list_text, spectral_summary
-from theory import equal_gamma_simplified
+from theory import equal_gamma_simplified, frob_norm_sq
 
 
 def tiny_spec(seed=0):
@@ -356,7 +356,7 @@ def test_equal_gamma_simplification_dominates():
         steps_w = [1.0 / (lips[i] + gamma * W.omega_norms_sq[i]) for i in range(N)]
         general_w = theorem4_curve(g, W, np.full(N, gamma), kappas, x_star, x0, steps_w)
         simple_w = equal_gamma_simplified(g, gamma, kappas, lips, x_star, x0c, variant="dpga_w")
-        frob_sq = spectral_summary(g).frob_norm_sq
+        frob_sq = frob_norm_sq(g)
         e_half_w = 0.5 * (gamma * frob_sq + sum(lips)) * dist_sq
         tau_max, s_w = g.max_degree / gamma, W.sigma_min_pos**2
         assert general_w.coef_subopt == pytest.approx(

@@ -296,16 +296,16 @@ def test_noiseless_oracle_is_exact_and_stream_silent():
     obj = random_objective(rng)
     x = rng.standard_normal(obj.n)
     orc = NoisyOracle.for_node(0.0, seed=5, node=2)
-    state_before = orc.rng.bit_generator.state
+    state_before = orc.rngs[0].bit_generator.state
     g = oracle_grad(obj, orc, x)
     assert np.array_equal(g, obj.f_grad(x))
-    assert orc.rng.bit_generator.state == state_before
+    assert orc.rngs[0].bit_generator.state == state_before
 
 
 def test_oracle_streams_keyed_by_node():
     a = NoisyOracle.for_node(0.2, seed=9, node=0)
     b = NoisyOracle.for_node(0.2, seed=9, node=1)
-    assert a.rng.standard_normal(4).tolist() != b.rng.standard_normal(4).tolist()
+    assert a.rngs[0].standard_normal(4).tolist() != b.rngs[0].standard_normal(4).tolist()
     with pytest.raises(ValueError):
         NoisyOracle.for_node(-0.1, seed=0, node=0)
 
@@ -523,17 +523,15 @@ def test_stacked_oracle_draws_the_per_node_streams():
     X = rng.standard_normal((4, objs[0].n))
     sigmas = (0.3, 0.0, 0.1, 0.0)
 
-    def oracles():
-        return [NoisyOracle.for_node(s, seed=11, node=i) for i, s in enumerate(sigmas)]
-
-    stacked_orcs, node_orcs = oracles(), oracles()
-    silent = [o.rng.bit_generator.state for o in stacked_orcs]
+    stacked_orc = NoisyOracle(sigmas, 11, range(4))  # the network's one source
+    node_orcs = [NoisyOracle.for_node(s, seed=11, node=i) for i, s in enumerate(sigmas)]
+    silent = [rng.bit_generator.state for rng in stacked_orc.rngs]
     for _ in range(3):  # one draw per node per call, in node order
-        stacked = oracle_grad(network(objs), stacked_orcs, X)
+        stacked = oracle_grad(network(objs), stacked_orc, X)
         rows = [oracle_grad(o, orc, x) for o, orc, x in zip(objs, node_orcs, X)]
         assert np.array_equal(stacked, np.stack(rows))
-    for orc, before, s in zip(stacked_orcs, silent, sigmas):
-        assert (orc.rng.bit_generator.state == before) == (s == 0.0)
+    for rng, before, s in zip(stacked_orc.rngs, silent, sigmas):
+        assert (rng.bit_generator.state == before) == (s == 0.0)
 
 
 def per_call_oracle_grad(obj, noisy, x):
@@ -541,9 +539,11 @@ def per_call_oracle_grad(obj, noisy, x):
     the reference the block draws must match bit for bit."""
     grad = obj.f_grad(x)
     n = grad.shape[-1]
-    for row, orc in zip(grad.reshape(-1, n), [noisy] if isinstance(noisy, NoisyOracle) else noisy):
-        if orc.sigma != 0.0:
-            row += orc.rng.standard_normal(n) * (orc.sigma / np.sqrt(n))
+    sources = [noisy] if isinstance(noisy, NoisyOracle) else noisy
+    streams = [(rng, s) for orc in sources for rng, s in zip(orc.rngs, orc.sigma.tolist())]
+    for row, (rng, s) in zip(grad.reshape(-1, n), streams):
+        if s != 0.0:
+            row += rng.standard_normal(n) * (s / np.sqrt(n))
     return grad
 
 
@@ -554,10 +554,10 @@ def test_block_draws_are_the_per_call_draws(n_g):
     net, n = network(objs), objs[0].n
     B = max(1, NOISE_BLOCK // n)
     sigmas, seed = (0.2, 0.0, 0.05, 1.0), 13
-    stacked = [NoisyOracle.for_node(s, seed, i) for i, s in enumerate(sigmas)]
+    stacked = NoisyOracle(sigmas, seed, range(len(sigmas)))
     alone = [NoisyOracle.for_node(s, seed, i) for i, s in enumerate(sigmas)]
     refs = [np.random.default_rng((seed, i)) for i in range(len(sigmas))]
-    silent = [o.rng.bit_generator.state for o in stacked]
+    silent = [rng.bit_generator.state for rng in stacked.rngs]
     calls = 2 * B + 3  # over two refills, and into a third block
     for k in range(1, calls + 1):
         X = rng.standard_normal((len(sigmas), n))
@@ -569,13 +569,13 @@ def test_block_draws_are_the_per_call_draws(n_g):
         rows = [oracle_grad(o, orc, x) for o, orc, x in zip(objs, alone, X)]
         assert np.stack(rows).tobytes() == expect.tobytes(), k
     blocks = -(-calls // B)  # the generator runs less than one block ahead
-    for i, (orc, s, before) in enumerate(zip(stacked, sigmas, silent)):
+    for i, (rng, s, before) in enumerate(zip(stacked.rngs, sigmas, silent)):
         if s == 0.0:
-            assert orc.rng.bit_generator.state == before
+            assert rng.bit_generator.state == before
         else:
             ahead = np.random.default_rng((seed, i))
             ahead.standard_normal((blocks * B, n))
-            assert orc.rng.bit_generator.state == ahead.bit_generator.state
+            assert rng.bit_generator.state == ahead.bit_generator.state
 
 
 @pytest.mark.parametrize("algorithm", ["sdpga", "sdpga_w"])
@@ -596,6 +596,57 @@ def test_noisy_runs_match_the_per_call_draws(algorithm, monkeypatch):
     assert blocks.final_x.tobytes() == calls.final_x.tobytes()
     assert repr(blocks.record.rows) == repr(calls.record.rows)
     assert repr(blocks.ergodic) == repr(calls.ergodic)
+
+
+@pytest.mark.parametrize("algorithm", ["sdpga", "sdpga_w"])
+def test_network_noise_source_adds_each_nodes_per_call_draws(algorithm, monkeypatch):
+    # every gradient a run's one noise source perturbs is f_grad plus, per node,
+    # default_rng((seed, i)).standard_normal(n) * sigma / sqrt(n): over three
+    # block boundaries (B = 10 draws of n = 200 per block, 35 rounds)
+    prob = generate_problem(ProblemSpec(case=1, N=5, n_g=20, seed=4))
+    net, n, seed, sigma = network(prob.objectives), prob.objectives[0].n, 9, 0.1
+    assert max(1, NOISE_BLOCK // n) == 10
+    refs = [np.random.default_rng((seed, i)) for i in range(5)]
+    calls = []
+
+    def checked(obj, noisy, X):
+        expect = net.f_grad(X)
+        for row, ref in zip(expect, refs):
+            row += ref.standard_normal(n) * (sigma / np.sqrt(n))
+        got = oracle_grad(obj, noisy, X)
+        calls.append(got.tobytes() == expect.tobytes())
+        return got
+
+    monkeypatch.setattr(dpga if algorithm == "sdpga" else dpga_w, "oracle_grad", checked)
+    run_synchronous(
+        algorithm, build_topology("star", 5), prob.objectives, RoundSchedule(max_rounds=35),
+        seed, gammas=np.full(5, 1.5), sigma=sigma, horizon=35,
+    )
+    assert calls == [True] * 35
+
+
+def test_a_silent_row_keeps_its_bits_and_runs_share_no_noise_state():
+    # a sigma = 0 row adds nothing, not even +0.0, which would turn -0.0 into +0.0
+    orc = NoisyOracle((0.2, 0.0, 0.1), 3, range(3))
+    G = np.full((3, 40), -0.0)
+    orc.perturb(G)
+    assert G[1].tobytes() == np.full(40, -0.0).tobytes()
+    assert np.signbit(G[[0, 2]]).mean() not in (0.0, 1.0)  # the noisy rows moved
+    # runs in one process share no noise: seed 1, seed 2, then seed 1 again
+    prob = generate_problem(ProblemSpec(case=1, N=5, n_g=20, seed=4))
+    g = build_topology("star", 5)
+
+    def run(algorithm, seed):
+        res = run_synchronous(
+            algorithm, g, prob.objectives, RoundSchedule(max_rounds=25), seed,
+            gammas=np.full(5, 1.5), sigma=0.1, horizon=25, collect_ergodic=True,
+        )
+        return res.final_x.tobytes(), repr(res.record.rows), repr(res.ergodic)
+
+    for algorithm in ("sdpga", "sdpga_w"):
+        first, other, again = run(algorithm, 1), run(algorithm, 2), run(algorithm, 1)
+        assert first == again
+        assert first[0] != other[0]
 
 
 @pytest.mark.parametrize("S", [1, 2, 3])

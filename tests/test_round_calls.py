@@ -1,0 +1,63 @@
+"""The fixed cost of a small-N round, counted: sys.setprofile's Python-level
+("call") and C-function ("c_call") events per checked ergodic round, as the
+difference between a run of 2R rounds and one of R rounds, so set-up cancels.
+A count does not drift with the machine the way a timing does; a change that
+adds calls to every round raises it and fails here until the ceiling is
+raised on purpose."""
+
+import gc
+import sys
+
+import numpy as np
+import pytest
+
+from netprox.bench import ProblemSpec, generate_problem
+from netprox.dpga import gamma_heuristic
+from netprox.simnet import RoundSchedule, run_synchronous
+from netprox.topology import build_topology
+
+# (Python-level calls, C-function calls) per round at star N = 5; the block of
+# B = 10 noise draws refills every 10 sdpga rounds, hence its fraction. A ufunc
+# call is no profile event, so the observer's scalar roots through math.sqrt
+# count as C calls, though each costs less than a scalar np.sqrt.
+CEILINGS = {
+    "dpga": (26, 44),
+    "sdpga": (29, 45.2),
+    "dpga_w": (28, 50),
+    "pg_extra": (25, 50),
+}
+R = 20  # a multiple of the noise block, so 2R - R rounds hold whole refills
+
+
+def events(algorithm, rounds):
+    g = build_topology("star", 5)
+    objs = generate_problem(ProblemSpec(case=1, N=5, n_g=20, seed=0)).objectives
+    kwargs = {} if algorithm == "pg_extra" else {"gammas": np.full(5, gamma_heuristic(g))}
+    if algorithm == "sdpga":
+        kwargs.update(sigma=0.1, horizon=300)
+    counts = {"call": 0, "c_call": 0}
+
+    def profile(frame, event, arg):
+        if event in counts:
+            counts[event] += 1
+
+    gc.collect()  # a collection mid-run would count the finalizers of other tests' garbage
+    gc.disable()
+    sys.setprofile(profile)
+    try:
+        run_synchronous(
+            algorithm, g, objs, RoundSchedule(max_rounds=rounds), 0,
+            collect_ergodic=True, **kwargs,
+        )
+    finally:
+        sys.setprofile(None)
+        gc.enable()
+    return counts["call"], counts["c_call"]
+
+
+@pytest.mark.parametrize("algorithm", sorted(CEILINGS))
+def test_a_checked_ergodic_round_stays_under_its_call_ceiling(algorithm):
+    (py_r, c_r), (py_2r, c_2r) = events(algorithm, R), events(algorithm, 2 * R)
+    per_round = ((py_2r - py_r) / R, (c_2r - c_r) / R)
+    py_max, c_max = CEILINGS[algorithm]
+    assert per_round[0] <= py_max and per_round[1] <= c_max, (algorithm, per_round)

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from netprox.dpga import GammaMatrix
 from netprox.dpga_w import CommunicationMatrix
 from netprox.errors import ProtocolError
+from netprox.simnet import AuditLog
 from netprox.topology import (
     Graph,
     NetworkState,
@@ -17,6 +18,7 @@ from netprox.topology import (
     mixing_pair,
     spectral_summary,
 )
+from theory import frob_norm_sq
 
 
 def test_star_shape():
@@ -140,8 +142,7 @@ def test_connectivity_grows_with_edges():
 
 def test_frobenius_norm_sq_star5():
     # diagonal 4,1,1,1,1 plus eight -1 off-diagonal entries
-    s = spectral_summary(build_topology("star", 5))
-    assert s.frob_norm_sq == pytest.approx(16 + 4 + 8)
+    assert frob_norm_sq(build_topology("star", 5)) == pytest.approx(16 + 4 + 8)
 
 
 def test_mixing_pair_star5():
@@ -240,6 +241,28 @@ def test_evolve_checks_and_freezes_the_changed_fields():
             NetworkState({"x": np.zeros((3, 4)), name: np.ones(3)})
         with pytest.raises(ValueError, match=f"field '{name}' would shadow"):
             state.evolve(**{name: np.ones(3)})
+
+
+def test_vector_count_is_metered_where_fields_are_stored():
+    # the count of (N, n) fields moves only when evolve adds one or changes
+    # a field's rank, and equals a walk over the fields after every step
+    def walked(st):
+        return sum(a.ndim == 2 for a in st.fields.values())
+
+    state = NetworkState({"x": np.zeros((3, 4)), "c": np.ones(3)})
+    steps = [
+        state,
+        state.evolve(x=np.ones((3, 4))),  # same rank: no change
+        state.evolve(s=np.zeros((3, 4))),  # a new n-vector
+        state.evolve(s=np.zeros((3, 4))).evolve(s=np.ones(3)),  # n-vector to scalar
+        state.evolve(c=np.ones((3, 4)), p=np.ones((3, 4))),  # scalar to n-vector, and a new one
+    ]
+    assert [st.vector_count for st in steps] == [1, 1, 2, 1, 3]
+    assert all(st.vector_count == walked(st) for st in steps)
+    audit = AuditLog(node_count=3, n=4)
+    for st in steps:
+        audit.record_storage(st)
+    assert audit.peak_vectors[0] == 3
 
 
 def test_mixing_matrices_strictly_positive_definite():

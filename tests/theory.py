@@ -12,7 +12,7 @@ import numpy as np
 
 from netprox.bench import BoundCurve
 from netprox.engine import BlockProblem, EngineState, StepPlan, _advance, _cap, base_step, step_rule
-from netprox.objective import NoisyOracle, network, oracle_grad
+from netprox.objective import NoisyOracle, adds_noise, network, oracle_grad
 from netprox.topology import Graph, MixingPair, spectral_summary
 
 
@@ -33,7 +33,7 @@ def spgadmm_step(
     oracles: list[NoisyOracle],
 ) -> EngineState:
     """PG-ADMM step with oracle gradients and k-dependent stepsizes."""
-    step_rule(plan.rule, plan.horizon, oracles)
+    step_rule(plan.rule, plan.horizon, adds_noise(oracles))
     c = plan.step_sizes(state.k)
     grads = [
         oracle_grad(prob.objectives[i], oracles[i], state.x[i]) for i in range(prob.N)
@@ -203,6 +203,12 @@ def pg_extra_kkt_residuals(x_trace, half_trace, mixing: MixingPair, objectives, 
     return kkt_sq, cons_sq
 
 
+def frob_norm_sq(graph: Graph) -> float:
+    """||Omega||_F^2 of the graph Laplacian, the constant of the dpga_w simplification."""
+    omega = graph.laplacian()
+    return float(np.sum(omega * omega))
+
+
 def equal_gamma_simplified(graph: Graph, gamma, kappas, lipschitzes, x_star, x0_common, variant: str = "dpga") -> BoundCurve:
     """The single-constant simplifications available when every node uses
     one gamma, starts at the same point, and takes the largest allowed step.
@@ -218,7 +224,7 @@ def equal_gamma_simplified(graph: Graph, gamma, kappas, lipschitzes, x_star, x0_
         ) * dist_sq
         column = "bound_theorem3"
     elif variant == "dpga_w":
-        frob_sq = summary.frob_norm_sq
+        frob_sq = frob_norm_sq(graph)
         num = 0.5 * (
             4.0 * (graph.max_degree + 1) / gamma * (kap_sq / psi**2 + 1.0)
             + (gamma * frob_sq + L_sum) * dist_sq
