@@ -307,17 +307,19 @@ class Experiment:
         return () if self.step_mode == "AS" else tuple(a for a in self.algorithms if a in BOUNDED_ALGORITHMS)
 
     def gammas(self, reference: ReferenceSolution) -> np.ndarray:
-        """Per-node penalties; the optimal rule's gamma is for the x0 = 0
-        every run starts from."""
-        if self.gamma_rule == "explicit":
-            return np.array(self.gamma_value)
+        """Per-node penalties, each checked finite: a heuristic c_factor N or
+        the optimal formula can overflow. The optimal rule's gamma is for the
+        x0 = 0 every run starts from."""
+        g = self.gamma_value
         if self.gamma_rule == "heuristic":
             g = _dpga.gamma_heuristic(self.graph, c_factor=self.gamma_value)
-        else:
+        elif self.gamma_rule == "optimal":
             psi = spectral_summary(self.graph).psi_min_pos
             dist0 = float(np.linalg.norm(reference.x_star))
             g = _dpga.gamma_star(reference.kappas, psi, self.graph.edge_count, dist0)
-        return np.full(self.problem.N, g)
+        gammas = np.full(self.problem.N, g)
+        check_positive(gammas=gammas)
+        return gammas
 
 
 _LABEL = re.compile(r"[A-Za-z0-9._-]+")
@@ -450,7 +452,7 @@ def validate_config(cfg) -> Experiment:
     gam.done()
 
     # noise and the horizon step rule belong to the stochastic variants only
-    noisy = bool({"sdpga", "sdpga_w"} & set(algorithms))
+    noisy = any(a in _simnet.NOISY_ALGORITHMS for a in algorithms)
     sigma = top(
         "sigma", float, 0.0, lambda v: finite_positive(v, zero=True), "must be a nonnegative number"
     )
@@ -562,12 +564,12 @@ def run_cell(exp: Experiment, cell: Cell):
     round k = row[0], and each check's outcome: threshold reached ("solved"), meter
     as profiled ("audit"), ergodic errors under the curve ("bound", true without one)."""
     algorithm, curve = cell.algorithm, cell.curve
-    noisy = algorithm in ("sdpga", "sdpga_w")
+    noisy = algorithm in _simnet.NOISY_ALGORITHMS
     result = _simnet.run_synchronous(
         algorithm, exp.graph, cell.problem.objectives, exp.schedule, cell.seed,
         gammas=None if algorithm == "pg_extra" else cell.gammas,
         sigma=exp.sigma if noisy else 0.0, horizon=exp.horizon if noisy else None,
-        step_mode=exp.step_mode if algorithm == "dpga" else "CS",
+        step_mode=exp.step_mode,
         reference=cell.reference, collect_ergodic=curve is not None, safety=exp.safety,
     )
     dominated = True

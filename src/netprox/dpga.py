@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .engine import Block, BlockProblem, Chunk, ZeroCoupling, base_step, scheduled_step, step_rule
+from .engine import Block, BlockProblem, Chunk, StepPlan, ZeroCoupling, base_step, step_rule
 from .errors import check_positive
 from .objective import adds_noise, network, oracle_grad, row_dot
 from .topology import Graph, GraphOperator, NetworkState
@@ -181,11 +181,11 @@ def sdpga_round(
     horizon-constant variant 1/c_i^k = 1/c_i + sqrt(horizon) when a horizon
     is given. rule="constant" is admissible only for sigma = 0 oracles and
     then reproduces dpga_round exactly. steps, when given, are this round's
-    stepsizes from a schedule the caller resolved once (as run_synchronous
+    stepsizes from a StepPlan the caller built once (as run_synchronous
     does), and rule and horizon are not read.
     """
     if steps is None:
-        steps = scheduled_step(state.c, step_rule(rule, horizon, adds_noise(oracles)), k, horizon)
+        steps = StepPlan(step_rule(rule, horizon, adds_noise(oracles)), state.c, horizon).step_sizes(k)
     net = network(objectives)
     grads = oracle_grad(net, oracles, state.x)
     return _round(state, exchange, _prox_step(state, net, grads, steps))

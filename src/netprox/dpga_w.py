@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .engine import Block, BlockProblem, Chunk, ZeroSumCoupling, base_step, scheduled_step, step_rule
+from .engine import Block, BlockProblem, Chunk, StepPlan, ZeroSumCoupling, base_step, step_rule
 from .errors import check_positive
 from .objective import adds_noise, network, oracle_grad
 from .topology import Graph, GraphOperator, NetworkState
@@ -139,7 +139,7 @@ def sdpgaw_round(
 ):
     """Stochastic DPGA-W round; oracles and stepsize schedules as in sdpga_round."""
     if steps is None:
-        steps = scheduled_step(state.c, step_rule(rule, horizon, adds_noise(oracles)), k, horizon)
+        steps = StepPlan(step_rule(rule, horizon, adds_noise(oracles)), state.c, horizon).step_sizes(k)
     net = network(objectives)
     return _round(state, net.prox, exchange, oracle_grad(net, oracles, state.x), steps)
 

@@ -31,7 +31,6 @@ __all__ = [
     "StepPlan",
     "base_step",
     "step_rule",
-    "scheduled_step",
     "constant_plan",
     "pgadmm_step",
     "primal_dual_step",
@@ -242,27 +241,28 @@ def step_rule(rule: str | None, horizon: int | None, noisy: bool = False) -> str
     return rule
 
 
-def scheduled_step(base, rule: str, k: int, horizon: int | None = None):
-    """c_i^k under a resolved rule: the base c_i for constant steps, else 1/c_i^k =
-    1/c_i + sqrt(k), k frozen at the horizon for that rule (a float: no int root past 2**64)."""
-    if rule == "constant":
-        return base
-    return 1.0 / (1.0 / base + np.sqrt(float(horizon if rule == "horizon" else k)))
-
-
 @dataclass(frozen=True)
 class StepPlan:
-    """Per-node stepsize schedule under one of STEP_RULES."""
+    """Per-node stepsize schedule under a rule step_rule resolves (None too): c_i^k
+    is the base c_i for constant steps, else 1/c_i^k = 1/c_i + sqrt(k), k frozen at
+    the horizon for that rule (a float: no int root past 2**64). A constant or
+    horizon schedule's array, the same in every round, is computed once here."""
 
-    rule: str
+    rule: str | None
     base: np.ndarray
     horizon: int | None = None
+    fixed: np.ndarray | None = field(init=False, default=None, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        step_rule(self.rule, self.horizon)
+        object.__setattr__(self, "rule", step_rule(self.rule, self.horizon))
+        if self.rule in ("constant", "horizon"):
+            fixed = self.base if self.rule == "constant" else self.step_sizes(self.horizon)
+            object.__setattr__(self, "fixed", fixed)
 
     def step_sizes(self, k: int) -> np.ndarray:
-        return scheduled_step(self.base, self.rule, k, self.horizon)
+        if self.fixed is not None:
+            return self.fixed
+        return 1.0 / (1.0 / self.base + np.sqrt(float(k)))
 
 
 def _cap(prob: BlockProblem) -> np.ndarray:

@@ -282,27 +282,24 @@ class NoisyOracle:
     plus zero-mean noise.
 
     Noise is isotropic Gaussian with per-coordinate variance sigma^2/n so the
-    squared-norm second moment equals sigma^2. Row r is node nodes[r], with its
-    own sigma[r] and its own stream default_rng((seed, nodes[r])); a row with
-    sigma = 0 adds nothing and never touches its stream.
+    squared-norm second moment equals sigma^2. Every row has the one sigma; row r
+    is node nodes[r], with its own stream default_rng((seed, nodes[r])). With
+    sigma = 0 the oracle adds nothing and never touches a stream.
 
-    The draws come a block at a time into one (M, B, n) buffer, M the noisy rows
-    and B = max(1, NOISE_BLOCK // n): each noisy row's generator fills its (B, n)
-    slice with one standard_normal call, and the buffer is scaled in place by each
-    row's sigma/sqrt(n). Draw j of a row is then the bits that its j-th
+    The draws come a block at a time into one (R, B, n) buffer, R the rows and
+    B = max(1, NOISE_BLOCK // n): each row's generator fills its (B, n) slice
+    with one standard_normal call, and the buffer is scaled in place by
+    sigma/sqrt(n). Draw j of a row is then the bits that its j-th
     standard_normal(n) call times that scalar would give, and a round adds draw j
-    of every noisy row with one ufunc. The generators run less than one block
-    ahead of the draws used; a run's oracle is its own, so no state outlives it.
+    of every row with one ufunc. The generators run less than one block ahead
+    of the draws used; a run's oracle is its own, so no state outlives it.
     """
 
-    def __init__(self, sigma, seed: int, nodes) -> None:
-        sigma = np.full(len(nodes), sigma, dtype=float)
+    def __init__(self, sigma: float, seed: int, nodes) -> None:
         check_positive(sigma=sigma)
-        self.sigma = sigma
+        self.sigma = float(sigma)
         self.rngs = tuple(np.random.default_rng((seed, i)) for i in nodes)
-        self._noisy = np.flatnonzero(sigma)
-        self._rows = None if self._noisy.size == sigma.size else self._noisy  # None: every row
-        self._block = np.empty((self._noisy.size, 0, 0))
+        self._block = np.empty((len(self.rngs), 0, 0))
         self._next = 0
 
     @classmethod
@@ -310,30 +307,26 @@ class NoisyOracle:
         return cls(sigma, seed, (node,))
 
     def perturb(self, G: np.ndarray) -> None:
-        """Add every noisy row's next draw to its row of G (R, n), in place."""
-        if not self._noisy.size:
+        """Add every row's next draw to its row of G (R, n), in place."""
+        if not self.sigma:
             return
         if self._next == self._block.shape[1]:  # the block is used up: draw the next one
-            if len(G) != self.sigma.size:
-                raise ValueError(f"{len(G)} gradient rows for an oracle of {self.sigma.size}")
+            if len(G) != len(self.rngs):
+                raise ValueError(f"{len(G)} gradient rows for an oracle of {len(self.rngs)}")
             n = G.shape[-1]
             if self._block.shape[2] != n:
-                self._block = np.empty((self._noisy.size, max(1, NOISE_BLOCK // n), n))
-            for i, rows in zip(self._noisy.tolist(), self._block):
-                self.rngs[i].standard_normal(out=rows)
-            self._block *= (self.sigma[self._noisy] / np.sqrt(n))[:, None, None]
+                self._block = np.empty((len(self.rngs), max(1, NOISE_BLOCK // n), n))
+            for rng, rows in zip(self.rngs, self._block):
+                rng.standard_normal(out=rows)
+            self._block *= self.sigma / np.sqrt(n)
             self._next = 0
-        draw = self._block[:, self._next]
+        G += self._block[:, self._next]
         self._next += 1
-        if self._rows is None:
-            G += draw
-        else:
-            G[self._rows] += draw
 
 
 def adds_noise(noisy) -> bool:
     """Whether oracle_grad with noisy, a NoisyOracle or a sequence of them, perturbs a row."""
-    return any(o.sigma.any() for o in ((noisy,) if isinstance(noisy, NoisyOracle) else noisy))
+    return any(o.sigma > 0 for o in ((noisy,) if isinstance(noisy, NoisyOracle) else noisy))
 
 
 class NetworkObjective(tuple):

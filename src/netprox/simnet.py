@@ -23,7 +23,7 @@ import numpy as np
 from . import baselines as _baselines
 from . import dpga as _dpga
 from . import dpga_w as _dpga_w
-from .engine import scheduled_step, step_rule
+from .engine import StepPlan, step_rule
 from .errors import DivergenceError, ProtocolError, check_positive
 from .objective import NoisyOracle, network, row_dot
 from .topology import Graph, NetworkState, mixing_pair
@@ -33,6 +33,7 @@ __all__ = [
     "AuditLog",
     "AuditReport",
     "CSV_COLUMNS",
+    "NOISY_ALGORITHMS",
     "RoundSchedule",
     "RunRecord",
     "RunResult",
@@ -48,6 +49,7 @@ __all__ = [
 ]
 
 ALGORITHMS = ("dpga", "sdpga", "dpga_w", "sdpga_w", "pg_extra", "admm")
+NOISY_ALGORITHMS = ("sdpga", "sdpga_w")  # the variants with gradient noise and a step schedule
 
 # per-node (scalars communicated per round, n-vectors stored), in units of n
 TABLE_PROFILES = {
@@ -321,7 +323,7 @@ def initial_state(algorithm, graph: Graph, objectives, gammas, horizon, safety) 
     if algorithm not in ALGORITHMS:
         raise ValueError(f"unknown algorithm {algorithm!r}; expected one of {ALGORITHMS}")
     x0 = np.zeros((graph.node_count, objectives[0].n))
-    mode = step_rule(None, horizon) if algorithm in ("sdpga", "sdpga_w") else "constant"
+    mode = step_rule(None, horizon) if algorithm in NOISY_ALGORITHMS else "constant"
     if algorithm in ("dpga", "sdpga"):
         return _dpga.dpga_init(graph, objectives, gammas, x0, safety=safety, step_mode=mode)
     if algorithm == "pg_extra":
@@ -353,16 +355,6 @@ _ROUNDS = {
     "pg_extra": lambda run, st, k: _baselines.pg_extra_round(st, run.objectives, run.exchange)[0],
     "admm": lambda run, st, k: _baselines.admm_round(st, run.objectives, run.exchange)[0],
 }
-
-
-def _noisy_steps(base: np.ndarray, horizon: int | None):
-    """Round k's stepsizes of a noisy run from its base steps, the schedule resolved
-    once: the horizon rule's steps are one array for the whole run."""
-    rule = step_rule(None, horizon)
-    if rule == "horizon":
-        steps = scheduled_step(base, rule, 0, horizon)
-        return lambda k: steps
-    return lambda k: scheduled_step(base, rule, k)
 
 
 def run_synchronous(
@@ -406,7 +398,7 @@ def run_synchronous(
     if step_mode == "AS" and algorithm != "dpga":
         raise ValueError("adaptive steps are only wired up for dpga")
     check_positive(sigma=sigma)
-    noisy = algorithm in ("sdpga", "sdpga_w")
+    noisy = algorithm in NOISY_ALGORITHMS
     if sigma > 0 and not noisy:
         raise ValueError(f"{algorithm} has no gradient-noise mode")
     if horizon is not None and not noisy:
@@ -426,7 +418,7 @@ def run_synchronous(
         objectives=objectives,
         step_mode=step_mode,
         oracles=NoisyOracle(sigma, seed, range(N)) if noisy else None,
-        steps=_noisy_steps(state.c, horizon) if noisy else None,
+        steps=StepPlan(None, state.c, horizon).step_sizes if noisy else None,
         exchange=Transport(graph, audit).exchange,
     )
     advance = _ROUNDS[algorithm]

@@ -698,6 +698,26 @@ def test_optimal_gamma_rule_names_a_seed_whose_solution_is_zero(tmp_path, capsys
             assert not list(out.glob("*"))
 
 
+def test_a_c_factor_whose_gamma_overflows_is_a_config_error(tmp_path, capsys, monkeypatch):
+    # c_factor = 1e308 is a finite number, but c_factor |N| overflows, so the heuristic gamma is inf
+    monkeypatch.setenv("NETPROX_CACHE", str(tmp_path / "cache"))
+    cfg = base_config(
+        max_rounds=10, problem={"case": 1, "N": 5, "n_g": 1}, topology={"kind": "star"},
+        gamma_rule={"rule": "heuristic", "c_factor": 1e308},
+    )
+    exp = validate_config(cfg)
+    with pytest.raises(ValueError, match=r"^gammas must be finite and positive, got \[inf, inf"):
+        exp.gammas(None)
+    path, out = tmp_path / "cfg.json", tmp_path / "out"
+    path.write_text(json.dumps(cfg))
+    for command in ("check", "bounds"):
+        assert main([command, str(path), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: gamma_rule: seed 0: gammas must be finite")
+        assert err.count("\n") == 1
+        assert not list(out.glob("*"))
+
+
 def test_output_dir_precedence(tmp_path, monkeypatch):
     assert output_dir(tmp_path / "x") == tmp_path / "x"
     assert (tmp_path / "x").is_dir()

@@ -9,6 +9,7 @@ from netprox.engine import (
     BlockProblem,
     Chunk,
     EngineState,
+    StepPlan,
     ZeroCoupling,
     ZeroSumCoupling,
     constant_plan,
@@ -163,6 +164,11 @@ def test_schedules():
     assert np.allclose(hor.step_sizes(0), hor.step_sizes(999))
     with pytest.raises(ValueError):
         horizon_plan(prob, 0)
+    # no rule: the horizon rule with a horizon, else the diminishing rule
+    for horizon, named in ((16, hor), (None, dim)):
+        plan = StepPlan(None, named.base, horizon)
+        assert plan.rule == named.rule
+        assert plan.step_sizes(9).tobytes() == named.step_sizes(9).tobytes()
 
 
 @pytest.mark.parametrize("rule", [None, "horizon", "diminishing"])

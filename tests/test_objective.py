@@ -25,7 +25,7 @@ from netprox.objective import (
     prox_sparse_group,
 )
 from netprox.reference import prox_bruteforce
-from netprox.simnet import RoundSchedule, run_synchronous
+from netprox.simnet import NOISY_ALGORITHMS, RoundSchedule, run_synchronous
 from netprox.topology import build_topology
 
 
@@ -521,26 +521,26 @@ def test_stacked_oracle_draws_the_per_node_streams():
     rng = np.random.default_rng(17)
     objs = generate_problem(ProblemSpec(case=2, N=4, n_g=8, seed=3, K=4)).objectives
     X = rng.standard_normal((4, objs[0].n))
-    sigmas = (0.3, 0.0, 0.1, 0.0)
 
-    stacked_orc = NoisyOracle(sigmas, 11, range(4))  # the network's one source
-    node_orcs = [NoisyOracle.for_node(s, seed=11, node=i) for i, s in enumerate(sigmas)]
-    silent = [rng.bit_generator.state for rng in stacked_orc.rngs]
-    for _ in range(3):  # one draw per node per call, in node order
-        stacked = oracle_grad(network(objs), stacked_orc, X)
-        rows = [oracle_grad(o, orc, x) for o, orc, x in zip(objs, node_orcs, X)]
-        assert np.array_equal(stacked, np.stack(rows))
-    for rng, before, s in zip(stacked_orc.rngs, silent, sigmas):
-        assert (rng.bit_generator.state == before) == (s == 0.0)
+    for sigma in (0.3, 0.0):
+        stacked_orc = NoisyOracle(sigma, 11, range(4))  # the network's one source
+        node_orcs = [NoisyOracle.for_node(sigma, seed=11, node=i) for i in range(4)]
+        silent = [stream.bit_generator.state for stream in stacked_orc.rngs]
+        for _ in range(3):  # one draw per node per call, in node order
+            stacked = oracle_grad(network(objs), stacked_orc, X)
+            rows = [oracle_grad(o, orc, x) for o, orc, x in zip(objs, node_orcs, X)]
+            assert np.array_equal(stacked, np.stack(rows))
+        for stream, before in zip(stacked_orc.rngs, silent):
+            assert (stream.bit_generator.state == before) == (sigma == 0.0)
 
 
 def per_call_oracle_grad(obj, noisy, x):
-    """oracle_grad with one standard_normal(n) call per noisy node and call:
-    the reference the block draws must match bit for bit."""
+    """oracle_grad with one standard_normal(n) call per node and call of a
+    noisy source: the reference the block draws must match bit for bit."""
     grad = obj.f_grad(x)
     n = grad.shape[-1]
     sources = [noisy] if isinstance(noisy, NoisyOracle) else noisy
-    streams = [(rng, s) for orc in sources for rng, s in zip(orc.rngs, orc.sigma.tolist())]
+    streams = [(rng, orc.sigma) for orc in sources for rng in orc.rngs]
     for row, (rng, s) in zip(grad.reshape(-1, n), streams):
         if s != 0.0:
             row += rng.standard_normal(n) * (s / np.sqrt(n))
@@ -553,29 +553,24 @@ def test_block_draws_are_the_per_call_draws(n_g):
     objs = generate_problem(ProblemSpec(case=1, N=4, n_g=n_g, seed=2, K=5)).objectives
     net, n = network(objs), objs[0].n
     B = max(1, NOISE_BLOCK // n)
-    sigmas, seed = (0.2, 0.0, 0.05, 1.0), 13
-    stacked = NoisyOracle(sigmas, seed, range(len(sigmas)))
-    alone = [NoisyOracle.for_node(s, seed, i) for i, s in enumerate(sigmas)]
-    refs = [np.random.default_rng((seed, i)) for i in range(len(sigmas))]
-    silent = [rng.bit_generator.state for rng in stacked.rngs]
+    N, sigma, seed = len(objs), 0.2, 13
+    stacked = NoisyOracle(sigma, seed, range(N))
+    alone = [NoisyOracle.for_node(sigma, seed, i) for i in range(N)]
+    refs = [np.random.default_rng((seed, i)) for i in range(N)]
     calls = 2 * B + 3  # over two refills, and into a third block
     for k in range(1, calls + 1):
-        X = rng.standard_normal((len(sigmas), n))
+        X = rng.standard_normal((N, n))
         expect = net.f_grad(X)
-        for row, s, ref in zip(expect, sigmas, refs):
-            if s != 0.0:
-                row += ref.standard_normal(n) * (s / np.sqrt(n))
+        for row, ref in zip(expect, refs):
+            row += ref.standard_normal(n) * (sigma / np.sqrt(n))
         assert oracle_grad(net, stacked, X).tobytes() == expect.tobytes(), k
         rows = [oracle_grad(o, orc, x) for o, orc, x in zip(objs, alone, X)]
         assert np.stack(rows).tobytes() == expect.tobytes(), k
     blocks = -(-calls // B)  # the generator runs less than one block ahead
-    for i, (rng, s, before) in enumerate(zip(stacked.rngs, sigmas, silent)):
-        if s == 0.0:
-            assert rng.bit_generator.state == before
-        else:
-            ahead = np.random.default_rng((seed, i))
-            ahead.standard_normal((blocks * B, n))
-            assert rng.bit_generator.state == ahead.bit_generator.state
+    for i, rng in enumerate(stacked.rngs):
+        ahead = np.random.default_rng((seed, i))
+        ahead.standard_normal((blocks * B, n))
+        assert rng.bit_generator.state == ahead.bit_generator.state
 
 
 @pytest.mark.parametrize("algorithm", ["sdpga", "sdpga_w"])
@@ -626,12 +621,16 @@ def test_network_noise_source_adds_each_nodes_per_call_draws(algorithm, monkeypa
 
 
 def test_a_silent_row_keeps_its_bits_and_runs_share_no_noise_state():
-    # a sigma = 0 row adds nothing, not even +0.0, which would turn -0.0 into +0.0
-    orc = NoisyOracle((0.2, 0.0, 0.1), 3, range(3))
+    # a sigma = 0 source adds nothing, not even +0.0, which would turn -0.0
+    # into +0.0, and draws from no stream
+    silent, noisy = NoisyOracle(0.0, 3, range(3)), NoisyOracle(0.2, 3, range(3))
+    before = [rng.bit_generator.state for rng in silent.rngs]
     G = np.full((3, 40), -0.0)
-    orc.perturb(G)
-    assert G[1].tobytes() == np.full(40, -0.0).tobytes()
-    assert np.signbit(G[[0, 2]]).mean() not in (0.0, 1.0)  # the noisy rows moved
+    silent.perturb(G)
+    assert G.tobytes() == np.full((3, 40), -0.0).tobytes()
+    assert [rng.bit_generator.state for rng in silent.rngs] == before
+    noisy.perturb(G)
+    assert all(np.signbit(row).mean() not in (0.0, 1.0) for row in G)  # every row moved
     # runs in one process share no noise: seed 1, seed 2, then seed 1 again
     prob = generate_problem(ProblemSpec(case=1, N=5, n_g=20, seed=4))
     g = build_topology("star", 5)
@@ -643,7 +642,7 @@ def test_a_silent_row_keeps_its_bits_and_runs_share_no_noise_state():
         )
         return res.final_x.tobytes(), repr(res.record.rows), repr(res.ergodic)
 
-    for algorithm in ("sdpga", "sdpga_w"):
+    for algorithm in NOISY_ALGORITHMS:
         first, other, again = run(algorithm, 1), run(algorithm, 2), run(algorithm, 1)
         assert first == again
         assert first[0] != other[0]

@@ -13,28 +13,34 @@ import pytest
 
 from netprox.bench import ProblemSpec, generate_problem
 from netprox.dpga import gamma_heuristic
-from netprox.simnet import RoundSchedule, run_synchronous
+from netprox.simnet import NOISY_ALGORITHMS, RoundSchedule, run_synchronous
 from netprox.topology import build_topology
 
 # (Python-level calls, C-function calls) per round at star N = 5; the block of
-# B = 10 noise draws refills every 10 sdpga rounds, hence its fraction. A ufunc
+# B = 10 noise draws refills every 10 noisy rounds, hence its fraction. A ufunc
 # call is no profile event, so the observer's scalar roots through math.sqrt
-# count as C calls, though each costs less than a scalar np.sqrt.
+# count as C calls, though each costs less than a scalar np.sqrt. The noisy
+# runs take horizon 300, or the diminishing rule (no horizon) under a
+# "_diminishing" key.
 CEILINGS = {
     "dpga": (26, 44),
     "sdpga": (29, 45.2),
+    "sdpga_diminishing": (29, 45.2),
     "dpga_w": (28, 50),
+    "sdpga_w": (31, 51.2),
+    "sdpga_w_diminishing": (31, 51.2),
     "pg_extra": (25, 50),
 }
 R = 20  # a multiple of the noise block, so 2R - R rounds hold whole refills
 
 
-def events(algorithm, rounds):
+def events(key, rounds):
     g = build_topology("star", 5)
     objs = generate_problem(ProblemSpec(case=1, N=5, n_g=20, seed=0)).objectives
+    algorithm = key.removesuffix("_diminishing")
     kwargs = {} if algorithm == "pg_extra" else {"gammas": np.full(5, gamma_heuristic(g))}
-    if algorithm == "sdpga":
-        kwargs.update(sigma=0.1, horizon=300)
+    if algorithm in NOISY_ALGORITHMS:
+        kwargs.update(sigma=0.1, horizon=None if key.endswith("_diminishing") else 300)
     counts = {"call": 0, "c_call": 0}
 
     def profile(frame, event, arg):

@@ -16,6 +16,7 @@ from netprox.simnet import (
     ALGORITHMS,
     AuditLog,
     CSV_COLUMNS,
+    NOISY_ALGORITHMS,
     RoundSchedule,
     RunRecord,
     TABLE_PROFILES,
@@ -178,7 +179,7 @@ def test_run_validations():
     with pytest.raises(ValueError, match="nonnegative"):
         run_synchronous("sdpga", g, objs, sched, 0, gammas=gam, sigma=-0.1)
     # a NaN or inf sigma is refused by name, not met as a divergence in round 1
-    for algorithm in ("sdpga", "sdpga_w"):
+    for algorithm in NOISY_ALGORITHMS:
         for bad in ("nan", "inf"):
             with pytest.raises(ValueError, match=f"sigma must be finite and nonnegative, got {bad}"):
                 run_synchronous(algorithm, g, objs, sched, 0, gammas=gam, sigma=float(bad))
@@ -530,18 +531,24 @@ def test_stacked_and_per_node_runs_are_bit_identical(case):
             assert np.array_equal(col, nodes.ergodic[key]), (algorithm, key)
 
 
-def stepped_iterates(algorithm, g, objs, gammas, rounds, seed=0):
-    """X^1, ..., X^rounds of dpga, dpga_w or sdpga (sigma 0.1, horizon =
-    rounds) stepped directly with plain_exchange, as the simulator steps them."""
+def stepped_iterates(algorithm, g, objs, gammas, rounds, seed=0, horizon=None):
+    """X^1, ..., X^rounds of dpga, dpga_w, sdpga or sdpga_w (sigma 0.1, the
+    horizon rule with a horizon, else the diminishing rule) stepped directly
+    with plain_exchange, as the simulator steps them. The noisy rounds get
+    per-node oracles and resolve their step rule on every call."""
     x0, exchange = np.zeros((g.node_count, objs[0].n)), plain_exchange(g)
+    oracles = [NoisyOracle.for_node(0.1, seed, i) for i in range(g.node_count)]
+    mode = "horizon" if horizon is not None else "diminishing"
+    W = dpga_w.CommunicationMatrix.from_laplacian(g)
     if algorithm == "dpga_w":
-        W = dpga_w.CommunicationMatrix.from_laplacian(g)
         state = dpga_w.dpgaw_init(g, W, objs, gammas, x0)
         step = lambda st, k: dpga_w.dpgaw_round(st, objs, exchange)[0]
+    elif algorithm == "sdpga_w":
+        state = dpga_w.dpgaw_init(g, W, objs, gammas, x0, step_mode=mode)
+        step = lambda st, k: dpga_w.sdpgaw_round(st, objs, oracles, k, exchange, horizon=horizon)[0]
     elif algorithm == "sdpga":
-        oracles = [NoisyOracle.for_node(0.1, seed, i) for i in range(g.node_count)]
-        state = dpga_init(g, objs, gammas, x0, step_mode="horizon")
-        step = lambda st, k: dpga.sdpga_round(st, objs, oracles, k, exchange, horizon=rounds)[0]
+        state = dpga_init(g, objs, gammas, x0, step_mode=mode)
+        step = lambda st, k: dpga.sdpga_round(st, objs, oracles, k, exchange, horizon=horizon)[0]
     else:
         state = dpga_init(g, objs, gammas, x0)
         step = lambda st, k: dpga_round(st, objs, exchange)[0]
@@ -571,17 +578,20 @@ def observed_separately(algorithm, g, objs, trace, check_every, F_star):
     return tuple(rows), [np.array(col) for col in zip(*erg_rows)]
 
 
-def assert_observer_matches(algorithm, g, objs, gammas, check_every, rounds=7, seed=0):
+def assert_observer_matches(
+    algorithm, g, objs, gammas, check_every, rounds=7, seed=0, diminishing=False
+):
     reference = dataclasses.make_dataclass("Reference", ["F_star"])(1.25)
     sched = RoundSchedule(
         max_rounds=rounds, check_every=check_every, stop_rel_subopt=1e-30, stop_consensus=1e-30
     )
-    noisy = {"sigma": 0.1, "horizon": rounds} if algorithm == "sdpga" else {}
+    horizon = None if diminishing else rounds
+    noisy = {"sigma": 0.1, "horizon": horizon} if algorithm in NOISY_ALGORITHMS else {}
     res = run_synchronous(
         algorithm, g, objs, sched, seed, gammas=gammas, reference=reference,
         collect_ergodic=True, **noisy,
     )
-    trace = stepped_iterates(algorithm, g, objs, gammas, rounds, seed)
+    trace = stepped_iterates(algorithm, g, objs, gammas, rounds, seed, horizon)
     assert np.array_equal(res.final_x, trace[-1])
     rows, curves = observed_separately(algorithm, g, objs, trace, check_every, 1.25)
     assert res.record.rows == rows
@@ -601,6 +611,22 @@ def test_stacked_observer_is_bit_identical_to_separate_calls(algorithm, case, ki
     objs = network(generate_problem(ProblemSpec(case=case, N=N, n_g=10, seed=2)).objectives)
     g = build_topology(kind, N)
     assert_observer_matches(algorithm, g, objs, np.full(N, 0.8), check_every)
+
+
+@pytest.mark.parametrize("check_every", [1, 3])
+@pytest.mark.parametrize("kind, N", [("star", 5), ("circle", 50)])
+@pytest.mark.parametrize(
+    "algorithm, diminishing", [("sdpga", True), ("sdpga_w", False), ("sdpga_w", True)]
+)
+def test_noisy_runs_are_their_rounds_with_the_rule_resolved_on_each_call(
+    algorithm, diminishing, kind, N, check_every
+):
+    # the plan run_synchronous builds once and the one each round builds from
+    # rule and horizon give the same steps, bit for bit (sdpga with a horizon
+    # runs in the observer test above)
+    objs = network(generate_problem(ProblemSpec(case=1, N=N, n_g=10, seed=2)).objectives)
+    g = build_topology(kind, N)
+    assert_observer_matches(algorithm, g, objs, np.full(N, 0.8), check_every, diminishing=diminishing)
 
 
 @pytest.mark.parametrize("algorithm", ["dpga", "dpga_w", "sdpga"])
