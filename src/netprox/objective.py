@@ -128,8 +128,7 @@ def huber(y: np.ndarray, delta):
     Its gradient clamps y to [-delta, delta] coordinatewise and is 1-Lipschitz.
     Rows y (N, m) with a positive delta column (N, 1) give one value per row.
     """
-    if np.isscalar(delta):
-        check_positive(delta=delta)
+    check_positive(delta=delta)
     y = np.asarray(y, dtype=float)
     value = _huber_rows(y, delta, 0.5 * delta * delta)
     return float(value) if y.ndim == 1 else value
@@ -310,9 +309,9 @@ class NoisyOracle:
         """Add every row's next draw to its row of G (R, n), in place."""
         if not self.sigma:
             return
+        if G.shape[0] != self._block.shape[0]:  # the block holds one row per stream
+            raise ValueError(f"{len(G)} gradient rows for an oracle of {len(self.rngs)}")
         if self._next == self._block.shape[1]:  # the block is used up: draw the next one
-            if len(G) != len(self.rngs):
-                raise ValueError(f"{len(G)} gradient rows for an oracle of {len(self.rngs)}")
             n = G.shape[-1]
             if self._block.shape[2] != n:
                 self._block = np.empty((len(self.rngs), max(1, NOISE_BLOCK // n), n))

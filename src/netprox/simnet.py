@@ -7,7 +7,10 @@ node per exchange, counted once regardless of degree. Locality comes from
 the receivers' GraphOperators, whose support was checked against the graph
 when they were built, so node i only ever reads its neighbours' rows. Global
 quantities (objective value, consensus violation, ergodic averages) are
-computed by an observer between rounds and never fed back into the rounds.
+computed by an observer and never fed back into the rounds: it takes the
+checked rounds' iterates a block at a time, after the block's last checked
+round, so a run that stops inside a block has computed the block's later
+rounds and discards them.
 initial_state builds the state a run starts from; a registry maps each algorithm to its round.
 """
 
@@ -74,6 +77,7 @@ CSV_COLUMNS = (
 )
 
 _ERGODIC_KEYS = ("t", "ergodic_F", "subopt_gap", "edge_aggregate", "omega_norm")
+OBSERVE_BLOCK = 8192  # iterate values (N n per checked round) an observer block takes, X and Xbar each
 
 
 @dataclass(frozen=True)
@@ -259,31 +263,59 @@ def _edge_sq(graph: Graph, X) -> np.ndarray:
     return row_dot(D, D)
 
 
-def _max_edge(sq: np.ndarray, n: int) -> tuple[float, float]:
-    # a scalar's root through math: np.sqrt's correctly rounded value, without a ufunc call
-    max_edge = math.sqrt(np.maximum.reduce(sq))
-    return max_edge, np.float64(max_edge) / math.sqrt(n)
+def _max_edge(sq: np.ndarray, n: int) -> tuple[list, np.ndarray]:
+    """The root of each row's largest edge square, as Python floats, and V,
+    each root over sqrt(n), as np.float64: np.sqrt is correctly rounded, so a
+    row's root is the one math.sqrt takes of it alone."""
+    max_edge = np.sqrt(np.maximum.reduce(sq, axis=-1))
+    return max_edge.tolist(), max_edge / math.sqrt(n)
 
 
-def consensus_metrics(graph: Graph, X) -> tuple[float, float]:
-    """Largest edge disagreement and its sqrt(n)-normalized version V."""
-    return _max_edge(_edge_sq(graph, X), X.shape[1])
+def _aggregates(graph: Graph, sq: np.ndarray, Xbars: np.ndarray) -> tuple[list, list]:
+    """The edge-sum norms and |Omega Xbar|_F of the slices of Xbars (S, N, n),
+    sq their (S, E) edge squares: a row sum and a row_dot per slice, the sum
+    and the dot that one (N, n) slice alone takes."""
+    edge_agg = np.sqrt(np.add.reduce(sq, axis=-1))
+    v = (graph.laplacian() @ Xbars).reshape(len(Xbars), -1)  # the Frobenius norm as np.linalg.norm takes it
+    return edge_agg.tolist(), np.sqrt(row_dot(v, v)).tolist()
 
 
-def ergodic_aggregates(graph: Graph, Xbar) -> tuple[float, ...]:
+def consensus_metrics(graph: Graph, X):
+    """Largest edge disagreement and its sqrt(n)-normalized version V; a stack
+    (S, N, n) gives the list of its S disagreements and the array of its S
+    Vs from one pass."""
+    max_edge, V = _max_edge(_edge_sq(graph, X if X.ndim == 3 else X[None]), X.shape[-1])
+    return (max_edge, V) if X.ndim == 3 else (max_edge[0], V[0])
+
+
+def ergodic_aggregates(graph: Graph, Xbar) -> tuple:
     """Consensus aggregates of an averaged iterate: the edge-sum norm
     (sum over edges of |xbar_i - xbar_j|^2)^(1/2) and |Omega Xbar|_F.
 
     A stack (X, Xbar) of shape (2, N, n) takes the edges of both from one
     pass and puts consensus_metrics(graph, X) first:
-    (max_edge, V, edge_agg, omega_norm)."""
-    sq = _edge_sq(graph, Xbar)
-    lead = ()
-    if Xbar.ndim == 3:
-        lead, sq, Xbar = _max_edge(sq[0], Xbar.shape[2]), sq[1], Xbar[1]
-    edge_agg = math.sqrt(np.add.reduce(sq))
-    v = (graph.laplacian() @ Xbar).ravel()  # the Frobenius norm as np.linalg.norm takes it
-    return *lead, edge_agg, math.sqrt(v @ v)
+    (max_edge, V, edge_agg, omega_norm). A block (S, 2, N, n) of such stacks
+    gives the four as columns of S values, from one pass over the block."""
+    if Xbar.ndim == 2:
+        edge_agg, omega_norm = _aggregates(graph, _edge_sq(graph, Xbar)[None], Xbar[None])
+        return edge_agg[0], omega_norm[0]
+    block = Xbar if Xbar.ndim == 4 else Xbar[None]
+    sq = _edge_sq(graph, block)
+    cols = (*_max_edge(sq[:, 0], block.shape[-1]), *_aggregates(graph, sq[:, 1], block[:, 1]))
+    return cols if Xbar.ndim == 4 else tuple(col[0] for col in cols)
+
+
+def _measure(objectives, graph: Graph, stack: np.ndarray, ergodic: bool) -> list:
+    """(F, V, max_edge) of each checked round in stack, one call of each
+    observer name for all of them. Without ergodic collection stack is
+    (S, N, n), the rounds' X; with it (S, 2, N, n), each round's (X, Xbar),
+    and (F(Xbar), edge_agg, omega_norm) follow."""
+    Fs = network_objective(objectives, stack.reshape(-1, *stack.shape[-2:]))
+    if not ergodic:
+        max_edge, V = consensus_metrics(graph, stack)
+        return list(zip(Fs, V, max_edge))
+    max_edge, V, edge_agg, omega_norm = ergodic_aggregates(graph, stack)
+    return list(zip(Fs[0::2], V, max_edge, Fs[1::2], edge_agg, omega_norm))
 
 
 def audit_check(log: AuditLog, algorithm: str) -> AuditReport:
@@ -378,7 +410,20 @@ def run_synchronous(
     relative suboptimality and the consensus violation fall below the
     schedule's thresholds at a checked round; rel_subopt is |F - F*| / |F*|,
     or the absolute gap |F - F*| when F* = 0. Raises DivergenceError, naming
-    the round and the first node, as soon as an iterate is not finite.
+    the round and the first node, when an iterate is not finite.
+
+    The observer takes the checked rounds a block at a time: with
+    B = max(1, OBSERVE_BLOCK // (N n)), a block holds max(1, B // check_every)
+    checked rounds, so it spans at most B rounds (or one checked round), and
+    it is observed with one call of each observer name after its last
+    checked round or the last round. The stop rule then goes round by round:
+    the first checked round that meets it ends the run, and the block's later
+    rounds, computed already, are discarded, so the record, final_x, the
+    ergodic curves and the audit's rounds and sent count are that round's. A
+    round that raises (a DivergenceError, or an error of the round itself)
+    does so after the rounds waiting in the block are observed, so a stop or
+    an observer error of an earlier round comes first, as round by round.
+
     Every node starts at x = 0. The seed feeds the per-node gradient oracles
     of the stochastic variants; everything else is deterministic, so a
     fixed (configuration, seed) pair reproduces the record bit for bit.
@@ -427,18 +472,52 @@ def run_synchronous(
     F_star = None if reference is None else float(reference.F_star)
 
     erg_sum = np.zeros((N, n))
-    XX = np.empty((2, N, n)) if collect_ergodic else None  # a checked round's (X, Xbar)
+    # checked rounds per block: B = OBSERVE_BLOCK // (N n) rounds' iterates, at most B rounds long
+    per_block = max(1, max(1, OBSERVE_BLOCK // (N * n)) // schedule.check_every)
+    block = None  # the waiting rounds' X, or (X, Xbar); a lone X is observed as it is
+    if collect_ergodic or per_block > 1:
+        block = np.empty((per_block, 2, N, n) if collect_ergodic else (per_block, N, n))
+    waiting = []  # (k, x^k, audit.sent, audit.stored) of each checked round in the block
     rows, erg_rows = [], []
-    solved = False
+
+    def measure(lo: int, hi: int) -> list:
+        stack = waiting[lo][1][None] if block is None else block[lo:hi]
+        return _measure(objectives, graph, stack, collect_ergodic)
+
+    def observe():
+        """Rows of the waiting rounds in round order, up to the first that meets
+        both thresholds, whose entry of waiting is returned (else None). Should a
+        call for the whole block raise, the rounds are observed one at a time,
+        so a stop before the round that raises still ends the run."""
+        try:
+            measured = measure(0, len(waiting))
+        except Exception:
+            measured = (m for i in range(len(waiting)) for m in measure(i, i + 1))
+        for entry, (F, V, max_edge, *erg_values) in zip(waiting, measured):
+            k, sent = entry[0], entry[2]
+            rel = None if F_star is None else abs(F - F_star) / (abs(F_star) or 1.0)
+            rows.append((k, F, rel, V, max_edge, sent, None, None, None))
+            if collect_ergodic:
+                F_erg, *aggregates = erg_values
+                erg_rows.append((k, F_erg, None if F_star is None else F_erg - F_star, *aggregates))
+            if F_star is not None and rel <= schedule.stop_rel_subopt and V <= schedule.stop_consensus:
+                return entry
+        return None
+
+    stop = error = None
     for k in range(1, schedule.max_rounds + 1):
-        state = advance(run, state, k - 1)
-        X = state.x
-        if not np.logical_and.reduce(np.isfinite(X), axis=None):  # the row pass names the node
-            finite = np.isfinite(X).all(axis=1)
-            raise DivergenceError(
-                f"{algorithm} diverged in round {k}: node {int(np.argmin(finite))} "
-                "holds a non-finite iterate"
-            )
+        try:
+            state = advance(run, state, k - 1)
+            X = state.x
+            if not np.logical_and.reduce(np.isfinite(X), axis=None):  # the row pass names the node
+                finite = np.isfinite(X).all(axis=1)
+                raise DivergenceError(
+                    f"{algorithm} diverged in round {k}: node {int(np.argmin(finite))} "
+                    "holds a non-finite iterate"
+                )
+        except Exception as exc:  # raised once the rounds waiting before it are observed
+            error = exc
+            break
         audit.rounds = k
         audit.record_storage(state)
         if collect_ergodic:
@@ -446,24 +525,23 @@ def run_synchronous(
         if not (k % schedule.check_every == 0 or k == schedule.max_rounds):
             continue
         if collect_ergodic:
+            XX = block[len(waiting)]
             XX[0] = X
             np.divide(erg_sum, k, out=XX[1])
-            F, F_erg = network_objective(objectives, XX)
-            max_edge, V, *aggregates = ergodic_aggregates(graph, XX)
-            gap = None if F_star is None else F_erg - F_star
-            erg_rows.append((k, F_erg, gap, *aggregates))
-        else:
-            F = network_objective(objectives, X)
-            max_edge, V = consensus_metrics(graph, X)
-        rel = None if F_star is None else abs(F - F_star) / (abs(F_star) or 1.0)
-        rows.append((k, F, rel, V, max_edge, audit.sent, None, None, None))
-        if (
-            F_star is not None
-            and rel <= schedule.stop_rel_subopt
-            and V <= schedule.stop_consensus
-        ):
-            solved = True
-            break
+        elif block is not None:
+            block[len(waiting)] = X
+        waiting.append((k, X, audit.sent, audit.stored))
+        if len(waiting) == per_block or k == schedule.max_rounds:
+            stop = observe()
+            if stop is not None:
+                break
+            waiting.clear()
+    if error is not None:
+        stop = observe() if waiting else None
+        if stop is None:
+            raise error
+    if stop is not None:  # the rounds after the stop are discarded
+        audit.rounds, X, audit.sent, audit.stored = stop
 
     erg = None
     if collect_ergodic:  # the last round is always checked, so rows exist
@@ -475,6 +553,6 @@ def run_synchronous(
         audit=audit,
         final_x=X,
         rounds=audit.rounds,
-        solved=solved,
+        solved=stop is not None,
         ergodic=erg,
     )

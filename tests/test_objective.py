@@ -59,6 +59,16 @@ def test_huber_rejects_bad_inputs():
         huber_grad(np.array([np.nan]), 1.0)
 
 
+@pytest.mark.parametrize("bad", [-1.0, 0.0, np.nan, np.inf])
+def test_huber_checks_a_delta_column_as_it_checks_a_scalar(bad):
+    # rows y (N, m) with a per-row delta column: one bad entry fails the call
+    with pytest.raises(ValueError, match="delta must be finite and positive"):
+        huber(np.ones((2, 3)), np.array([[1.0], [bad]]))
+    with pytest.raises(ValueError, match="delta must be finite and positive"):
+        huber(np.ones(3), bad)
+    assert huber(np.ones((2, 3)), np.array([[1.0], [0.5]])).tolist() == [1.5, 1.5 - 3 * 0.125]
+
+
 def test_huber_gradient_is_1_lipschitz():
     rng = np.random.default_rng(0)
     for _ in range(50):
@@ -532,6 +542,22 @@ def test_stacked_oracle_draws_the_per_node_streams():
             assert np.array_equal(stacked, np.stack(rows))
         for stream, before in zip(stacked_orc.rngs, silent):
             assert (stream.bit_generator.state == before) == (sigma == 0.0)
+
+
+def test_every_perturb_checks_the_row_count():
+    # between refills as on them: a 5-row G never takes one row's draw five times
+    orc, n = NoisyOracle(0.2, 3, range(1)), 40
+    orc.perturb(np.zeros((1, n)))  # draws a block and uses its first draw
+    for call in range(2):
+        G = np.zeros((5, n))
+        with pytest.raises(ValueError, match="5 gradient rows for an oracle of 1"):
+            orc.perturb(G)
+        assert not G.any()
+    ref = np.random.default_rng((3, 0))
+    ref.standard_normal(n)
+    G = np.zeros((1, n))
+    orc.perturb(G)  # the refused calls used no draw
+    assert G.tobytes() == (ref.standard_normal(n) * (0.2 / np.sqrt(n)))[None].tobytes()
 
 
 def per_call_oracle_grad(obj, noisy, x):

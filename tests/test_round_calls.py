@@ -17,21 +17,21 @@ from netprox.simnet import NOISY_ALGORITHMS, RoundSchedule, run_synchronous
 from netprox.topology import build_topology
 
 # (Python-level calls, C-function calls) per round at star N = 5; the block of
-# B = 10 noise draws refills every 10 noisy rounds, hence its fraction. A ufunc
-# call is no profile event, so the observer's scalar roots through math.sqrt
-# count as C calls, though each costs less than a scalar np.sqrt. The noisy
-# runs take horizon 300, or the diminishing rule (no horizon) under a
-# "_diminishing" key.
+# B = 10 noise draws refills every 10 noisy rounds, and the observer takes a
+# block of 8 checked rounds (OBSERVE_BLOCK // (N n), n = 200) with one call of
+# each of its names, hence the fractions. A ufunc call is no profile event, so
+# the observer's roots through np.sqrt count nothing. The noisy runs take
+# horizon 300, or the diminishing rule (no horizon) under a "_diminishing" key.
 CEILINGS = {
-    "dpga": (26, 44),
-    "sdpga": (29, 45.2),
-    "sdpga_diminishing": (29, 45.2),
-    "dpga_w": (28, 50),
-    "sdpga_w": (31, 51.2),
-    "sdpga_w_diminishing": (31, 51.2),
-    "pg_extra": (25, 50),
+    "dpga": (16, 32.625),
+    "sdpga": (19, 33.825),
+    "sdpga_diminishing": (19, 33.825),
+    "dpga_w": (18, 38.625),
+    "sdpga_w": (21, 39.825),
+    "sdpga_w_diminishing": (21, 39.825),
+    "pg_extra": (15, 38.625),
 }
-R = 20  # a multiple of the noise block, so 2R - R rounds hold whole refills
+R = 40  # a multiple of both blocks, so 2R - R rounds hold whole refills and whole observer blocks
 
 
 def events(key, rounds):

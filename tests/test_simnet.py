@@ -532,10 +532,11 @@ def test_stacked_and_per_node_runs_are_bit_identical(case):
 
 
 def stepped_iterates(algorithm, g, objs, gammas, rounds, seed=0, horizon=None):
-    """X^1, ..., X^rounds of dpga, dpga_w, sdpga or sdpga_w (sigma 0.1, the
-    horizon rule with a horizon, else the diminishing rule) stepped directly
-    with plain_exchange, as the simulator steps them. The noisy rounds get
-    per-node oracles and resolve their step rule on every call."""
+    """X^1, ..., X^rounds of dpga, dpga_w, sdpga, sdpga_w (sigma 0.1, the
+    horizon rule with a horizon, else the diminishing rule) or pg_extra
+    stepped directly with plain_exchange, as the simulator steps them. The
+    noisy rounds get per-node oracles and resolve their step rule on every
+    call."""
     x0, exchange = np.zeros((g.node_count, objs[0].n)), plain_exchange(g)
     oracles = [NoisyOracle.for_node(0.1, seed, i) for i in range(g.node_count)]
     mode = "horizon" if horizon is not None else "diminishing"
@@ -546,6 +547,9 @@ def stepped_iterates(algorithm, g, objs, gammas, rounds, seed=0, horizon=None):
     elif algorithm == "sdpga_w":
         state = dpga_w.dpgaw_init(g, W, objs, gammas, x0, step_mode=mode)
         step = lambda st, k: dpga_w.sdpgaw_round(st, objs, oracles, k, exchange, horizon=horizon)[0]
+    elif algorithm == "pg_extra":
+        state = baselines.pg_extra_init(g, mixing_pair(g), objs, x0)
+        step = lambda st, k: baselines.pg_extra_round(st, objs, exchange)[0]
     elif algorithm == "sdpga":
         state = dpga_init(g, objs, gammas, x0, step_mode=mode)
         step = lambda st, k: dpga.sdpga_round(st, objs, oracles, k, exchange, horizon=horizon)[0]
@@ -641,7 +645,8 @@ def test_stacked_observer_on_ragged_nodes_calls_them_one_by_one(algorithm):
 
 def test_every_observed_value_comes_through_the_traced_observer(monkeypatch):
     # the benchmark's tracer times the observer by wrapping these three
-    # names, so each checked round must call them and nothing may compute F
+    # names, so each block of checked rounds must call each of its two names
+    # once, after the block's last checked round, and nothing may compute F
     # or an edge metric outside them
     g, objs = small_net(seed=14)
     log, depth = [], [0]
@@ -674,6 +679,8 @@ def test_every_observed_value_comes_through_the_traced_observer(monkeypatch):
     monkeypatch.setattr(simnet, "_edge_sq", inside_only("_edge_sq", simnet._edge_sq))
     monkeypatch.setattr(NetworkObjective, "phi", inside_only("phi", NetworkObjective.phi))
     monkeypatch.setattr(dpga, "sdpga_round", new_round(dpga.sdpga_round))
+    # blocks of B = 6 rounds' iterates: two checked rounds each at check_every 3
+    monkeypatch.setattr(simnet, "OBSERVE_BLOCK", 6 * 3 * objs[0].n)
     sched = RoundSchedule(max_rounds=8, check_every=3)
     for ergodic in (True, False):
         log.clear()
@@ -683,5 +690,125 @@ def test_every_observed_value_comes_through_the_traced_observer(monkeypatch):
         assert not [entry for entry in log if entry.endswith("-outside")]
         rounds = " ".join(log).split("|")[1:]
         assert len(rounds) == res.rounds == 8
-        checked = [k for k, calls in enumerate(rounds, start=1) if calls.split()]
-        assert checked == [row[0] for row in res.record.rows] == [3, 6, 8]
+        assert [row[0] for row in res.record.rows] == [3, 6, 8]
+        # blocks [3, 6] and [8]: observed after rounds 6 and 8, one call of each name
+        observed = {k: calls.split() for k, calls in enumerate(rounds, start=1) if calls.split()}
+        names = ["network_objective", "ergodic_aggregates" if ergodic else "consensus_metrics"]
+        assert observed == {6: names, 8: names}
+
+
+STOP_ON_F = dict(stop_rel_subopt=1e-300, stop_consensus=1e30)
+
+
+def stop_at(F):
+    """A reference whose F* is a run's F at one checked round: under STOP_ON_F
+    the run stops at the first checked round whose F has these bits."""
+    return dataclasses.make_dataclass("Reference", ["F_star"])(F)
+
+
+@pytest.mark.parametrize("ergodic", [True, False])
+@pytest.mark.parametrize("check_every", [1, 3])
+@pytest.mark.parametrize("algorithm", ["dpga", "sdpga", "pg_extra"])
+def test_a_stop_in_every_slot_of_a_block_is_the_round_by_round_stop(
+    algorithm, check_every, ergodic, monkeypatch
+):
+    # star N = 5, n = 200: B = 8 rounds' iterates per block, so a block holds
+    # 8 checked rounds at check_every 1 and 2 at check_every 3. A stop in any
+    # slot of two whole blocks and the round after them returns what the
+    # round-by-round loop returned, and the run computes fewer than B rounds
+    # past the stop
+    objs = network(generate_problem(ProblemSpec(case=1, N=5, n_g=20, seed=5)).objectives)
+    g, N, n = build_topology("star", 5), 5, objs[0].n
+    B = simnet.OBSERVE_BLOCK // (N * n)
+    assert B == 8
+    rounds = 2 * (B // check_every) * check_every + 1
+    gammas = None if algorithm == "pg_extra" else np.full(N, 0.8)
+    noisy = {"sigma": 0.1, "horizon": rounds} if algorithm == "sdpga" else {}
+    trace = stepped_iterates(algorithm, g, objs, gammas, rounds, horizon=rounds)
+    module = baselines if algorithm == "pg_extra" else dpga
+    name = {"dpga": "dpga_round", "sdpga": "sdpga_round", "pg_extra": "pg_extra_round"}[algorithm]
+    computed, original = [], getattr(module, name)
+
+    def counting(*args, **kwargs):
+        computed.append(None)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counting)
+    stops = [k for k in range(1, rounds + 1) if k % check_every == 0 or k == rounds]
+    assert len(stops) == 2 * (B // check_every) + 1
+    for s in stops:
+        F_star = network_objective(objs, trace[s - 1])
+        computed.clear()
+        res = run_synchronous(
+            algorithm, g, objs, RoundSchedule(max_rounds=rounds, check_every=check_every, **STOP_ON_F),
+            0, gammas=gammas, reference=stop_at(F_star), collect_ergodic=ergodic, **noisy,
+        )
+        rows, curves = observed_separately(algorithm, g, objs, trace[:s], check_every, F_star)
+        assert res.solved and res.rounds == res.audit.rounds == s, s
+        assert repr(res.record.rows) == repr(rows), s
+        assert res.final_x.tobytes() == trace[s - 1].tobytes(), s
+        assert res.audit.sent == TABLE_PROFILES[algorithm][0] * n * s, s
+        assert audit_check(res.audit, algorithm).ok, s
+        assert s <= len(computed) < s + B, s
+        if not ergodic:
+            assert res.ergodic is None
+            continue
+        for key, expected in zip(res.ergodic, curves):
+            assert res.ergodic[key].dtype == expected.dtype, (s, key)
+            assert np.array_equal(res.ergodic[key], expected), (s, key)
+
+
+class PhiFailsAt(Delegate):
+    """A node objective whose phi raises ValueError at one iterate."""
+
+    def __init__(self, obj, x):
+        super().__init__(obj)
+        self.x = x
+
+    def phi(self, x):
+        if np.array_equal(x, self.x):
+            raise ValueError("phi refuses this iterate")
+        return self.obj.phi(x)
+
+
+def test_a_round_that_raises_after_a_waiting_stop_returns_the_stop():
+    # N = 3, n = 6: the block holds 455 rounds, so the stop at round 2 still
+    # waits in it when round 4 diverges; the stop is observed first and ends
+    # the run, as the round-by-round loop ended it before round 4 ran
+    g, objs = small_net(seed=12)
+    gam = np.full(3, 1.0)
+
+    def run(max_rounds, diverge_at, reference=None):
+        nets = [objs[0], objs[1], NanAfter(objs[2], diverge_at)]
+        sched = RoundSchedule(max_rounds=max_rounds, **STOP_ON_F)
+        return run_synchronous("dpga", g, nets, sched, 0, gammas=gam, reference=reference)
+
+    with pytest.raises(DivergenceError, match="round 4: node 2 "):
+        run(10, diverge_at=4)
+    F2 = run(2, diverge_at=99).record.column("F")[-1]
+    alone, stopped = run(2, 99, stop_at(F2)), run(10, 4, stop_at(F2))
+    assert alone.solved and stopped.solved and stopped.rounds == 2
+    assert repr(stopped.record.rows) == repr(alone.record.rows)
+    assert stopped.final_x.tobytes() == alone.final_x.tobytes()
+    assert (stopped.audit.sent, stopped.audit.rounds) == (alone.audit.sent, 2) == (2 * objs[0].n, 2)
+
+
+def test_the_first_event_in_round_order_decides_an_observer_error():
+    # node 0's phi refuses its round-2 iterate, and round 4 diverges: the
+    # observer's ValueError of round 2 wins over round 4's DivergenceError,
+    # and a stop at round 1 wins over both, though all three share a block
+    g, objs = small_net(seed=12)
+    gam = np.full(3, 1.0)
+    plain = run_synchronous("dpga", g, [Delegate(o) for o in objs], RoundSchedule(max_rounds=2), 0, gammas=gam)
+    F1, x2 = plain.record.column("F")[0], plain.final_x[0].copy()
+
+    def run(reference=None):
+        nets = [PhiFailsAt(objs[0], x2), objs[1], NanAfter(objs[2], 4)]
+        sched = RoundSchedule(max_rounds=10, **STOP_ON_F)
+        return run_synchronous("dpga", g, nets, sched, 0, gammas=gam, reference=reference)
+
+    with pytest.raises(ValueError, match="phi refuses this iterate"):
+        run()
+    stopped = run(stop_at(F1))
+    assert stopped.solved and stopped.rounds == 1 and stopped.record.column("round") == [1]
+    assert stopped.record.column("F") == [F1]
