@@ -7,11 +7,11 @@ node per exchange, counted once regardless of degree. Locality comes from
 the receivers' GraphOperators, whose support was checked against the graph
 when they were built, so node i only ever reads its neighbours' rows. Global
 quantities (objective value, consensus violation, ergodic averages) are
-computed by an observer and never fed back into the rounds: it takes the
+computed by a run's Observer and never fed back into the rounds: it takes the
 checked rounds' iterates a block at a time, after the block's last checked
 round, so a run that stops inside a block has computed the block's later
-rounds and discards them.
-initial_state builds the state a run starts from; a registry maps each algorithm to its round.
+rounds and discards them. Every run starts from the state initial_state
+builds and steps by its algorithm's round in one registry.
 """
 
 from __future__ import annotations
@@ -292,30 +292,77 @@ def ergodic_aggregates(graph: Graph, Xbar) -> tuple:
     """Consensus aggregates of an averaged iterate: the edge-sum norm
     (sum over edges of |xbar_i - xbar_j|^2)^(1/2) and |Omega Xbar|_F.
 
-    A stack (X, Xbar) of shape (2, N, n) takes the edges of both from one
-    pass and puts consensus_metrics(graph, X) first:
-    (max_edge, V, edge_agg, omega_norm). A block (S, 2, N, n) of such stacks
-    gives the four as columns of S values, from one pass over the block."""
+    A block (S, 2, N, n) of stacks (X, Xbar) takes the edges of all of them
+    from one pass and gives four columns of S values, consensus_metrics of
+    the Xs first: (max_edge, V, edge_agg, omega_norm)."""
     if Xbar.ndim == 2:
         edge_agg, omega_norm = _aggregates(graph, _edge_sq(graph, Xbar)[None], Xbar[None])
         return edge_agg[0], omega_norm[0]
-    block = Xbar if Xbar.ndim == 4 else Xbar[None]
-    sq = _edge_sq(graph, block)
-    cols = (*_max_edge(sq[:, 0], block.shape[-1]), *_aggregates(graph, sq[:, 1], block[:, 1]))
-    return cols if Xbar.ndim == 4 else tuple(col[0] for col in cols)
+    sq = _edge_sq(graph, Xbar)
+    return (*_max_edge(sq[:, 0], Xbar.shape[-1]), *_aggregates(graph, sq[:, 1], Xbar[:, 1]))
 
 
-def _measure(objectives, graph: Graph, stack: np.ndarray, ergodic: bool) -> list:
-    """(F, V, max_edge) of each checked round in stack, one call of each
-    observer name for all of them. Without ergodic collection stack is
-    (S, N, n), the rounds' X; with it (S, 2, N, n), each round's (X, Xbar),
-    and (F(Xbar), edge_agg, omega_norm) follow."""
-    Fs = network_objective(objectives, stack.reshape(-1, *stack.shape[-2:]))
-    if not ergodic:
-        max_edge, V = consensus_metrics(graph, stack)
-        return list(zip(Fs, V, max_edge))
-    max_edge, V, edge_agg, omega_norm = ergodic_aggregates(graph, stack)
-    return list(zip(Fs[0::2], V, max_edge, Fs[1::2], edge_agg, omega_norm))
+class Observer:
+    """The checked rounds of one run: their measurements, rows and stop.
+
+    The run writes each checked round's X, or (X, Xbar) with ergodic
+    collection (Xbar = erg_sum / k, erg_sum the sum of its iterates), into
+    the next slot of block and appends (k, X, audit.sent, audit.stored) to
+    waiting. A block holds max(1, B // check_every) checked rounds with
+    B = max(1, OBSERVE_BLOCK // (N n)), so it spans at most B rounds (or one
+    checked round); observe takes it after its last checked round or the
+    run's last round with one call of each observer name, which the
+    benchmark's tracer wraps, so every observed value is computed inside them."""
+
+    def __init__(self, objectives, graph: Graph, schedule: RoundSchedule, reference, ergodic: bool):
+        N, n = graph.node_count, objectives[0].n
+        self.objectives, self.graph, self.schedule, self.ergodic = objectives, graph, schedule, ergodic
+        self.F_star = None if reference is None else float(reference.F_star)
+        per_block = max(1, max(1, OBSERVE_BLOCK // (N * n)) // schedule.check_every)
+        self.block = np.empty((per_block, 2, N, n) if ergodic else (per_block, N, n))
+        self.erg_sum, self.waiting, self.rows, self.erg_rows = np.zeros((N, n)), [], [], []
+
+    def measure(self, stack: np.ndarray) -> list:
+        """(F, V, max_edge) of each checked round in stack, a run of slots of
+        block, then (F(Xbar), edge_agg, omega_norm) with ergodic collection."""
+        Fs = network_objective(self.objectives, stack.reshape(-1, *stack.shape[-2:]))
+        if not self.ergodic:
+            max_edge, V = consensus_metrics(self.graph, stack)
+            return list(zip(Fs, V, max_edge))
+        max_edge, V, edge_agg, omega_norm = ergodic_aggregates(self.graph, stack)
+        return list(zip(Fs[0::2], V, max_edge, Fs[1::2], edge_agg, omega_norm))
+
+    def observe(self):
+        """Rows of the waiting rounds in round order, up to the first that meets
+        both thresholds, whose waiting entry is returned (else None, and waiting
+        is emptied). Should the block's call raise, the rounds are measured one
+        at a time, so a stop before the round that raises still ends the run."""
+        waiting, F_star, sched = self.waiting, self.F_star, self.schedule
+        try:
+            measured = self.measure(self.block[: len(waiting)])
+        except Exception:
+            measured = (m for i in range(len(waiting)) for m in self.measure(self.block[i : i + 1]))
+        for entry, (F, V, max_edge, *erg_values) in zip(waiting, measured):
+            k, sent = entry[0], entry[2]
+            rel = None if F_star is None else abs(F - F_star) / (abs(F_star) or 1.0)
+            self.rows.append((k, F, rel, V, max_edge, sent, None, None, None))
+            if self.ergodic:
+                F_erg, *aggregates = erg_values
+                self.erg_rows.append((k, F_erg, None if F_star is None else F_erg - F_star, *aggregates))
+            if F_star is not None and rel <= sched.stop_rel_subopt and V <= sched.stop_consensus:
+                return entry
+        waiting.clear()
+        return None
+
+    def curves(self) -> dict | None:
+        """The ergodic curves by name, one value per checked round; subopt_gap
+        is a list of None without a reference."""
+        if not self.ergodic:
+            return None
+        erg = {key: np.array(col) for key, col in zip(_ERGODIC_KEYS, zip(*self.erg_rows))}
+        if self.F_star is None:
+            erg["subopt_gap"] = [None] * len(self.erg_rows)
+        return erg
 
 
 def audit_check(log: AuditLog, algorithm: str) -> AuditReport:
@@ -412,12 +459,9 @@ def run_synchronous(
     or the absolute gap |F - F*| when F* = 0. Raises DivergenceError, naming
     the round and the first node, when an iterate is not finite.
 
-    The observer takes the checked rounds a block at a time: with
-    B = max(1, OBSERVE_BLOCK // (N n)), a block holds max(1, B // check_every)
-    checked rounds, so it spans at most B rounds (or one checked round), and
-    it is observed with one call of each observer name after its last
-    checked round or the last round. The stop rule then goes round by round:
-    the first checked round that meets it ends the run, and the block's later
+    The run's Observer takes the checked rounds a block at a time (its
+    docstring holds the layout), and the stop rule goes round by round: the
+    first checked round that meets it ends the run, and the block's later
     rounds, computed already, are discarded, so the record, final_x, the
     ergodic curves and the audit's rounds and sent count are that round's. A
     round that raises (a DivergenceError, or an error of the round itself)
@@ -469,41 +513,8 @@ def run_synchronous(
     advance = _ROUNDS[algorithm]
 
     audit.record_storage(state)
-    F_star = None if reference is None else float(reference.F_star)
-
-    erg_sum = np.zeros((N, n))
-    # checked rounds per block: B = OBSERVE_BLOCK // (N n) rounds' iterates, at most B rounds long
-    per_block = max(1, max(1, OBSERVE_BLOCK // (N * n)) // schedule.check_every)
-    block = None  # the waiting rounds' X, or (X, Xbar); a lone X is observed as it is
-    if collect_ergodic or per_block > 1:
-        block = np.empty((per_block, 2, N, n) if collect_ergodic else (per_block, N, n))
-    waiting = []  # (k, x^k, audit.sent, audit.stored) of each checked round in the block
-    rows, erg_rows = [], []
-
-    def measure(lo: int, hi: int) -> list:
-        stack = waiting[lo][1][None] if block is None else block[lo:hi]
-        return _measure(objectives, graph, stack, collect_ergodic)
-
-    def observe():
-        """Rows of the waiting rounds in round order, up to the first that meets
-        both thresholds, whose entry of waiting is returned (else None). Should a
-        call for the whole block raise, the rounds are observed one at a time,
-        so a stop before the round that raises still ends the run."""
-        try:
-            measured = measure(0, len(waiting))
-        except Exception:
-            measured = (m for i in range(len(waiting)) for m in measure(i, i + 1))
-        for entry, (F, V, max_edge, *erg_values) in zip(waiting, measured):
-            k, sent = entry[0], entry[2]
-            rel = None if F_star is None else abs(F - F_star) / (abs(F_star) or 1.0)
-            rows.append((k, F, rel, V, max_edge, sent, None, None, None))
-            if collect_ergodic:
-                F_erg, *aggregates = erg_values
-                erg_rows.append((k, F_erg, None if F_star is None else F_erg - F_star, *aggregates))
-            if F_star is not None and rel <= schedule.stop_rel_subopt and V <= schedule.stop_consensus:
-                return entry
-        return None
-
+    obs = Observer(objectives, graph, schedule, reference, collect_ergodic)
+    block, waiting, erg_sum, per_block = obs.block, obs.waiting, obs.erg_sum, len(obs.block)
     stop = error = None
     for k in range(1, schedule.max_rounds + 1):
         try:
@@ -528,31 +539,20 @@ def run_synchronous(
             XX = block[len(waiting)]
             XX[0] = X
             np.divide(erg_sum, k, out=XX[1])
-        elif block is not None:
+        else:
             block[len(waiting)] = X
         waiting.append((k, X, audit.sent, audit.stored))
         if len(waiting) == per_block or k == schedule.max_rounds:
-            stop = observe()
+            stop = obs.observe()
             if stop is not None:
                 break
-            waiting.clear()
     if error is not None:
-        stop = observe() if waiting else None
+        stop = obs.observe() if waiting else None
         if stop is None:
             raise error
     if stop is not None:  # the rounds after the stop are discarded
         audit.rounds, X, audit.sent, audit.stored = stop
-
-    erg = None
-    if collect_ergodic:  # the last round is always checked, so rows exist
-        erg = {key: np.array(col) for key, col in zip(_ERGODIC_KEYS, zip(*erg_rows))}
-        if F_star is None:
-            erg["subopt_gap"] = [None] * len(erg_rows)
     return RunResult(
-        record=RunRecord(rows=tuple(rows)),
-        audit=audit,
-        final_x=X,
-        rounds=audit.rounds,
-        solved=stop is not None,
-        ergodic=erg,
+        RunRecord(rows=tuple(obs.rows)), audit, final_x=X, rounds=audit.rounds,
+        solved=stop is not None, ergodic=obs.curves(),
     )

@@ -23,13 +23,13 @@ from netprox.topology import build_topology
 # the observer's roots through np.sqrt count nothing. The noisy runs take
 # horizon 300, or the diminishing rule (no horizon) under a "_diminishing" key.
 CEILINGS = {
-    "dpga": (16, 32.625),
-    "sdpga": (19, 33.825),
-    "sdpga_diminishing": (19, 33.825),
-    "dpga_w": (18, 38.625),
-    "sdpga_w": (21, 39.825),
-    "sdpga_w_diminishing": (21, 39.825),
-    "pg_extra": (15, 38.625),
+    "dpga": (15.875, 32.625),
+    "sdpga": (18.875, 33.625),
+    "sdpga_diminishing": (18.875, 33.625),
+    "dpga_w": (17.875, 38.625),
+    "sdpga_w": (20.875, 39.625),
+    "sdpga_w_diminishing": (20.875, 39.625),
+    "pg_extra": (14.875, 38.625),
 }
 R = 40  # a multiple of both blocks, so 2R - R rounds hold whole refills and whole observer blocks
 

@@ -5,13 +5,18 @@ constant-step error constant and the Lyapunov value a^k), the engine's
 exactness residuals and objective, the noisy PG-ADMM step with its
 diminishing and horizon schedules, the ergodic mean of an engine run,
 PG-EXTRA's KKT residuals and the equal-gamma simplifications of the
-theorem-3 and theorem-4 bounds.
+theorem-3 and theorem-4 bounds; and plain_run, the round-by-round loop that
+simnet.run_synchronous's blocked observer must reproduce.
 """
+
+from types import SimpleNamespace
 
 import numpy as np
 
+from netprox import simnet
 from netprox.bench import BoundCurve
 from netprox.engine import BlockProblem, EngineState, StepPlan, _advance, _cap, base_step, step_rule
+from netprox.errors import DivergenceError
 from netprox.objective import NoisyOracle, adds_noise, network, oracle_grad
 from netprox.topology import Graph, MixingPair, spectral_summary
 
@@ -233,3 +238,65 @@ def equal_gamma_simplified(graph: Graph, gamma, kappas, lipschitzes, x_star, x0_
     else:
         raise ValueError("variant must be 'dpga' or 'dpga_w'")
     return BoundCurve(column=column, coef_subopt=num, coef_consensus=num)
+
+
+def plain_run(
+    algorithm, graph: Graph, objectives, schedule, seed, *,
+    gammas=None, sigma=0.0, horizon=None, reference=None, collect_ergodic=False,
+) -> simnet.RunResult:
+    """simnet.run_synchronous (CS steps) as the textbook loop: step, raise on
+    a non-finite iterate, observe each checked round alone through the (N, n)
+    calls of the observer names, and stop at the first checked round that
+    meets both thresholds. The rounds are looked up in simnet._ROUNDS at
+    call time, so a patched round is stepped here too."""
+    objectives = network(objectives)
+    N, n = graph.node_count, objectives[0].n
+    audit = simnet.AuditLog(node_count=N, n=n)
+    state = simnet.initial_state(algorithm, graph, objectives, gammas, horizon, 0.999)
+    noisy = algorithm in simnet.NOISY_ALGORITHMS
+    run = SimpleNamespace(
+        objectives=objectives,
+        step_mode="CS",
+        oracles=NoisyOracle(sigma, seed, range(N)) if noisy else None,
+        steps=StepPlan(None, state.c, horizon).step_sizes if noisy else None,
+        exchange=simnet.Transport(graph, audit).exchange,
+    )
+    audit.record_storage(state)
+    F_star = None if reference is None else float(reference.F_star)
+    rows, erg_rows, erg_sum, solved = [], [], np.zeros((N, n)), False
+    for k in range(1, schedule.max_rounds + 1):
+        state = simnet._ROUNDS[algorithm](run, state, k - 1)
+        X = state.x
+        finite = np.isfinite(X).all(axis=1)
+        if not finite.all():
+            raise DivergenceError(
+                f"{algorithm} diverged in round {k}: node {int(np.argmin(finite))} "
+                "holds a non-finite iterate"
+            )
+        audit.rounds = k
+        audit.record_storage(state)
+        erg_sum += X
+        if k % schedule.check_every and k != schedule.max_rounds:
+            continue
+        F = simnet.network_objective(objectives, X)
+        max_edge, V = simnet.consensus_metrics(graph, X)
+        rel = None if F_star is None else abs(F - F_star) / (abs(F_star) or 1.0)
+        rows.append((k, F, rel, V, max_edge, audit.sent, None, None, None))
+        if collect_ergodic:
+            Xbar = erg_sum / k
+            F_erg = simnet.network_objective(objectives, Xbar)
+            gap = None if F_star is None else F_erg - F_star
+            erg_rows.append((k, F_erg, gap, *simnet.ergodic_aggregates(graph, Xbar)))
+        if F_star is not None and rel <= schedule.stop_rel_subopt and V <= schedule.stop_consensus:
+            solved = True
+            break
+    erg = None
+    if collect_ergodic:
+        keys = ("t", "ergodic_F", "subopt_gap", "edge_aggregate", "omega_norm")
+        erg = {key: np.array(col) for key, col in zip(keys, zip(*erg_rows))}
+        if F_star is None:
+            erg["subopt_gap"] = [None] * len(erg_rows)
+    return simnet.RunResult(
+        simnet.RunRecord(rows=tuple(rows)), audit, final_x=X, rounds=audit.rounds,
+        solved=solved, ergodic=erg,
+    )
