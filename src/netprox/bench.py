@@ -628,7 +628,8 @@ def run_experiment(config: dict, out_dir=None, check: bool = False) -> Experimen
         )
     if check:
         lines.append("checks: PASS" if failed is None else f"checks: FAIL ({failed})")
-    summary_path.write_text("\n".join(lines) + "\n")
+    with _simnet.output_file(summary_path) as fh:
+        fh.write("\n".join(lines) + "\n")
     return ExperimentSummary(
         rows=rows, csv_paths=csv_paths, summary_path=summary_path, checks_passed=failed is None
     )

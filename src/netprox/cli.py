@@ -16,6 +16,7 @@ import numpy as np
 
 from . import bench
 from .objective import objective_to_text
+from .simnet import output_file
 from .topology import edge_list_text
 
 
@@ -66,7 +67,8 @@ def _cmd_bounds(args) -> int:
                 row.append(repr(float(c.consensus_bound(int(t)))))
             lines.append(",".join(row))
         path = out / f"bounds_{exp.label}_seed{seed}.csv"
-        path.write_text("\n".join(lines) + "\n")
+        with output_file(path) as fh:
+            fh.write("\n".join(lines) + "\n")
         print(path)
     return 0
 
@@ -81,13 +83,15 @@ def _cmd_gen(args) -> int:
             inst.mkdir(exist_ok=True)
         except OSError as exc:
             raise bench.ConfigError(f"cannot make the instance directory {inst}: {exc.strerror or exc}") from exc
-        (inst / "topology.txt").write_text(exp.topology.to_text())
-        (inst / "edges.txt").write_text(edge_list_text(exp.graph))
-        (inst / "planted.txt").write_text(
-            "\n".join(repr(float(v)) for v in problem.x_planted) + "\n"
-        )
+        with output_file(inst / "topology.txt") as fh:
+            fh.write(exp.topology.to_text())
+        with output_file(inst / "edges.txt") as fh:
+            fh.write(edge_list_text(exp.graph))
+        with output_file(inst / "planted.txt") as fh:
+            fh.write("\n".join(repr(float(v)) for v in problem.x_planted) + "\n")
         for i, obj in enumerate(problem.objectives):
-            (inst / f"node{i + 1}.txt").write_text(objective_to_text(obj))
+            with output_file(inst / f"node{i + 1}.txt") as fh:
+                fh.write(objective_to_text(obj))
         print(inst)
     return 0
 
